@@ -4,7 +4,6 @@ suites, contraction-map runs, and lifespan-scaling experiments.
 """
 
 from .core import (
-    CriticalExponents,
     EnergyNorms,
     LambdaNorms,
     LocalEnergyNorm,
@@ -16,7 +15,6 @@ from .core import (
     WaveState,
     WeightChoice,
     WeightParams,
-    critical_exponents,
     e_norms,
     lambda_norms,
     le_norm,
@@ -25,7 +23,6 @@ from .core import (
     radial_derivative,
     radial_laplacian,
     sphere_area,
-    sup_trace_norm,
     trajectory_difference,
     weight_exponents,
     weighted_l2,
@@ -82,7 +79,6 @@ from .solver import (
     DataProfile,
     ProfileData,
     SolveOutcome,
-    duhamel,
     energy,
     evolve,
     exact_free_n3,

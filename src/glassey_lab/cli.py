@@ -9,6 +9,7 @@ import argparse
 import os
 import sys
 import traceback
+from dataclasses import asdict
 
 import numpy as np
 
@@ -17,13 +18,14 @@ from .core import (
     ProblemSpec,
     RadialGrid,
     WeightParams,
-    critical_exponents,
+    _derivative_values,
+    _energy_integral,
     lambda_norms,
     norm_report,
 )
 from .errors import GlasseyLabError, PreconditionViolation
 from .report import fmt_value, read_config, write_config, write_csv, write_series
-from .solver import DataProfile, energy, evolve, make_profile
+from .solver import DataProfile, evolve, make_profile
 
 SUBCOMMANDS = ("solve", "ineq", "kss", "picard", "lifespan", "norms")
 
@@ -149,13 +151,15 @@ def _run_solve(args):
         spec, data.u0, data.u1, grid, args.t_end,
         linear_only=args.linear, cfl=args.cfl, sample_stride=args.stride,
     )
+    traj = outcome.trajectory
     rows = []
-    for state in outcome.trajectory.states:
+    for t, u, v in zip(traj.times, traj.u, traj.v):
+        du = _derivative_values(u, grid.spacing)
         rows.append({
-            "t": state.time,
-            "energy": energy(state, args.n),
-            "max_v": float(np.max(np.abs(state.v.values))),
-            "max_u": float(np.max(np.abs(state.u.values))),
+            "t": float(t),
+            "energy": 0.5 * _energy_integral(v, du, grid, args.n),
+            "max_v": float(np.max(np.abs(v))),
+            "max_u": float(np.max(np.abs(u))),
         })
     write_csv(os.path.join(args.out, "series.csv"), "solve",
               ("t", "energy", "max_v", "max_u"), rows)
@@ -235,12 +239,9 @@ def _run_picard(args):
         spec, data.u0, data.u1, grid, args.t_end,
         max_iters=args.max_iters, tol=args.tol, cfl=args.cfl, sample_stride=args.stride,
     )
-    rows = [{
-        "iteration": t.iteration, "rho_step": t.rho_step,
-        "e1": t.e1, "e2": t.e2, "le1": t.le1, "le2": t.le2,
-    } for t in result.trace]
     write_csv(os.path.join(args.out, "picard_trace.csv"), "picard",
-              ("iteration", "rho_step", "e1", "e2", "le1", "le2"), rows)
+              ("iteration", "rho_step", "e1", "e2", "le1", "le2"),
+              [asdict(t) for t in result.trace])
     write_series(os.path.join(args.out, "rho_series.txt"), "iteration rho",
                  [(t.iteration, t.rho_step) for t in result.trace])
     print(f"picard: converged={result.converged} iterations={len(result.trace)} "
@@ -263,7 +264,7 @@ def _run_lifespan(args):
         cfl=args.cfl, sample_stride=args.stride, jobs=args.jobs,
     )
     write_csv(os.path.join(args.out, "sweep.csv"), "lifespan",
-              lifespan.SWEEP_COLUMNS, [r.row() for r in records])
+              lifespan.SWEEP_COLUMNS, [asdict(r) for r in records])
     write_series(os.path.join(args.out, "sweep_series.txt"), "epsilon t_observed",
                  [(r.epsilon, r.t_observed) for r in records])
     law = lifespan.predicted_law(spec)
@@ -273,7 +274,7 @@ def _run_lifespan(args):
     elif law.regime == "critical":
         fits.append(lifespan.fit_exponential(records, spec))
     write_csv(os.path.join(args.out, "fit.csv"), "lifespan",
-              lifespan.FIT_COLUMNS, [f.row() for f in fits])
+              lifespan.FIT_COLUMNS, [asdict(f) for f in fits])
     print(f"lifespan: regime={law.regime} records={len(records)} "
           f"censored={sum(1 for r in records if r.censored)}")
     for f in fits:
@@ -292,10 +293,9 @@ def _run_norms(args):
     w = WeightParams(delta=args.delta, delta_prime=args.delta_prime, horizon=args.t_end)
     report = norm_report(outcome.trajectory, w)
     lam = lambda_norms(data.u0, data.u1, args.n)
-    exps = critical_exponents(spec)
     rows = [
-        {"quantity": "p_c", "value": exps.p_c},
-        {"quantity": "s_c", "value": exps.s_c},
+        {"quantity": "p_c", "value": spec.p_critical},
+        {"quantity": "s_c", "value": spec.s_scaling},
         {"quantity": "lambda1", "value": lam.lambda1},
         {"quantity": "lambda2", "value": lam.lambda2},
         {"quantity": "e1", "value": report.e1},

@@ -70,16 +70,14 @@ class ProblemSpec:
     def s_scaling(self) -> float:
         return self.n_dim / 2.0 + 1.0 - 1.0 / (self.p - 1.0)
 
-
-@dataclass(frozen=True)
-class CriticalExponents:
-    p_c: float
-    s_c: float
-
-
-def critical_exponents(spec: ProblemSpec) -> CriticalExponents:
-    """Blow-up/global threshold power and the scaling-invariant Sobolev order."""
-    return CriticalExponents(p_c=spec.p_critical, s_c=spec.s_scaling)
+    @property
+    def regime(self) -> str:
+        """Side of the threshold power p lies on: "subcritical", "critical"
+        (within 1e-9 of p_critical) or "supercritical"."""
+        gap = self.p - self.p_critical
+        if abs(gap) <= 1e-9:
+            return "critical"
+        return "supercritical" if gap > 0.0 else "subcritical"
 
 
 @dataclass(frozen=True)
@@ -158,64 +156,72 @@ class WaveState:
         return self.u.grid
 
 
+def _read_only(values) -> np.ndarray:
+    view = np.asarray(values, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered wave states sampled at a fixed stride."""
+    """Samples u[k], v[k] = (u, u_t) at uniformly spaced times[k].
+
+    times has shape (K,) and u, v have shape (K, nodes).  The trajectory
+    keeps read-only views of the arrays it is given; they are not copied.
+    """
 
     problem: ProblemSpec
-    states: tuple
-    dt_sample: float
+    grid: RadialGrid
+    times: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self):
-        states = tuple(self.states)
-        if not states:
-            raise PreconditionViolation("trajectory must contain at least one state")
-        times = np.array([s.time for s in states])
+        times = _read_only(self.times)
+        if times.ndim != 1 or times.size == 0:
+            raise PreconditionViolation("trajectory must contain at least one sample time")
+        _require_finite(times, "trajectory times")
+        if times[0] < 0.0:
+            raise PreconditionViolation(f"sample times must be >= 0, got {times[0]}")
         gaps = np.diff(times)
         if np.any(gaps <= 0.0):
             raise PreconditionViolation("trajectory times must be strictly increasing")
-        if gaps.size:
-            if not (math.isfinite(self.dt_sample) and self.dt_sample > 0.0):
-                raise PreconditionViolation("dt_sample must be positive")
-            if np.any(np.abs(gaps - self.dt_sample) > 1e-12 * max(1.0, self.dt_sample)):
-                raise PreconditionViolation("trajectory gaps must equal dt_sample")
-        grid = states[0].grid
-        for s in states:
-            if s.grid != grid:
-                raise PreconditionViolation("all states must share one grid")
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "times", times)
+        dt = self.dt_sample
+        if np.any(np.abs(gaps - dt) > 1e-12 * max(1.0, dt)):
+            raise PreconditionViolation("trajectory times must be uniformly spaced")
+        shape = (times.size, self.grid.num_cells + 1)
+        for name in ("u", "v"):
+            values = _read_only(getattr(self, name))
+            if values.shape != shape:
+                raise PreconditionViolation(
+                    f"trajectory {name} has shape {values.shape}, expected {shape} "
+                    "(one row of grid nodes per sample time)"
+                )
+            _require_finite(values, f"trajectory {name}")
+            object.__setattr__(self, name, values)
 
     @property
-    def grid(self) -> RadialGrid:
-        return self.states[0].grid
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.states])
+    def dt_sample(self) -> float:
+        """Gap between consecutive sample times; 0 for a single sample."""
+        if self.times.size == 1:
+            return 0.0
+        return float(self.times[-1] - self.times[0]) / (self.times.size - 1)
 
     @property
     def t_end(self) -> float:
-        return self.states[-1].time
+        return float(self.times[-1])
 
 
 def trajectory_difference(a: Trajectory, b: Trajectory) -> Trajectory:
-    """Statewise a - b; trajectories must share grid and sample times."""
-    if len(a.states) != len(b.states):
+    """Samplewise a - b; trajectories must share grid and sample times."""
+    if a.times.size != b.times.size:
         raise PreconditionViolation("trajectories have different lengths")
     if a.grid != b.grid:
         raise PreconditionViolation("trajectories live on different grids")
-    states = []
-    for sa, sb in zip(a.states, b.states):
-        if abs(sa.time - sb.time) > 1e-9 * max(1.0, sa.time):
-            raise PreconditionViolation("trajectories have different sample times")
-        states.append(
-            WaveState(
-                time=sa.time,
-                u=RadialField(a.grid, sa.u.values - sb.u.values),
-                v=RadialField(a.grid, sa.v.values - sb.v.values),
-            )
-        )
-    return Trajectory(problem=a.problem, states=tuple(states), dt_sample=a.dt_sample)
+    if np.any(np.abs(a.times - b.times) > 1e-9 * np.maximum(1.0, a.times)):
+        raise PreconditionViolation("trajectories have different sample times")
+    return Trajectory(problem=a.problem, grid=a.grid, times=a.times, u=a.u - b.u, v=a.v - b.v)
 
 
 @dataclass(frozen=True)
@@ -248,15 +254,22 @@ class WeightChoice:
 
 
 def weight_exponents(regime: str, spec: ProblemSpec, s1: float = None, s2: float = None) -> WeightChoice:
-    """Weight exponents for the three lifespan regimes.
+    """Weight exponents for the three lifespan regimes; `regime` must be
+    spec.regime.
 
     supercritical: requires 1/2 <= s1 < n/2 - 1/(p-1) < s2 <= 1.
-    critical: p must equal the threshold power; s2 in (1/2, 1] (s1 is pinned
-    to 1/2); the log-weighted term governs and delta_prime = delta is reported.
-    subcritical: requires p below the threshold power; s1, s2 are ignored.
+    critical: s2 in (1/2, 1] (s1 is pinned to 1/2); the log-weighted term
+    governs and delta_prime = delta is reported.
+    subcritical: s1, s2 are ignored.
     """
     n, p = spec.n_dim, spec.p
-    p_c = spec.p_critical
+    if regime not in ("subcritical", "critical", "supercritical"):
+        raise PreconditionViolation(f"unknown regime {regime!r}")
+    if spec.regime != regime:
+        raise PreconditionViolation(
+            f"{regime} weights need a {regime} power, but p = {p} is {spec.regime} "
+            f"(p_c = {spec.p_critical:.6g})"
+        )
     if regime == "supercritical":
         if s1 is None or s2 is None:
             raise PreconditionViolation("supercritical regime needs s1 and s2")
@@ -269,25 +282,19 @@ def weight_exponents(regime: str, spec: ProblemSpec, s1: float = None, s2: float
         delta_prime = (1.0 - (s2 - s1) * (p - 1.0)) / 2.0
         governing = "deriv"
     elif regime == "critical":
-        if abs(p - p_c) > 1e-9:
-            raise PreconditionViolation(f"critical regime needs p = {p_c:.6g}, got {p}")
         s = 1.0 if s2 is None else s2
         if not (0.5 < s <= 1.0):
             raise PreconditionViolation(f"critical regime needs s in (1/2, 1], got {s}")
         delta = (n - 2.0 * s) * (p - 1.0) / 4.0
         delta_prime = delta
         governing = "log"
-    elif regime == "subcritical":
-        if not p < p_c - 1e-12:
-            raise PreconditionViolation(f"subcritical regime needs p < {p_c:.6g}, got {p}")
+    else:
         if p < 1.0 + 1.0 / (n - 1):
             delta = (n - 1) * (p - 1.0) / 2.0
         else:
             delta = (n - 1) * (p - 1.0) / 4.0
         delta_prime = 0.0
         governing = "horizon"
-    else:
-        raise PreconditionViolation(f"unknown regime {regime!r}")
 
     if not (0.0 < delta < 0.5):
         raise PreconditionViolation(f"derived delta {delta:.6g} escapes (0, 1/2)")
@@ -409,11 +416,6 @@ def weighted_sup(f: RadialField, n: int, power: float) -> float:
     return math.sqrt(sphere_area(n)) * float(np.max(r**power * np.abs(f.values[1:])))
 
 
-def sup_trace_norm(f: RadialField, n: int, s: float) -> float:
-    """|| r^{n/2-s} f ||_{L_r^inf L_omega^2} for radial f."""
-    return weighted_sup(f, n, n / 2.0 - s)
-
-
 # ---------------------------------------------------------------------------
 # data and energy norms
 # ---------------------------------------------------------------------------
@@ -444,29 +446,34 @@ class EnergyNorms:
     e2: float
 
 
-def _state_slopes(state: WaveState, n: int):
-    dr = state.grid.spacing
-    du = _derivative_values(state.u.values, dr)
-    dv = _derivative_values(state.v.values, dr)
-    lap = _laplacian_values(state.u.values, state.grid.nodes, dr, n)
+def _energy_integral(v: np.ndarray, du: np.ndarray, grid: RadialGrid, n: int) -> float:
+    """int (v^2 + u_r^2) over R^n, given nodal v and u_r."""
+    return _weighted_square_integral(v, grid, n, 0.0, 0.0) + _weighted_square_integral(
+        du, grid, n, 0.0, 0.0
+    )
+
+
+def _slopes(u: np.ndarray, v: np.ndarray, grid: RadialGrid, n: int):
+    dr = grid.spacing
+    du = _derivative_values(u, dr)
+    dv = _derivative_values(v, dr)
+    lap = _laplacian_values(u, grid.nodes, dr, n)
     return du, dv, lap
 
 
 def e_norms(traj: Trajectory, t_max: float = None) -> EnergyNorms:
     """Sup-in-time energy norms of first and second order."""
     n = traj.problem.n_dim
+    grid = traj.grid
     e1 = 0.0
     e2 = 0.0
-    for state in traj.states:
-        if t_max is not None and state.time > t_max + 1e-9 * max(1.0, t_max):
+    for t, u, v in zip(traj.times, traj.u, traj.v):
+        if t_max is not None and t > t_max + 1e-9 * max(1.0, t_max):
             break
-        du, dv, lap = _state_slopes(state, n)
-        grid = state.grid
-        a1 = _weighted_square_integral(state.v.values, grid, n, 0.0, 0.0)
-        b1 = _weighted_square_integral(du, grid, n, 0.0, 0.0)
+        du, dv, lap = _slopes(u, v, grid, n)
         a2 = _weighted_square_integral(dv, grid, n, 0.0, 0.0)
         b2 = _weighted_square_integral(lap, grid, n, 0.0, 0.0)
-        e1 = max(e1, math.sqrt(a1 + b1))
+        e1 = max(e1, math.sqrt(_energy_integral(v, du, grid, n)))
         e2 = max(e2, math.sqrt(a2 + b2))
     return EnergyNorms(e1=e1, e2=e2)
 
@@ -510,14 +517,14 @@ def le_norm(traj: Trajectory, w: WeightParams, second_order: bool = False) -> Lo
     grid = traj.grid
 
     s_deriv, s_field, s_log, s_hor = [], [], [], []
-    for state in traj.states:
-        du, dv, lap = _state_slopes(state, n)
+    for u, v in zip(traj.u, traj.v):
+        du, dv, lap = _slopes(u, v, grid, n)
         if second_order:
             du_abs = np.sqrt(dv**2 + lap**2)
             u_abs = np.abs(du)
         else:
-            du_abs = np.sqrt(state.v.values**2 + du**2)
-            u_abs = np.abs(state.u.values)
+            du_abs = np.sqrt(v**2 + du**2)
+            u_abs = np.abs(u)
         s_deriv.append(_weighted_square_integral(du_abs, grid, n, -d, -0.5 + dp))
         if n >= 3:
             alpha = u_abs[0]
@@ -581,8 +588,8 @@ def lestar_upper(forcing_traj: Trajectory, w: WeightParams) -> float:
     grid = forcing_traj.grid
 
     s_a, s_b, s_c = [], [], []
-    for state in forcing_traj.states:
-        vals = np.abs(state.u.values)
+    for u in forcing_traj.u:
+        vals = np.abs(u)
         s_a.append(_weighted_square_integral(vals, grid, n, d, 0.5 - dp))
         s_b.append(_weighted_square_integral(vals, grid, n, d, 0.5 - d))
         s_c.append(_weighted_square_integral(vals, grid, n, d, 0.0))

@@ -19,10 +19,9 @@ from .core import (
     RadialField,
     RadialGrid,
     Trajectory,
-    WaveState,
     WeightParams,
     _derivative_values,
-    _weighted_square_integral,
+    _energy_integral,
     e_norms,
     le_norm,
     lestar_upper,
@@ -33,7 +32,7 @@ from .core import (
     weighted_sup,
 )
 from .errors import DegenerateInput, PreconditionViolation
-from .solver import evolve
+from .solver import _bump_shape, evolve
 
 DEFAULT_TOL = 1e-3
 KSS_BAND = 0.25
@@ -177,9 +176,9 @@ def decay_envelope_check(traj: Trajectory, s1: float, s2: float) -> IneqSample:
     r = traj.grid.nodes[1:]
     w = r ** (n / 2.0 - s2) * (1.0 + r**2) ** ((s2 - s1) / 2.0)
     best = 0.0
-    for state in traj.states:
-        du = _derivative_values(state.u.values, traj.grid.spacing)
-        mag = np.sqrt(state.v.values[1:] ** 2 + du[1:] ** 2)
+    for u, v in zip(traj.u, traj.v):
+        du = _derivative_values(u, traj.grid.spacing)
+        mag = np.sqrt(v[1:] ** 2 + du[1:] ** 2)
         best = max(best, float(np.max(mag * w)))
     return IneqSample(
         "decay",
@@ -261,11 +260,7 @@ class ForcingSpec:
         return self.space_center + self.space_width
 
     def shape(self, grid: RadialGrid) -> np.ndarray:
-        xi = (grid.nodes - self.space_center) / self.space_width
-        out = np.zeros_like(grid.nodes)
-        inside = np.abs(xi) < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - xi[inside] ** 2))
-        return self.amplitude * out
+        return self.amplitude * _bump_shape(grid.nodes, self.space_center, self.space_width)
 
     def envelope(self, t: float) -> float:
         mid = 0.5 * (self.t_on + self.t_off)
@@ -280,13 +275,10 @@ class ForcingSpec:
         return lambda t: self.envelope(t) * shape
 
     def sampled(self, grid: RadialGrid, times, spec: ProblemSpec) -> Trajectory:
-        shape = self.shape(grid)
-        zero = RadialField.zeros(grid)
-        states = tuple(
-            WaveState(t, RadialField(grid, self.envelope(t) * shape), zero) for t in times
-        )
-        dt = times[1] - times[0] if len(times) > 1 else 1.0
-        return Trajectory(problem=spec, states=states, dt_sample=dt)
+        """The source at the given times, held in the u slot."""
+        envelopes = np.array([self.envelope(t) for t in times])
+        u = envelopes[:, None] * self.shape(grid)
+        return Trajectory(spec, grid, times, u, np.zeros_like(u))
 
 
 def kss_inhom_check(
@@ -377,23 +369,17 @@ def energy_ineq_check(
     shape = forcing.shape(grid)
     lhs = 0.0
     work_series = []
-    for state in traj.states:
-        du = _derivative_values(state.u.values, grid.spacing)
-        sq = _weighted_square_integral(
-            state.v.values, grid, n, 0.0, 0.0
-        ) + _weighted_square_integral(du, grid, n, 0.0, 0.0)
-        lhs = max(lhs, sq)
-        mag = np.sqrt(state.v.values**2 + du**2)
-        f_abs = np.abs(forcing.envelope(state.time) * shape)
+    for t, u, v in zip(traj.times, traj.u, traj.v):
+        du = _derivative_values(u, grid.spacing)
+        lhs = max(lhs, _energy_integral(v, du, grid, n))
+        mag = np.sqrt(v**2 + du**2)
+        f_abs = np.abs(forcing.envelope(t) * shape)
         integrand = mag * f_abs * grid.nodes ** (n - 1)
         work_series.append(
             sphere_area(n) * float(np.trapezoid(integrand, dx=grid.spacing))
         )
-    s0 = traj.states[0]
-    du0 = _derivative_values(s0.u.values, grid.spacing)
-    data_sq = _weighted_square_integral(
-        s0.v.values, grid, n, 0.0, 0.0
-    ) + _weighted_square_integral(du0, grid, n, 0.0, 0.0)
+    du0 = _derivative_values(traj.u[0], grid.spacing)
+    data_sq = _energy_integral(traj.v[0], du0, grid, n)
     rhs = data_sq + float(np.trapezoid(np.array(work_series), traj.times))
     if rhs == 0.0:
         raise DegenerateInput("energy_ineq_check: zero data and forcing")

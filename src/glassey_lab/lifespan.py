@@ -42,15 +42,6 @@ class LifespanRecord:
     num_cells: int
     agreement: float
 
-    def row(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "t_observed": self.t_observed,
-            "censored": self.censored,
-            "num_cells": self.num_cells,
-            "agreement": self.agreement,
-        }
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -67,18 +58,6 @@ class FitResult:
         if not (0.0 <= self.r_squared <= 1.0):
             raise PreconditionViolation(f"r_squared must lie in [0,1], got {self.r_squared}")
 
-    def row(self) -> dict:
-        return {
-            "model": self.model,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "predicted_slope": self.predicted_slope,
-            "verdict": self.verdict,
-            "tolerance": self.tolerance,
-            "r_squared_alt": self.r_squared_alt,
-        }
-
 
 @dataclass(frozen=True)
 class LawPrediction:
@@ -90,10 +69,9 @@ class LawPrediction:
 def predicted_law(spec: ProblemSpec) -> LawPrediction:
     """The regime and its scaling law for the given (n, p)."""
     n, p = spec.n_dim, spec.p
-    p_c = spec.p_critical
-    if p > p_c + 1e-9:
+    if spec.regime == "supercritical":
         return LawPrediction(regime="global")
-    if abs(p - p_c) <= 1e-9:
+    if spec.regime == "critical":
         return LawPrediction(regime="critical", rate_exponent=1.0 - p)
     exponent = -2.0 * (p - 1.0) / (2.0 - (n - 1) * (p - 1.0))
     return LawPrediction(regime="subcritical", exponent=exponent)
@@ -133,6 +111,8 @@ def measure_lifespan(
         )
         blew = outcome.status == "blew_up"
         results.append((blew, outcome.t_blowup if blew else horizon))
+        # free this rung's samples before the next, finer rung stores its own
+        del outcome
 
     (blew_next, t_next), (blew_fine, t_fine) = results[-2], results[-1]
     if blew_fine != blew_next:

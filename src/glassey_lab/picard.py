@@ -15,7 +15,6 @@ from .core import (
     RadialGrid,
     Trajectory,
     WeightParams,
-    _derivative_values,
     e_norms,
     lambda_norms,
     le_norm,
@@ -23,7 +22,7 @@ from .core import (
     weight_exponents,
 )
 from .errors import Divergence, PreconditionViolation
-from .solver import LinearSeries, evolve
+from .solver import LinearSeries, _add_nonlinearity, evolve
 
 DEFAULT_S1 = 0.5
 DEFAULT_S2 = 1.0
@@ -55,15 +54,10 @@ class PicardResult:
 
 def sampled_nonlinearity(traj: Trajectory) -> LinearSeries:
     """N[u] on the trajectory's sample times, linearly interpolated between."""
-    spec = traj.problem
-    dr = traj.grid.spacing
-    fields = []
-    for state in traj.states:
-        du = _derivative_values(state.u.values, dr)
-        fields.append(
-            spec.a * np.abs(state.v.values) ** spec.p + spec.b * np.abs(du) ** spec.p
-        )
-    return LinearSeries(traj.times, np.array(fields))
+    fields = np.zeros_like(traj.u)
+    for row, u, v in zip(fields, traj.u, traj.v):
+        _add_nonlinearity(row, u, v, traj.grid.spacing, traj.problem)
+    return LinearSeries(traj.times, fields)
 
 
 def phi_map(
@@ -104,17 +98,13 @@ def phi_map(
 
 def default_weights(spec: ProblemSpec, horizon: float) -> WeightParams:
     """Regime-appropriate LE weights for the contraction metric."""
-    p_c = spec.p_critical
-    if spec.p > p_c + 1e-9:
-        choice = weight_exponents("supercritical", spec, DEFAULT_S1, DEFAULT_S2)
-        dp = choice.delta_prime
-    elif abs(spec.p - p_c) <= 1e-9:
+    if spec.regime == "critical":
         choice = weight_exponents("critical", spec, s2=0.75)
         # the critical family sits at the delta_prime = delta endpoint; back
         # off so the metric stays inside the admissible weight range
         dp = choice.delta - 0.05
     else:
-        choice = weight_exponents("subcritical", spec)
+        choice = weight_exponents(spec.regime, spec, DEFAULT_S1, DEFAULT_S2)
         dp = choice.delta_prime
     return WeightParams(delta=choice.delta, delta_prime=dp, horizon=horizon)
 
@@ -204,24 +194,20 @@ def smallness_report(
     """Multiplicative-form data size for the regime the exponent p selects."""
     lam = lambda_norms(u0, u1, spec.n_dim)
     l1, l2 = lam.lambda1, lam.lambda2
-    p_c = spec.p_critical
 
     def prod(s):
         if l1 == 0.0 or l2 == 0.0:
             return 0.0
         return l1 ** (1.0 - s) * l2**s
 
-    if spec.p > p_c + 1e-9:
+    if spec.regime == "supercritical":
         terms = {"s1_term": prod(s1), "s2_term": prod(s2)}
-        regime = "supercritical"
-    elif abs(spec.p - p_c) <= 1e-9:
+    elif spec.regime == "critical":
         terms = {"half_term": prod(0.5), "s_term": prod(s2)}
-        regime = "critical"
     else:
         terms = {"half_term": prod(0.5)}
-        regime = "subcritical"
     return SmallnessReport(
-        regime=regime,
+        regime=spec.regime,
         lambda1=l1,
         lambda2=l2,
         quantity=sum(terms.values()),

@@ -1,6 +1,6 @@
 """Radial wave propagation: method-of-lines evolution of
 u_tt = lap u + a|u_t|^p + b|u_r|^p + F, the exact n=3 free-wave oracle,
-the zero-data source solve, and blow-up detection.
+and blow-up detection.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from .core import (
     Trajectory,
     WaveState,
     _derivative_values,
+    _energy_integral,
     _laplacian_values,
     _require_finite,
-    _weighted_square_integral,
 )
 from .errors import (
     PreconditionViolation,
@@ -147,10 +147,20 @@ def support_radius(u0: RadialField, u1: RadialField) -> float:
     return float(u0.grid.nodes[live[-1]]) if live.size else 0.0
 
 
+def _add_nonlinearity(out: np.ndarray, u: np.ndarray, v: np.ndarray, dr: float,
+                      spec: ProblemSpec) -> None:
+    """out += a|v|^p, then out += b|u_r|^p, in place; a zero coefficient
+    skips its term."""
+    if spec.a != 0.0:
+        out += spec.a * np.abs(v) ** spec.p
+    if spec.b != 0.0:
+        out += spec.b * np.abs(_derivative_values(u, dr)) ** spec.p
+
+
 def nonlinearity(state: WaveState, spec: ProblemSpec) -> RadialField:
     """a|u_t|^p + b|u_r|^p evaluated nodewise."""
-    du = _derivative_values(state.u.values, state.grid.spacing)
-    vals = spec.a * np.abs(state.v.values) ** spec.p + spec.b * np.abs(du) ** spec.p
+    vals = np.zeros_like(state.u.values)
+    _add_nonlinearity(vals, state.u.values, state.v.values, state.grid.spacing, spec)
     return RadialField(state.grid, vals)
 
 
@@ -224,9 +234,8 @@ def evolve(
             f"{CAUSALITY_MARGIN} exceeds r_max {grid.r_max:.3g}"
         )
 
-    state0 = WaveState(0.0, u0, u1)
     if t_end == 0.0:
-        traj = Trajectory(problem=spec, states=(state0,), dt_sample=1.0)
+        traj = Trajectory(spec, grid, np.zeros(1), u0.values[None], u1.values[None])
         return SolveOutcome("completed", traj, None, 0.0)
 
     dr = grid.spacing
@@ -238,18 +247,14 @@ def evolve(
 
     r = grid.nodes
     n = spec.n_dim
-    a, b, p = spec.a, spec.b, spec.p
-    nonlinear = not linear_only and (a != 0.0 or b != 0.0)
+    nonlinear = not linear_only and (spec.a != 0.0 or spec.b != 0.0)
 
     def rhs(t, u, v):
         du_t = v.copy()
         du_t[-1] = 0.0
         acc = _laplacian_values(u, r, dr, n)
         if nonlinear:
-            if a != 0.0:
-                acc += a * np.abs(v) ** p
-            if b != 0.0:
-                acc += b * np.abs(_derivative_values(u, dr)) ** p
+            _add_nonlinearity(acc, u, v, dr, spec)
         if forcing is not None:
             acc = acc + forcing(t)
         acc[-1] = 0.0
@@ -257,7 +262,13 @@ def evolve(
 
     u = u0.values.copy()
     v = u1.values.copy()
-    states = [state0]
+    # one row per sample; a blow-up trims the buffer to the rows written
+    rows = nsteps // sample_stride + 1
+    times = np.empty(rows)
+    us = np.empty((rows, u.size))
+    vs = np.empty((rows, v.size))
+    times[0], us[0], vs[0] = 0.0, u, v
+    stored = 1
     peak = max(
         float(np.max(np.abs(v))),
         float(np.max(np.abs(_derivative_values(u, dr)))),
@@ -283,43 +294,17 @@ def evolve(
             break
         peak = max(peak, size)
         if (k + 1) % sample_stride == 0:
-            states.append(WaveState(t, RadialField(grid, u), RadialField(grid, v)))
+            times[stored], us[stored], vs[stored] = t, u, v
+            stored += 1
 
-    traj = Trajectory(problem=spec, states=tuple(states), dt_sample=sample_stride * dt)
+    traj = Trajectory(spec, grid, times[:stored], us[:stored], vs[:stored])
     return SolveOutcome(status, traj, t_blow, peak)
-
-
-def duhamel(
-    forcing,
-    t_end: float,
-    spec: ProblemSpec,
-    grid: RadialGrid,
-    forcing_support: float = 0.0,
-    **kwargs,
-) -> Trajectory:
-    """Zero-data linear solve driven by the source term."""
-    zero = RadialField.zeros(grid)
-    outcome = evolve(
-        spec,
-        zero,
-        zero,
-        grid,
-        t_end,
-        forcing=forcing,
-        linear_only=True,
-        forcing_support=forcing_support,
-        **kwargs,
-    )
-    return outcome.trajectory
 
 
 def energy(state: WaveState, n: int) -> float:
     """(1/2) * int (v^2 + u_r^2) over R^n."""
     du = _derivative_values(state.u.values, state.grid.spacing)
-    return 0.5 * (
-        _weighted_square_integral(state.v.values, state.grid, n, 0.0, 0.0)
-        + _weighted_square_integral(du, state.grid, n, 0.0, 0.0)
-    )
+    return 0.5 * _energy_integral(state.v.values, du, state.grid, n)
 
 
 def exact_free_n3(

@@ -15,9 +15,33 @@ def spec(n=3, p=2.0, a=1.0, b=0.0):
 # ---------------------------------------------------------------------------
 
 def test_critical_exponents():
-    assert gl.critical_exponents(spec(n=3, p=1.7)).p_c == 2.0
-    assert gl.critical_exponents(spec(n=2, p=1.7)).p_c == 3.0
-    assert gl.critical_exponents(spec(n=3, p=2.0)).s_c == pytest.approx(1.5)
+    assert spec(n=3, p=1.7).p_critical == 2.0
+    assert spec(n=2, p=1.7).p_critical == 3.0
+    assert spec(n=3, p=2.0).s_scaling == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("offset", [-5e-10, 5e-10])
+def test_regime_classifiers_agree_near_threshold(offset):
+    # n=3 has p_c = 2; within 1e-9 of it every classifier must say critical
+    sp = spec(n=3, p=2.0 + offset)
+    assert sp.regime == "critical"
+    assert gl.predicted_law(sp).regime == "critical"
+    g = gl.RadialGrid(r_max=12.0, num_cells=600)
+    f = gl.RadialField.from_function(g, lambda r: np.exp(-(r**2)))
+    assert gl.smallness_report(sp, f, f).regime == "critical"
+    critical = gl.weight_exponents("critical", sp, s2=0.75)
+    w = gl.default_weights(sp, 5.0)
+    assert w.delta == critical.delta and w.delta_prime < w.delta
+    with pytest.raises(gl.PreconditionViolation):
+        gl.weight_exponents("subcritical", sp)
+    with pytest.raises(gl.PreconditionViolation):
+        gl.weight_exponents("supercritical", sp, 0.5, 1.0)
+
+
+def test_regime_away_from_threshold():
+    assert spec(n=3, p=1.5).regime == "subcritical"
+    assert spec(n=3, p=2.5).regime == "supercritical"
+    assert spec(n=2, p=3.0).regime == "critical"
 
 
 def test_problem_spec_rejects_bad_inputs():
@@ -100,12 +124,43 @@ def test_field_validation():
 
 def test_trajectory_gap_invariant():
     g = gl.RadialGrid(r_max=10.0, num_cells=100)
-    z = gl.RadialField.zeros(g)
-    states = [gl.WaveState(t, z, z) for t in (0.0, 0.5, 1.0)]
-    traj = gl.Trajectory(problem=spec(), states=tuple(states), dt_sample=0.5)
+    z = np.zeros((3, 101))
+    traj = gl.Trajectory(spec(), g, np.array([0.0, 0.5, 1.0]), z, z)
     assert traj.t_end == 1.0
+    assert traj.dt_sample == 0.5
     with pytest.raises(gl.PreconditionViolation):
-        gl.Trajectory(problem=spec(), states=(states[0], states[2]), dt_sample=0.5)
+        gl.Trajectory(spec(), g, np.array([0.0, 0.5, 1.5]), z, z)
+    with pytest.raises(gl.PreconditionViolation):
+        gl.Trajectory(spec(), g, np.array([0.0, 1.0, 0.5]), z, z)
+
+
+def test_trajectory_rejects_non_finite_values():
+    g = gl.RadialGrid(r_max=10.0, num_cells=100)
+    u = np.zeros((2, 101))
+    u[1, 7] = np.nan
+    with pytest.raises(gl.PreconditionViolation):
+        gl.Trajectory(spec(), g, np.array([0.0, 1.0]), u, np.zeros((2, 101)))
+    with pytest.raises(gl.PreconditionViolation):
+        gl.Trajectory(spec(), g, np.array([0.0, 1.0]), np.zeros((2, 101)), u)
+
+
+def test_trajectory_rejects_wrong_row_length():
+    g = gl.RadialGrid(r_max=10.0, num_cells=100)
+    z = np.zeros((2, 101))
+    with pytest.raises(gl.PreconditionViolation):
+        gl.Trajectory(spec(), g, np.array([0.0, 1.0]), np.zeros((2, 100)), z)
+    with pytest.raises(gl.PreconditionViolation):
+        gl.Trajectory(spec(), g, np.array([0.0, 1.0]), z, np.zeros((3, 101)))
+
+
+def test_trajectory_arrays_read_only():
+    g = gl.RadialGrid(r_max=10.0, num_cells=100)
+    z = np.zeros((2, 101))
+    traj = gl.Trajectory(spec(), g, np.array([0.0, 1.0]), z, z.copy())
+    assert not traj.u.flags.writeable and not traj.v.flags.writeable
+    with pytest.raises(ValueError):
+        traj.u[0, 0] = 1.0
+    assert z.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +260,14 @@ def test_singular_first_cell_quadrature():
 
 
 def test_sup_trace_norm_gaussian():
+    # the trace norm || r^{n/2-s} f ||_{L_r^inf L_omega^2} at n=3, s=1/2
     g = gl.RadialGrid(r_max=12.0, num_cells=4000)
     f = gl.RadialField.from_function(g, lambda r: np.exp(-(r**2)))
     exact = math.sqrt(4 * math.pi) * (1.0 / math.sqrt(2.0)) * math.exp(-0.5)
-    assert gl.sup_trace_norm(f, 3, 0.5) == pytest.approx(exact, abs=1e-4)
-    assert gl.sup_trace_norm(gl.RadialField.zeros(g), 3, 0.5) == 0.0
-    assert gl.sup_trace_norm(f.scaled(2.0), 3, 0.5) == pytest.approx(
-        2.0 * gl.sup_trace_norm(f, 3, 0.5), rel=1e-14
+    assert gl.weighted_sup(f, 3, 1.5 - 0.5) == pytest.approx(exact, abs=1e-4)
+    assert gl.weighted_sup(gl.RadialField.zeros(g), 3, 1.5 - 0.5) == 0.0
+    assert gl.weighted_sup(f.scaled(2.0), 3, 1.5 - 0.5) == pytest.approx(
+        2.0 * gl.weighted_sup(f, 3, 1.5 - 0.5), rel=1e-14
     )
 
 
@@ -270,12 +326,12 @@ def _free_trajectory(cells=600, t_end=4.0, eps=1.0, rmax=12.0):
 def test_e_norms_zero_and_single_state():
     g = gl.RadialGrid(r_max=12.0, num_cells=600)
     z = gl.RadialField.zeros(g)
-    traj = gl.Trajectory(problem=spec(), states=(gl.WaveState(0.0, z, z),), dt_sample=1.0)
+    traj = gl.Trajectory(spec(), g, np.zeros(1), z.values[None], z.values[None])
     en = gl.e_norms(traj)
     assert en.e1 == 0.0 and en.e2 == 0.0
 
     f = gl.RadialField.from_function(g, lambda r: np.exp(-(r**2)))
-    traj1 = gl.Trajectory(problem=spec(), states=(gl.WaveState(0.0, f, z),), dt_sample=1.0)
+    traj1 = gl.Trajectory(spec(), g, np.zeros(1), f.values[None], z.values[None])
     lam = gl.lambda_norms(f, z, 3)
     en1 = gl.e_norms(traj1)
     assert en1.e1 == pytest.approx(
@@ -286,8 +342,9 @@ def test_e_norms_zero_and_single_state():
 def test_e1_conserved_for_free_wave():
     traj, _ = _free_trajectory(cells=3600, t_end=4.0)
     per_state = []
-    for st in traj.states:
-        sub = gl.Trajectory(problem=traj.problem, states=(st,), dt_sample=1.0)
+    for k in range(traj.times.size):
+        sub = gl.Trajectory(traj.problem, traj.grid, traj.times[k:k + 1],
+                            traj.u[k:k + 1], traj.v[k:k + 1])
         per_state.append(gl.e_norms(sub).e1)
     per_state = np.array(per_state)
     assert np.max(np.abs(per_state / per_state[0] - 1.0)) <= 1e-5
@@ -295,9 +352,8 @@ def test_e1_conserved_for_free_wave():
 
 def test_le_norm_zero_scaling_components():
     g = gl.RadialGrid(r_max=12.0, num_cells=600)
-    z = gl.RadialField.zeros(g)
-    states = tuple(gl.WaveState(t, z, z) for t in np.linspace(0.0, 2.0, 5))
-    traj = gl.Trajectory(problem=spec(), states=states, dt_sample=0.5)
+    z = np.zeros((5, 601))
+    traj = gl.Trajectory(spec(), g, np.linspace(0.0, 2.0, 5), z, z)
     w = gl.WeightParams(delta=0.3, delta_prime=0.2, horizon=2.0)
     le = gl.le_norm(traj, w)
     assert le.total == 0.0 and all(v == 0.0 for v in le.components.values())
@@ -308,12 +364,8 @@ def test_le_norm_zero_scaling_components():
     assert set(le1.components) == {"deriv", "field", "log", "horizon"}
     assert le1.total == pytest.approx(sum(le1.components.values()), rel=1e-12)
 
-    scaled_states = tuple(
-        gl.WaveState(st.time, st.u.scaled(3.0), st.v.scaled(3.0))
-        for st in traj1.states
-    )
-    traj2 = gl.Trajectory(problem=traj1.problem, states=scaled_states,
-                          dt_sample=traj1.dt_sample)
+    traj2 = gl.Trajectory(traj1.problem, traj1.grid, traj1.times,
+                          3.0 * traj1.u, 3.0 * traj1.v)
     le2 = gl.le_norm(traj2, w)
     assert le2.total == pytest.approx(3.0 * le1.total, rel=1e-12)
 
@@ -382,12 +434,8 @@ def test_lestar_upper_min_property():
     assert got <= min(cand) + 1e-12
     assert got == pytest.approx(min(cand), rel=1e-12)
 
-    zero_traj = gl.Trajectory(
-        problem=spec(a=0.0, b=0.0),
-        states=tuple(gl.WaveState(t, gl.RadialField.zeros(g), gl.RadialField.zeros(g))
-                     for t in times),
-        dt_sample=float(times[1] - times[0]),
-    )
+    zeros = np.zeros((times.size, g.num_cells + 1))
+    zero_traj = gl.Trajectory(spec(a=0.0, b=0.0), g, times, zeros, zeros)
     assert gl.lestar_upper(zero_traj, w) == 0.0
 
 

@@ -148,10 +148,9 @@ def _free_traj(eps=1.0, n=3, cells=900, t_end=5.0):
 
 def test_decay_envelope_zero_rejected():
     g = grid()
-    z = gl.RadialField.zeros(g)
+    z = np.zeros((3, g.num_cells + 1))
     sp = gl.ProblemSpec(n_dim=3, p=2.5, a=0.0, b=0.0)
-    states = tuple(gl.WaveState(t, z, z) for t in (0.0, 1.0, 2.0))
-    traj = gl.Trajectory(problem=sp, states=states, dt_sample=1.0)
+    traj = gl.Trajectory(sp, g, np.array([0.0, 1.0, 2.0]), z, z)
     with pytest.raises(gl.DegenerateInput):
         gl.decay_envelope_check(traj, 0.5, 1.0)
 

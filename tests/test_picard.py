@@ -19,9 +19,9 @@ def test_phi_map_free_when_nonlinearity_off():
     spec, g, data = make_setup(a=0.0, b=0.0)
     free = gl.evolve(spec, data.u0, data.u1, g, 4.0, linear_only=True).trajectory
     mapped = gl.phi_map(free, data.u0, data.u1, g, 4.0)
-    for sa, sb in zip(free.states, mapped.states):
-        assert np.array_equal(sa.u.values, sb.u.values)
-        assert np.array_equal(sa.v.values, sb.v.values)
+    for ua, va, ub, vb in zip(free.u, free.v, mapped.u, mapped.v):
+        assert np.array_equal(ua, ub)
+        assert np.array_equal(va, vb)
 
 
 def test_phi_map_zero_everything():
@@ -29,7 +29,7 @@ def test_phi_map_zero_everything():
     z = gl.RadialField.zeros(g)
     zero_traj = gl.evolve(spec, z, z, g, 4.0, linear_only=True).trajectory
     mapped = gl.phi_map(zero_traj, z, z, g, 4.0)
-    assert all(not np.any(st.u.values) for st in mapped.states)
+    assert all(not np.any(u) for u in mapped.u)
 
 
 def test_phi_map_superposition():
@@ -39,10 +39,12 @@ def test_phi_map_superposition():
     mapped = gl.phi_map(free, data.u0, data.u1, g, 4.0)
     from glassey_lab.picard import sampled_nonlinearity
 
-    forced = gl.duhamel(sampled_nonlinearity(free), 4.0, spec, g)
-    scale = max(np.max(np.abs(st.u.values)) for st in mapped.states)
-    for sm, sf, sfr in zip(mapped.states, forced.states, free.states):
-        resid = sm.u.values - (sfr.u.values + sf.u.values)
+    z = gl.RadialField.zeros(g)
+    forced = gl.evolve(spec, z, z, g, 4.0, forcing=sampled_nonlinearity(free),
+                       linear_only=True).trajectory
+    scale = max(np.max(np.abs(u)) for u in mapped.u)
+    for um, uf, ufr in zip(mapped.u, forced.u, free.u):
+        resid = um - (ufr + uf)
         assert np.max(np.abs(resid)) <= 1e-10 * scale
 
 

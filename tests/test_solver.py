@@ -133,7 +133,7 @@ def test_evolve_zero_data():
     z = gl.RadialField.zeros(g)
     out = gl.evolve(spec(), z, z, g, 2.0)
     assert out.status == "completed"
-    assert all(not np.any(st.u.values) for st in out.trajectory.states)
+    assert all(not np.any(u) for u in out.trajectory.u)
 
 
 def test_evolve_causality_gate():
@@ -176,8 +176,8 @@ def test_evolve_matches_exact_oracle():
     data = gl.make_profile(gaussian_profile(), g)
     out = gl.evolve(spec(a=0.0, b=0.0), data.u0, data.u1, g, 1.0, linear_only=True)
     exact = gl.exact_free_n3(data.u0, data.u1, 1.0, g)
-    fin = out.trajectory.states[-1]
-    err = gl.weighted_l2(gl.RadialField(g, fin.u.values - exact.u.values), 3, 0, 0)
+    fin_u = out.trajectory.u[-1]
+    err = gl.weighted_l2(gl.RadialField(g, fin_u - exact.u.values), 3, 0, 0)
     ref = gl.weighted_l2(exact.u, 3, 0, 0)
     assert err / ref <= 1e-3
 
@@ -187,13 +187,13 @@ def test_evolve_time_symmetry():
     data = gl.make_profile(gaussian_profile(), g)
     sp = spec(a=0.0, b=0.0)
     fw = gl.evolve(sp, data.u0, data.u1, g, 3.0, linear_only=True)
-    end = fw.trajectory.states[-1]
-    back = gl.evolve(sp, end.u, gl.RadialField(g, -end.v.values), g, 3.0,
-                     linear_only=True)
-    fin = back.trajectory.states[-1]
+    end = fw.trajectory
+    back = gl.evolve(sp, gl.RadialField(g, end.u[-1]), gl.RadialField(g, -end.v[-1]), g,
+                     3.0, linear_only=True)
+    fin = back.trajectory
     scale = np.max(np.abs(data.u0.values))
-    assert np.max(np.abs(fin.u.values - data.u0.values)) / scale <= 1e-6
-    assert np.max(np.abs(-fin.v.values - data.u1.values)) / scale <= 1e-6
+    assert np.max(np.abs(fin.u[-1] - data.u0.values)) / scale <= 1e-6
+    assert np.max(np.abs(-fin.v[-1] - data.u1.values)) / scale <= 1e-6
 
 
 def test_evolve_causal_cone():
@@ -202,10 +202,10 @@ def test_evolve_causal_cone():
                           assigns="to_u0")
     data = gl.make_profile(prof, g)
     out = gl.evolve(spec(a=0.0, b=0.0), data.u0, data.u1, g, 1.0, linear_only=True)
-    st = out.trajectory.states[-1]
+    traj = out.trajectory
     beyond = g.nodes > 2.0 + 1.0 + 3.0 * g.spacing
-    leak = max(np.max(np.abs(st.u.values[beyond])),
-               np.max(np.abs(st.v.values[beyond])))
+    leak = max(np.max(np.abs(traj.u[-1][beyond])),
+               np.max(np.abs(traj.v[-1][beyond])))
     assert leak <= 1e-10
 
 
@@ -238,8 +238,11 @@ def test_evolve_linear_energy_drift():
     g = gl.RadialGrid(r_max=12.0, num_cells=3600)
     data = gl.make_profile(gaussian_profile(), g)
     out = gl.evolve(spec(a=0.0, b=0.0), data.u0, data.u1, g, 4.0, linear_only=True)
-    e0 = gl.energy(out.trajectory.states[0], 3)
-    drift = max(abs(gl.energy(st, 3) / e0 - 1.0) for st in out.trajectory.states)
+    traj = out.trajectory
+    energies = [gl.energy(gl.WaveState(t, gl.RadialField(g, u), gl.RadialField(g, v)), 3)
+                for t, u, v in zip(traj.times, traj.u, traj.v)]
+    e0 = energies[0]
+    drift = max(abs(e / e0 - 1.0) for e in energies)
     assert drift <= 1e-5
 
 
@@ -254,13 +257,19 @@ def test_energy_scaling():
 
 
 # ---------------------------------------------------------------------------
-# duhamel
+# zero-data source solves (duhamel)
 # ---------------------------------------------------------------------------
+
+def _source_solve(forcing, t_end, sp, g, **kwargs):
+    z = gl.RadialField.zeros(g)
+    return gl.evolve(sp, z, z, g, t_end, forcing=forcing, linear_only=True,
+                     **kwargs).trajectory
+
 
 def test_duhamel_zero_forcing():
     g = gl.RadialGrid(r_max=8.0, num_cells=200)
-    traj = gl.duhamel(lambda t: np.zeros(201), 2.0, spec(a=0.0, b=0.0), g)
-    assert all(not np.any(st.u.values) for st in traj.states)
+    traj = _source_solve(lambda t: np.zeros(201), 2.0, spec(a=0.0, b=0.0), g)
+    assert all(not np.any(u) for u in traj.u)
 
 
 def test_duhamel_linearity():
@@ -271,12 +280,12 @@ def test_duhamel_linearity():
     fb = gl.ForcingSpec(amplitude=0.6, space_center=1.0, space_width=0.8,
                         t_on=0.2, t_off=1.4)
     ca, cb = fa.callable_on(g), fb.callable_on(g)
-    Ia = gl.duhamel(ca, 2.0, sp, g, forcing_support=2.0)
-    Ib = gl.duhamel(cb, 2.0, sp, g, forcing_support=2.0)
-    Iab = gl.duhamel(lambda t: ca(t) + cb(t), 2.0, sp, g, forcing_support=2.0)
-    scale = max(np.max(np.abs(st.u.values)) for st in Iab.states)
-    for sa, sb, sc in zip(Ia.states, Ib.states, Iab.states):
-        assert np.max(np.abs(sa.u.values + sb.u.values - sc.u.values)) <= 1e-10 * scale
+    Ia = _source_solve(ca, 2.0, sp, g, forcing_support=2.0)
+    Ib = _source_solve(cb, 2.0, sp, g, forcing_support=2.0)
+    Iab = _source_solve(lambda t: ca(t) + cb(t), 2.0, sp, g, forcing_support=2.0)
+    scale = max(np.max(np.abs(u)) for u in Iab.u)
+    for ua, ub, uc in zip(Ia.u, Ib.u, Iab.u):
+        assert np.max(np.abs(ua + ub - uc)) <= 1e-10 * scale
 
 
 def test_duhamel_residual_second_order():
@@ -286,16 +295,15 @@ def test_duhamel_residual_second_order():
         g = gl.RadialGrid(r_max=8.0, num_cells=cells)
         f = gl.ForcingSpec(amplitude=1.0, space_center=0.0, space_width=1.0,
                            t_on=0.0, t_off=1.0)
-        traj = gl.duhamel(f.callable_on(g), 2.0, sp, g, forcing_support=1.0,
-                          sample_stride=1)
+        traj = _source_solve(f.callable_on(g), 2.0, sp, g, forcing_support=1.0,
+                       sample_stride=1)
         ts = traj.times
         dt = ts[1] - ts[0]
         shape = f.shape(g)
         num = den = 0.0
         for k in range(1, len(ts) - 1):
-            u_pp = (traj.states[k + 1].u.values - 2.0 * traj.states[k].u.values
-                    + traj.states[k - 1].u.values) / dt**2
-            lap = _laplacian_values(traj.states[k].u.values, g.nodes, g.spacing, 3)
+            u_pp = (traj.u[k + 1] - 2.0 * traj.u[k] + traj.u[k - 1]) / dt**2
+            lap = _laplacian_values(traj.u[k], g.nodes, g.spacing, 3)
             F = f.envelope(ts[k]) * shape
             num += gl.weighted_l2(gl.RadialField(g, u_pp - lap - F), 3, 0, 0) ** 2 * dt
             den += gl.weighted_l2(gl.RadialField(g, F), 3, 0, 0) ** 2 * dt
