@@ -34,6 +34,20 @@ class InvariantFailure(Exception):
     """An asserted bound or band was breached by the measured data."""
 
 
+def _jobs(text):
+    """--jobs: an int in [1, os.cpu_count()]."""
+    cap = os.cpu_count() or 1
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = None
+    if jobs is None or not 1 <= jobs <= cap:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [1, {cap}] (the CPU count), got {text!r}"
+        )
+    return jobs
+
+
 def _add_common(parser):
     parser.add_argument("--n", type=int, default=3, help="space dimension")
     parser.add_argument("--p", type=float, default=2.0, help="nonlinearity power")
@@ -44,7 +58,8 @@ def _add_common(parser):
     parser.add_argument("--cfl", type=float, default=0.25, help="dt / dr ratio")
     parser.add_argument("--out", type=str, default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=7, help="base seed")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel tasks")
+    parser.add_argument("--jobs", type=_jobs, default=1,
+                        help="parallel tasks, at most the CPU count")
     parser.add_argument("--config", type=str, default=None, help="config file with flag defaults")
 
 

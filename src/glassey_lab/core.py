@@ -307,26 +307,55 @@ def weight_exponents(regime: str, spec: ProblemSpec, s1: float = None, s2: float
 # discrete radial calculus
 # ---------------------------------------------------------------------------
 
-def _derivative_values(values: np.ndarray, dr: float) -> np.ndarray:
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dr)
+def _derivative_values(values: np.ndarray, dr: float, out: np.ndarray = None) -> np.ndarray:
+    """Second-order d/dr: centred inside, one-sided at both ends."""
+    if out is None:
+        out = np.empty_like(values)
+    inner = np.subtract(values[2:], values[:-2], out=out[1:-1])
+    inner /= 2.0 * dr
     out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dr)
     out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dr)
     return out
 
 
-def _laplacian_values(values: np.ndarray, r: np.ndarray, dr: float, n: int) -> np.ndarray:
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / dr**2 + (
-        (n - 1) / r[1:-1]
-    ) * (values[2:] - values[:-2]) / (2.0 * dr)
+def _laplacian_weights(r: np.ndarray, n: int) -> np.ndarray:
+    """The grid-dependent weights of _laplacian_values, (n-1)/r inside."""
+    return (n - 1) / r[1:-1]
+
+
+def _laplacian_values(values: np.ndarray, r: np.ndarray, dr: float, n: int,
+                      out: np.ndarray = None, weights: np.ndarray = None,
+                      outer: bool = True) -> np.ndarray:
+    """Radial Laplacian: centred u'' + (n-1)/r * centred u' inside, the
+    symmetric limit n u''(0) at the origin, one-sided at the outer node.
+
+    Callers that apply the stencil many times on one grid pass
+    `weights` = _laplacian_weights(r, n) and an `out` row (not sharing memory
+    with `values`); `outer=False` leaves out[-1] untouched.  Every operation
+    runs in the order of the expression
+    (u[j+1] - 2u[j] + u[j-1])/dr**2 + ((n-1)/r[j]) * (u[j+1] - u[j-1])/(2dr),
+    so the result does not depend on which form is used, to the bit.
+    """
+    if out is None:
+        out = np.empty_like(values)
+    if weights is None:
+        weights = _laplacian_weights(r, n)
+    first = values[2:] - values[:-2]
+    first *= weights
+    first /= 2.0 * dr
+    inner = np.multiply(values[1:-1], 2.0, out=out[1:-1])
+    np.subtract(values[2:], inner, out=inner)
+    inner += values[:-2]
+    inner /= dr**2
+    inner += first
     # r = 0: symmetric extension gives lap f(0) = n f''(0)
     out[0] = 2.0 * n * (values[1] - values[0]) / dr**2
-    out[-1] = (
-        2.0 * values[-1] - 5.0 * values[-2] + 4.0 * values[-3] - values[-4]
-    ) / dr**2 + ((n - 1) / r[-1]) * (
-        3.0 * values[-1] - 4.0 * values[-2] + values[-3]
-    ) / (2.0 * dr)
+    if outer:
+        out[-1] = (
+            2.0 * values[-1] - 5.0 * values[-2] + 4.0 * values[-3] - values[-4]
+        ) / dr**2 + ((n - 1) / r[-1]) * (
+            3.0 * values[-1] - 4.0 * values[-2] + values[-3]
+        ) / (2.0 * dr)
     return out
 
 

@@ -5,6 +5,7 @@ and blow-up detection.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,8 @@ from .core import (
     _derivative_values,
     _energy_integral,
     _laplacian_values,
+    _laplacian_weights,
+    _read_only,
     _require_finite,
 )
 from .errors import (
@@ -147,14 +150,48 @@ def support_radius(u0: RadialField, u1: RadialField) -> float:
     return float(u0.grid.nodes[live[-1]]) if live.size else 0.0
 
 
+@functools.lru_cache(maxsize=64)
+def _power_cut(p: float) -> float:
+    """Smallest x with np.power(x, p) >= DBL_MIN, for p > 1."""
+    tiny = np.finfo(float).tiny
+    x = np.array([tiny ** (1.0 / p)])
+    while np.power(np.nextafter(x, 0.0), p)[0] >= tiny:
+        x = np.nextafter(x, 0.0)
+    while np.power(x, p)[0] < tiny:
+        x = np.nextafter(x, np.inf)
+    return float(x[0])
+
+
+def _flushed_power(x: np.ndarray, p: float) -> None:
+    """x <- x**p in place for x >= 0, with results below DBL_MIN set to 0.
+
+    np.power is up to ~60x slower on arguments whose result underflows (the
+    far tail of the data), and a subnormal term cannot move a sum of
+    normal-range values, so those entries skip the power.  NaN and inf are
+    not below the cut and still pass through np.power.
+    """
+    dead = x < _power_cut(p)
+    np.power(x, p, out=x, where=~dead)
+    x[dead] = 0.0
+
+
 def _add_nonlinearity(out: np.ndarray, u: np.ndarray, v: np.ndarray, dr: float,
-                      spec: ProblemSpec) -> None:
+                      spec: ProblemSpec, work: np.ndarray = None) -> None:
     """out += a|v|^p, then out += b|u_r|^p, in place; a zero coefficient
-    skips its term."""
+    skips its term, and |.|^p below DBL_MIN counts as 0 (see _flushed_power).
+    `work` is a scratch row like `out`."""
+    if work is None:
+        work = np.empty_like(out)
     if spec.a != 0.0:
-        out += spec.a * np.abs(v) ** spec.p
+        np.abs(v, out=work)
+        _flushed_power(work, spec.p)
+        work *= spec.a
+        out += work
     if spec.b != 0.0:
-        out += spec.b * np.abs(_derivative_values(u, dr)) ** spec.p
+        np.abs(_derivative_values(u, dr, out=work), out=work)
+        _flushed_power(work, spec.p)
+        work *= spec.b
+        out += work
 
 
 def nonlinearity(state: WaveState, spec: ProblemSpec) -> RadialField:
@@ -179,11 +216,15 @@ class SolveOutcome:
 
 
 class LinearSeries:
-    """Piecewise-linear-in-time nodal forcing built from sampled fields."""
+    """Piecewise-linear-in-time nodal forcing built from sampled fields.
+
+    `fields` is a read-only view of the array given (not a copy); outside the
+    sample range a call returns its first or last row itself.
+    """
 
     def __init__(self, times, fields):
         self.times = np.asarray(times, dtype=float)
-        self.fields = np.asarray(fields, dtype=float)
+        self.fields = _read_only(fields)
         if self.times.ndim != 1 or self.fields.shape[0] != self.times.size:
             raise PreconditionViolation("times and fields are inconsistent")
 
@@ -248,20 +289,29 @@ def evolve(
     r = grid.nodes
     n = spec.n_dim
     nonlinear = not linear_only and (spec.a != 0.0 or spec.b != 0.0)
+    weights = _laplacian_weights(r, n)
+    work = np.empty_like(r)
 
-    def rhs(t, u, v):
-        du_t = v.copy()
+    def rhs(t, u, v, du_t, acc):
+        """(du_t, acc) <- (u_t, u_tt) at (t, u, v), clamped at the outer node."""
+        np.copyto(du_t, v)
         du_t[-1] = 0.0
-        acc = _laplacian_values(u, r, dr, n)
+        # the outer row is clamped below, so its stencil is skipped
+        _laplacian_values(u, r, dr, n, out=acc, weights=weights, outer=False)
         if nonlinear:
-            _add_nonlinearity(acc, u, v, dr, spec)
+            _add_nonlinearity(acc, u, v, dr, spec, work)
         if forcing is not None:
-            acc = acc + forcing(t)
+            acc += forcing(t)
         acc[-1] = 0.0
-        return du_t, acc
 
     u = u0.values.copy()
     v = u1.values.copy()
+    # stage slopes k1..k4 and the stage point, reused by every step; zeroed
+    # so the skipped outer row of acc holds a finite value before its clamp
+    ku = [np.zeros_like(u) for _ in range(4)]
+    kv = [np.zeros_like(v) for _ in range(4)]
+    u_stage = np.empty_like(u)
+    v_stage = np.empty_like(v)
     # one row per sample; a blow-up trims the buffer to the rows written
     rows = nsteps // sample_stride + 1
     times = np.empty(rows)
@@ -275,18 +325,32 @@ def evolve(
     )
     status, t_blow = "completed", None
 
+    # RK4 in the operation order of
+    #   k2 = f(t + dt/2, y + (dt/2) k1), k3 = f(t + dt/2, y + (dt/2) k2),
+    #   k4 = f(t + dt, y + dt k3),  y += (dt/6) (k1 + 2 k2 + 2 k3 + k4)
+    # so the buffered loop gives the same bits as the plain formulas
+    stages = (0.5 * dt, 0.5 * dt, dt)
     t = 0.0
     for k in range(nsteps):
-        k1u, k1v = rhs(t, u, v)
-        k2u, k2v = rhs(t + 0.5 * dt, u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-        k3u, k3v = rhs(t + 0.5 * dt, u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-        k4u, k4v = rhs(t + dt, u + dt * k3u, v + dt * k3v)
-        u += (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v += (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        rhs(t, u, v, ku[0], kv[0])
+        for i, h in enumerate(stages):
+            np.multiply(ku[i], h, out=u_stage)
+            u_stage += u
+            np.multiply(kv[i], h, out=v_stage)
+            v_stage += v
+            rhs(t + h, u_stage, v_stage, ku[i + 1], kv[i + 1])
+        for y, (k1, k2, k3, k4) in ((u, ku), (v, kv)):
+            k2 *= 2.0
+            k2 += k1
+            k3 *= 2.0
+            k2 += k3
+            k2 += k4
+            k2 *= dt / 6.0
+            y += k2
         t = (k + 1) * dt
 
-        vmax = float(np.max(np.abs(v)))
-        gmax = float(np.max(np.abs(_derivative_values(u, dr))))
+        vmax = float(np.abs(v, out=work).max())
+        gmax = float(np.abs(_derivative_values(u, dr, out=work), out=work).max())
         size = max(vmax, gmax)
         if not math.isfinite(size) or size > blowup_threshold:
             status, t_blow = "blew_up", t

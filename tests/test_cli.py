@@ -1,5 +1,8 @@
 import os
 
+import pytest
+
+from glassey_lab import estimates, lifespan
 from glassey_lab.cli import main
 from glassey_lab.report import read_config
 
@@ -15,6 +18,21 @@ def test_unknown_flag_exits_2(capsys):
 
 def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", str((os.cpu_count() or 1) + 1), "two"])
+def test_jobs_outside_cpu_range_exits_2(tmp_path, monkeypatch, capsys, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(estimates, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(lifespan, "ProcessPoolExecutor", no_pool)
+    out = str(tmp_path / "jobs")
+    code = main(["ineq", "--lemma", "hardy", "--n", "3", "--s", "1.0",
+                 "--samples", "4", "--jobs", jobs, "--out", out])
+    assert code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_ineq_writes_marked_csv(tmp_path):

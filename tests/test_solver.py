@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import glassey_lab as gl
-from glassey_lab.core import _laplacian_values
+from glassey_lab.core import _derivative_values, _laplacian_values
+from glassey_lab.solver import BLOWUP_THRESHOLD, LinearSeries, _add_nonlinearity, _power_cut
 
 
 def spec(n=3, p=2.0, a=1.0, b=0.0):
@@ -122,6 +123,85 @@ def test_nonlinearity_pointwise_bound():
             np.abs(v.values), np.abs(du.values)
         ) ** sp.p
         assert np.all(np.abs(nl.values) <= cap + 1e-12)
+
+
+TINY = np.finfo(float).tiny
+
+
+def _underflow_probe(p):
+    """Magnitudes around the DBL_MIN cut of |x|^p, plus 0, NaN and +-inf."""
+    cut = _power_cut(p)
+    mags = [0.0, 5e-324, 1e-300, 1e-250, np.nextafter(cut, 0.0), cut,
+            np.nextafter(cut, 1.0), 1e-150, 1e-20, 0.5, 1.0, 3.0]
+    signed = np.array(mags + [-m for m in mags[1:]])
+    return np.concatenate([signed, [np.nan, np.inf, -np.inf]])
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.7])
+def test_nonlinearity_flushes_only_sub_dbl_min_powers(p):
+    x = _underflow_probe(p)
+    coef = 0.7
+    with np.errstate(invalid="ignore", over="ignore"):
+        plain = np.abs(x) ** p
+    out = np.zeros_like(x)
+    _add_nonlinearity(out, np.zeros_like(x), x, 0.1, spec(p=p, a=coef, b=0.0))
+    normal = plain >= TINY
+    assert np.array_equal(out[normal], plain[normal] * coef)
+    below = plain < TINY
+    assert np.all(out[below] == 0.0)
+    assert np.all(out[x == 0.0] == 0.0)
+    assert np.isnan(out[np.isnan(x)]).all()
+    assert np.all(out[np.isinf(x)] == np.inf)
+    # the cut is the boundary of the flushed set
+    cut = _power_cut(p)
+    assert np.all(normal[np.abs(x) == cut])
+    assert np.all(below[np.abs(x) == np.nextafter(cut, 0.0)])
+
+
+def test_nonlinearity_gradient_term_flushes_the_same_way():
+    g = gl.RadialGrid(r_max=30.0, num_cells=600)
+    u = 2.0 * np.exp(-g.nodes**2)  # spans normal, subnormal and 0 values
+    sp = spec(p=1.5, a=0.0, b=-1.3)
+    nl = gl.nonlinearity(gl.WaveState(0.0, gl.RadialField(g, u), gl.RadialField.zeros(g)), sp)
+    plain = np.abs(_derivative_values(u, g.spacing)) ** sp.p
+    normal = plain >= TINY
+    assert np.any(~normal & (plain > 0.0))
+    assert np.array_equal(nl.values[normal], plain[normal] * sp.b)
+    assert np.all(nl.values[~normal] == 0.0)
+
+
+def test_evolve_reports_nonfinite_and_huge_values_as_blowup():
+    g = gl.RadialGrid(r_max=12.0, num_cells=240)
+    z = gl.RadialField.zeros(g)
+    v = np.zeros(241)
+    v[20] = 1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = gl.evolve(spec(p=1.5), z, gl.RadialField(g, v), g, 2.0)
+    assert huge.status == "blew_up" and huge.peak_gradient == math.inf
+
+    def nan_source(t):
+        f = np.zeros(241)
+        f[10] = np.nan
+        return f
+
+    with np.errstate(invalid="ignore"):
+        nan = gl.evolve(spec(p=1.5), z, z, g, 2.0, forcing=nan_source)
+    assert nan.status == "blew_up" and nan.peak_gradient == math.inf
+    assert nan.trajectory.times.size == 1
+
+
+def test_linear_series_rows_are_read_only():
+    times = np.linspace(0.0, 1.0, 3)
+    fields = np.arange(12.0).reshape(3, 4)
+    series = LinearSeries(times, fields)
+    for t in (-1.0, 0.0, 1.0, 2.0):
+        row = series(t)
+        with pytest.raises(ValueError):
+            row += 1.0
+    with pytest.raises(ValueError):
+        series.fields[1, 1] = 0.0
+    assert np.array_equal(series(0.125), 0.75 * fields[0] + 0.25 * fields[1])
+    assert fields.flags.writeable  # the caller's array is not frozen
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +334,100 @@ def test_energy_scaling():
     assert gl.energy(st2, 3) == pytest.approx(4.0 * gl.energy(st, 3), rel=1e-12)
     z = gl.RadialField.zeros(g)
     assert gl.energy(gl.WaveState(0.0, z, z), 3) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# bit-identity against the plain allocating RK4
+# ---------------------------------------------------------------------------
+
+def _reference_rk4(sp, u0, u1, g, t_end, forcing=None, linear_only=False,
+                   cfl=0.25, stride=10, threshold=BLOWUP_THRESHOLD):
+    """Classical RK4 written out with a fresh array per operation and the
+    unflushed |.|^p; returns (times, u, v, status, t_blowup, peak)."""
+    dr, r, n = g.spacing, g.nodes, sp.n_dim
+    nsteps = max(1, math.ceil(t_end / (cfl * dr)))
+    nsteps = stride * math.ceil(nsteps / stride)
+    dt = t_end / nsteps
+    nonlinear = not linear_only and (sp.a != 0.0 or sp.b != 0.0)
+
+    def rhs(t, u, v):
+        du_t = v.copy()
+        du_t[-1] = 0.0
+        acc = _laplacian_values(u, r, dr, n)
+        if nonlinear and sp.a != 0.0:
+            acc += sp.a * np.abs(v) ** sp.p
+        if nonlinear and sp.b != 0.0:
+            acc += sp.b * np.abs(_derivative_values(u, dr)) ** sp.p
+        if forcing is not None:
+            acc = acc + forcing(t)
+        acc[-1] = 0.0
+        return du_t, acc
+
+    def size(u, v):
+        return max(float(np.max(np.abs(v))),
+                   float(np.max(np.abs(_derivative_values(u, dr)))))
+
+    u, v = u0.values.copy(), u1.values.copy()
+    times, us, vs = [0.0], [u.copy()], [v.copy()]
+    peak, status, t_blow = size(u, v), "completed", None
+    t = 0.0
+    for k in range(nsteps):
+        k1u, k1v = rhs(t, u, v)
+        k2u, k2v = rhs(t + 0.5 * dt, u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+        k3u, k3v = rhs(t + 0.5 * dt, u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+        k4u, k4v = rhs(t + dt, u + dt * k3u, v + dt * k3v)
+        u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        t = (k + 1) * dt
+        now = size(u, v)
+        if not math.isfinite(now) or now > threshold:
+            status, t_blow = "blew_up", t
+            peak = max(peak, now) if math.isfinite(now) else math.inf
+            break
+        peak = max(peak, now)
+        if (k + 1) % stride == 0:
+            times.append(t)
+            us.append(u.copy())
+            vs.append(v.copy())
+    return np.array(times), np.array(us), np.array(vs), status, t_blow, peak
+
+
+def _series_forcing(g):
+    # sampled on [0, 5]; later stage times read the last row itself
+    ts = np.linspace(0.0, 5.0, 11)
+    return LinearSeries(ts, [np.exp(-((g.nodes - 2.0) ** 2)) * math.cos(t) for t in ts])
+
+
+@pytest.mark.parametrize(
+    "n, p, a, b, eps, assigns, rmax, cells, t_end, linear, source, status",
+    [
+        # the lifespan setting; its tail holds subnormal and zero values
+        (3, 1.5, 1.0, 0.0, 2.0, "split", 30.0, 600, 12.0, False, False, "blew_up"),
+        (3, 2.0, 1.0, 0.7, 1.5, "split", 24.0, 480, 8.0, False, False, "blew_up"),
+        (2, 3.0, 0.5, 0.5, 0.8, "to_u0", 24.0, 400, 8.0, False, False, "completed"),
+        (5, 2.0, 0.0, 1.0, 1.0, "to_u1", 24.0, 400, 8.0, False, False, "completed"),
+        (3, 2.5, 1.0, 0.0, 0.3, "split", 18.0, 360, 6.0, True, True, "completed"),
+    ],
+    ids=["n3-a-blowup", "n3-ab-blowup", "n2-ab", "n5-b", "n3-linear-series"],
+)
+def test_evolve_bit_identical_to_plain_rk4(n, p, a, b, eps, assigns, rmax, cells,
+                                           t_end, linear, source, status):
+    g = gl.RadialGrid(r_max=rmax, num_cells=cells)
+    sp = spec(n=n, p=p, a=a, b=b)
+    data = gl.make_profile(gaussian_profile(eps=eps, assigns=assigns), g)
+    forcing = _series_forcing(g) if source else None
+    kwargs = dict(forcing=forcing, linear_only=linear)
+    out = gl.evolve(sp, data.u0, data.u1, g, t_end, forcing_support=6.0 if source else 0.0,
+                    **kwargs)
+    times, us, vs, ref_status, ref_blow, ref_peak = _reference_rk4(
+        sp, data.u0, data.u1, g, t_end, **kwargs)
+    assert out.status == ref_status == status
+    assert out.t_blowup == ref_blow
+    assert out.peak_gradient == ref_peak
+    traj = out.trajectory
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.u, us)
+    assert np.array_equal(traj.v, vs)
 
 
 # ---------------------------------------------------------------------------
