@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -384,6 +384,16 @@ def _power_cell(dr: float, m: float) -> float:
     return dr ** (m + 1.0) / (m + 1.0)
 
 
+@lru_cache(maxsize=64)
+def _quadrature_weight(grid: RadialGrid, q: float, nu: float) -> np.ndarray:
+    """r^q <r>^(2nu) at the nodes r_j, j >= 1, read-only; the norms ask for
+    the same few weights on every state of a trajectory."""
+    tail = grid.nodes[1:]
+    weight = tail**q * (1.0 + tail**2) ** nu
+    weight.flags.writeable = False
+    return weight
+
+
 def _weighted_square_integral(values, grid, n, mu, nu, inv_r_coeff=0.0):
     """A_{n-1} * int_0^rmax r^(2mu) <r>^(2nu) f(r)^2 r^(n-1) dr.
 
@@ -392,14 +402,12 @@ def _weighted_square_integral(values, grid, n, mu, nu, inv_r_coeff=0.0):
     trapezoid everywhere, except that the first cell is integrated against
     the exact power weight whenever the integrand is unbounded at r = 0.
     """
-    r = grid.nodes
     dr = grid.spacing
     q = 2.0 * mu + (n - 1)
     if q <= -1.0:
         raise NonIntegrable(f"weight exponent 2mu + n - 1 = {q:.4g} <= -1")
 
-    tail = r[1:]
-    g = tail**q * (1.0 + tail**2) ** nu * np.asarray(values)[1:] ** 2
+    g = _quadrature_weight(grid, q, nu) * np.asarray(values)[1:] ** 2
     total = dr * (0.5 * g[0] + g[1:-1].sum() + 0.5 * g[-1])
 
     if inv_r_coeff != 0.0:
@@ -547,11 +555,12 @@ def le_norm(traj: Trajectory, w: WeightParams, second_order: bool = False) -> Lo
 
     s_deriv, s_field, s_log, s_hor = [], [], [], []
     for u, v in zip(traj.u, traj.v):
-        du, dv, lap = _slopes(u, v, grid, n)
         if second_order:
+            du, dv, lap = _slopes(u, v, grid, n)
             du_abs = np.sqrt(dv**2 + lap**2)
             u_abs = np.abs(du)
         else:
+            du = _derivative_values(u, grid.spacing)
             du_abs = np.sqrt(v**2 + du**2)
             u_abs = np.abs(u)
         s_deriv.append(_weighted_square_integral(du_abs, grid, n, -d, -0.5 + dp))

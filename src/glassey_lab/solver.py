@@ -5,12 +5,12 @@ and blow-up detection.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .core import (
     ProblemSpec,
@@ -76,6 +76,10 @@ def _bump_shape(r: np.ndarray, center: float, width: float) -> np.ndarray:
 
 
 def _load_field_file(path: str, grid: RadialGrid) -> np.ndarray:
+    # scipy is imported here and in exact_free_n3 only: it is most of the
+    # package's import time and memory, and no other path needs it
+    from scipy.interpolate import PchipInterpolator
+
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh]
     if not lines or lines[0] != FILE_HEADER:
@@ -219,14 +223,18 @@ class LinearSeries:
     """Piecewise-linear-in-time nodal forcing built from sampled fields.
 
     `fields` is a read-only view of the array given (not a copy); outside the
-    sample range a call returns its first or last row itself.
+    sample range a call returns its first or last row itself, inside it a
+    new row (1-w) f[k] + w f[k+1].
     """
 
     def __init__(self, times, fields):
-        self.times = np.asarray(times, dtype=float)
+        times = np.asarray(times, dtype=float)
         self.fields = _read_only(fields)
-        if self.times.ndim != 1 or self.fields.shape[0] != self.times.size:
+        if times.ndim != 1 or self.fields.shape[0] != times.size:
             raise PreconditionViolation("times and fields are inconsistent")
+        # a list of Python floats: the cell search and the weight give the
+        # same bits as with numpy scalars, at a fraction of the per-call cost
+        self.times = times.tolist()
 
     def __call__(self, t: float) -> np.ndarray:
         ts = self.times
@@ -234,9 +242,11 @@ class LinearSeries:
             return self.fields[0]
         if t >= ts[-1]:
             return self.fields[-1]
-        k = int(np.searchsorted(ts, t) - 1)
+        k = bisect.bisect_left(ts, t) - 1
         w = (t - ts[k]) / (ts[k + 1] - ts[k])
-        return (1.0 - w) * self.fields[k] + w * self.fields[k + 1]
+        out = np.multiply(self.fields[k], 1.0 - w)
+        out += w * self.fields[k + 1]
+        return out
 
 
 def evolve(
@@ -257,7 +267,9 @@ def evolve(
     Neumann symmetry closes the origin, the outer node is clamped, and the
     causality precondition keeps the boundary causally inert.  The run aborts
     as blown-up the first time max(|v|, |u_r|) passes the threshold or any
-    value stops being finite.
+    value stops being finite; numpy's overflow and invalid-value warnings are
+    silenced while stepping, so that detector is the one report.
+    `forcing(t)` is called once per distinct stage time: t, t + dt/2, t + dt.
     """
     if u0.grid != grid or u1.grid != grid:
         raise PreconditionViolation("data must live on the target grid")
@@ -292,26 +304,30 @@ def evolve(
     weights = _laplacian_weights(r, n)
     work = np.empty_like(r)
 
-    def rhs(t, u, v, du_t, acc):
-        """(du_t, acc) <- (u_t, u_tt) at (t, u, v), clamped at the outer node."""
+    def rhs(y, slope, source):
+        """slope <- (u_t, u_tt) at y = (u, v) plus the forcing row `source`
+        (None without forcing), clamped at the outer node."""
+        u, v = y
+        du_t, acc = slope
         np.copyto(du_t, v)
         du_t[-1] = 0.0
         # the outer row is clamped below, so its stencil is skipped
         _laplacian_values(u, r, dr, n, out=acc, weights=weights, outer=False)
         if nonlinear:
             _add_nonlinearity(acc, u, v, dr, spec, work)
-        if forcing is not None:
-            acc += forcing(t)
+        if source is not None:
+            acc += source
         acc[-1] = 0.0
 
-    u = u0.values.copy()
-    v = u1.values.copy()
+    # the state y = (u, v) as one (2, nodes) array, so every stage build and
+    # the update run once over both rows; u and v are views of its rows
+    y = np.stack((u0.values, u1.values))
+    u, v = y
     # stage slopes k1..k4 and the stage point, reused by every step; zeroed
     # so the skipped outer row of acc holds a finite value before its clamp
-    ku = [np.zeros_like(u) for _ in range(4)]
-    kv = [np.zeros_like(v) for _ in range(4)]
-    u_stage = np.empty_like(u)
-    v_stage = np.empty_like(v)
+    slopes = np.zeros((4,) + y.shape)
+    k1, k2, k3, k4 = slopes
+    y_stage = np.empty_like(y)
     # one row per sample; a blow-up trims the buffer to the rows written
     rows = nsteps // sample_stride + 1
     times = np.empty(rows)
@@ -331,15 +347,19 @@ def evolve(
     # so the buffered loop gives the same bits as the plain formulas
     stages = (0.5 * dt, 0.5 * dt, dt)
     t = 0.0
-    for k in range(nsteps):
-        rhs(t, u, v, ku[0], kv[0])
-        for i, h in enumerate(stages):
-            np.multiply(ku[i], h, out=u_stage)
-            u_stage += u
-            np.multiply(kv[i], h, out=v_stage)
-            v_stage += v
-            rhs(t + h, u_stage, v_stage, ku[i + 1], kv[i + 1])
-        for y, (k1, k2, k3, k4) in ((u, ku), (v, kv)):
+    source = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(nsteps):
+            if forcing is not None:
+                source = forcing(t)
+            rhs(y, k1, source)
+            for i, h in enumerate(stages):
+                np.multiply(slopes[i], h, out=y_stage)
+                y_stage += y
+                # k2 and k3 share the stage time t + dt/2, so its row is reused
+                if forcing is not None and i != 1:
+                    source = forcing(t + h)
+                rhs(y_stage, slopes[i + 1], source)
             k2 *= 2.0
             k2 += k1
             k3 *= 2.0
@@ -347,19 +367,19 @@ def evolve(
             k2 += k4
             k2 *= dt / 6.0
             y += k2
-        t = (k + 1) * dt
+            t = (k + 1) * dt
 
-        vmax = float(np.abs(v, out=work).max())
-        gmax = float(np.abs(_derivative_values(u, dr, out=work), out=work).max())
-        size = max(vmax, gmax)
-        if not math.isfinite(size) or size > blowup_threshold:
-            status, t_blow = "blew_up", t
-            peak = max(peak, size) if math.isfinite(size) else math.inf
-            break
-        peak = max(peak, size)
-        if (k + 1) % sample_stride == 0:
-            times[stored], us[stored], vs[stored] = t, u, v
-            stored += 1
+            vmax = float(np.abs(v, out=work).max())
+            gmax = float(np.abs(_derivative_values(u, dr, out=work), out=work).max())
+            size = max(vmax, gmax)
+            if not math.isfinite(size) or size > blowup_threshold:
+                status, t_blow = "blew_up", t
+                peak = max(peak, size) if math.isfinite(size) else math.inf
+                break
+            peak = max(peak, size)
+            if (k + 1) % sample_stride == 0:
+                times[stored], us[stored], vs[stored] = t, u, v
+                stored += 1
 
     traj = Trajectory(spec, grid, times[:stored], us[:stored], vs[:stored])
     return SolveOutcome(status, traj, t_blow, peak)
@@ -382,6 +402,8 @@ def exact_free_n3(
     the nodes; beyond r_max the data must have vanished, in which case the
     extensions are zero there.
     """
+    from scipy.interpolate import CubicSpline
+
     if u0.grid != grid or u1.grid != grid:
         raise PreconditionViolation("data must live on the target grid")
     if not (math.isfinite(t) and t >= 0.0):

@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import glassey_lab
 from glassey_lab import estimates, lifespan
 from glassey_lab.cli import main
 from glassey_lab.report import read_config
@@ -10,6 +13,17 @@ from glassey_lab.report import read_config
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is only for exact_free_n3 and from_file data; the CLI's startup
+    # time and memory should not pay for it
+    src = os.path.dirname(os.path.dirname(glassey_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, glassey_lab.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 
 import glassey_lab as gl
+from glassey_lab.core import (
+    _integrate_to_horizon,
+    _power_cell,
+    _quadrature_weight,
+    _slopes,
+    _weighted_square_integral,
+)
 
 
 def spec(n=3, p=2.0, a=1.0, b=0.0):
@@ -259,6 +266,61 @@ def test_singular_first_cell_quadrature():
     assert abs(vals[1] - vals[0]) / vals[1] < 5e-3
 
 
+def _plain_weighted_square_integral(values, grid, n, mu, nu, inv_r_coeff=0.0):
+    """_weighted_square_integral with its weight r^q <r>^(2nu) computed
+    inline on every call, as it was before the weight was cached."""
+    r, dr = grid.nodes, grid.spacing
+    q = 2.0 * mu + (n - 1)
+    tail = r[1:]
+    g = tail**q * (1.0 + tail**2) ** nu * np.asarray(values)[1:] ** 2
+    total = dr * (0.5 * g[0] + g[1:-1].sum() + 0.5 * g[-1])
+    if inv_r_coeff != 0.0:
+        alpha = inv_r_coeff
+        beta = values[1] - alpha / dr
+        first = (alpha**2 * _power_cell(dr, q - 2.0)
+                 + 2.0 * alpha * beta * _power_cell(dr, q - 1.0)
+                 + beta**2 * _power_cell(dr, q))
+    elif q < -1e-12:
+        c0 = values[0]
+        c1 = (values[1] - values[0]) / dr
+        first = (c0**2 * _power_cell(dr, q)
+                 + 2.0 * c0 * c1 * _power_cell(dr, q + 1.0)
+                 + c1**2 * _power_cell(dr, q + 2.0))
+    elif abs(q) <= 1e-12:
+        first = 0.5 * dr * (values[0] ** 2 + g[0])
+    else:
+        first = 0.5 * dr * g[0]
+    return gl.sphere_area(n) * (total + first)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("branch", ["inv_r", "q_negative", "q_zero", "q_positive"])
+def test_cached_weight_gives_the_inline_formula_bits(n, branch):
+    g = gl.RadialGrid(r_max=12.0, num_cells=600)
+    r = g.nodes
+    f = np.exp(-(r**2)) * (1.0 + 0.1 * np.sin(7.0 * r)) + 0.05 * np.exp(-((r - 3.0) ** 2))
+    mu, nu, alpha = {
+        "inv_r": (0.3, -0.2, 0.7),
+        "q_negative": (-(n - 1) / 2.0 - 0.3, -0.3, 0.0),
+        "q_zero": (-(n - 1) / 2.0, 0.25, 0.0),
+        "q_positive": (0.0, -0.3, 0.0),
+    }[branch]
+    plain = _plain_weighted_square_integral(f, g, n, mu, nu, inv_r_coeff=alpha)
+    assert _weighted_square_integral(f, g, n, mu, nu, inv_r_coeff=alpha) == plain
+    # a hit on an equal grid built anew gives the same bits
+    same = gl.RadialGrid(r_max=12.0, num_cells=600)
+    assert _weighted_square_integral(f, same, n, mu, nu, inv_r_coeff=alpha) == plain
+
+
+def test_cached_weight_is_read_only():
+    g = gl.RadialGrid(r_max=12.0, num_cells=600)
+    weight = _quadrature_weight(g, 2.0, -0.3)
+    assert weight is _quadrature_weight(g, 2.0, -0.3)
+    assert not weight.flags.writeable
+    with pytest.raises(ValueError):
+        weight[0] = 1.0
+
+
 def test_sup_trace_norm_gaussian():
     # the trace norm || r^{n/2-s} f ||_{L_r^inf L_omega^2} at n=3, s=1/2
     g = gl.RadialGrid(r_max=12.0, num_cells=4000)
@@ -388,6 +450,48 @@ def test_le_norm_horizon_mismatch():
     w = gl.WeightParams(delta=0.3, delta_prime=0.2, horizon=5.0)
     with pytest.raises(gl.HorizonMismatch):
         gl.le_norm(traj, w)
+
+
+def _le1_reference(traj, w):
+    """First-order le_norm components with u_r taken from _slopes, which also
+    computes v_r and lap u."""
+    n, grid = traj.problem.n_dim, traj.grid
+    d, dp, horizon = w.delta, w.delta_prime, w.horizon
+    sums = {"deriv": [], "field": [], "log": [], "horizon": []}
+    for u, v in zip(traj.u, traj.v):
+        du, _, _ = _slopes(u, v, grid, n)
+        du_abs = np.sqrt(v**2 + du**2)
+        u_abs = np.abs(u)
+        sums["deriv"].append(_weighted_square_integral(du_abs, grid, n, -d, -0.5 + dp))
+        if n >= 3:
+            comp = du_abs.copy()
+            comp[1:] += u_abs[1:] / grid.nodes[1:]
+            alpha = u_abs[0]
+            sums["field"].append(
+                _weighted_square_integral(u_abs, grid, n, -1.0 - d, -0.5 + dp))
+        else:
+            comp, alpha = du_abs, 0.0
+        sums["log"].append(
+            _weighted_square_integral(comp, grid, n, -d, -0.5 + d, inv_r_coeff=alpha))
+        sums["horizon"].append(
+            _weighted_square_integral(comp, grid, n, -d, 0.0, inv_r_coeff=alpha))
+    scale = {"deriv": 1.0, "field": 1.0, "log": math.log(2.0 + horizon) ** -0.5,
+             "horizon": horizon ** (d - 0.5)}
+    return {name: scale[name] * math.sqrt(
+                _integrate_to_horizon(traj.times, np.array(vals), horizon))
+            for name, vals in sums.items() if vals}
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_le_norm_first_order_matches_slopes_reference(n):
+    g = gl.RadialGrid(r_max=12.0, num_cells=600)
+    prof = gl.DataProfile(family="gaussian", epsilon=1.0, width=1.0, center=0.0,
+                          assigns="split")
+    data = gl.make_profile(prof, g)
+    out = gl.evolve(gl.ProblemSpec(n_dim=n, p=4.0, a=0.0, b=0.0), data.u0, data.u1, g,
+                    2.0, linear_only=True)
+    w = gl.WeightParams(delta=0.25, delta_prime=0.1, horizon=2.0)
+    assert gl.le_norm(out.trajectory, w).components == _le1_reference(out.trajectory, w)
 
 
 def test_le_golden_self_convergence(goldens):

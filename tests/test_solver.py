@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -171,21 +172,22 @@ def test_nonlinearity_gradient_term_flushes_the_same_way():
 
 
 def test_evolve_reports_nonfinite_and_huge_values_as_blowup():
+    # the blow-up detector is the one report: no numpy RuntimeWarning escapes
     g = gl.RadialGrid(r_max=12.0, num_cells=240)
     z = gl.RadialField.zeros(g)
     v = np.zeros(241)
     v[20] = 1e300
-    with np.errstate(over="ignore", invalid="ignore"):
-        huge = gl.evolve(spec(p=1.5), z, gl.RadialField(g, v), g, 2.0)
-    assert huge.status == "blew_up" and huge.peak_gradient == math.inf
 
     def nan_source(t):
         f = np.zeros(241)
         f[10] = np.nan
         return f
 
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = gl.evolve(spec(p=1.5), z, gl.RadialField(g, v), g, 2.0)
         nan = gl.evolve(spec(p=1.5), z, z, g, 2.0, forcing=nan_source)
+    assert huge.status == "blew_up" and huge.peak_gradient == math.inf
     assert nan.status == "blew_up" and nan.peak_gradient == math.inf
     assert nan.trajectory.times.size == 1
 
@@ -202,6 +204,51 @@ def test_linear_series_rows_are_read_only():
         series.fields[1, 1] = 0.0
     assert np.array_equal(series(0.125), 0.75 * fields[0] + 0.25 * fields[1])
     assert fields.flags.writeable  # the caller's array is not frozen
+
+
+def test_linear_series_matches_plain_interpolation_bitwise():
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.0, 10.0, 401)
+    fields = rng.standard_normal((401, 64))
+    series = LinearSeries(times, fields)
+    inside = [math.nextafter(times[0], math.inf), math.nextafter(times[-1], -math.inf)]
+    for t in list(rng.uniform(0.0, 10.0, 4000)) + list(times[1:-1]) + inside:
+        k = int(np.searchsorted(times, t)) - 1
+        w = (t - times[k]) / (times[k + 1] - times[k])
+        plain = (1.0 - w) * fields[k] + w * fields[k + 1]
+        assert series(t).tobytes() == plain.tobytes()
+
+
+def test_linear_series_in_range_rows_are_fresh():
+    times = np.linspace(0.0, 1.0, 3)
+    fields = np.arange(12.0).reshape(3, 4)
+    series = LinearSeries(times, fields)
+    row = series(0.25)
+    again = series(0.25)
+    assert row.flags.writeable and row is not again
+    row += 100.0
+    assert np.array_equal(series.fields, np.arange(12.0).reshape(3, 4))
+    assert np.array_equal(series(0.25), again)
+
+
+def test_evolve_calls_forcing_once_per_stage_time():
+    g = gl.RadialGrid(r_max=8.0, num_cells=64)
+    z = gl.RadialField.zeros(g)
+    seen = []
+
+    def recording(t):
+        seen.append(t)
+        return np.zeros(65)
+
+    gl.evolve(spec(a=0.0), z, z, g, 1.0, forcing=recording, linear_only=True)
+    # 1 / (cfl 0.25 * dr 0.125) = 32 steps, rounded up to the sample stride 10
+    nsteps = 40
+    dt = 1.0 / nsteps
+    assert len(seen) == 3 * nsteps
+    t = 0.0
+    for k in range(nsteps):
+        assert seen[3 * k: 3 * k + 3] == [t, t + 0.5 * dt, t + dt]
+        t = (k + 1) * dt
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +445,15 @@ def _series_forcing(g):
     return LinearSeries(ts, [np.exp(-((g.nodes - 2.0) ** 2)) * math.cos(t) for t in ts])
 
 
+def _bump_forcing(g):
+    # a plain function of t, switched on and off inside the run
+    return gl.ForcingSpec(amplitude=0.8, space_center=1.0, space_width=1.5,
+                          t_on=0.5, t_off=3.0).callable_on(g)
+
+
+_FORCINGS = {"series": _series_forcing, "bump": _bump_forcing}
+
+
 @pytest.mark.parametrize(
     "n, p, a, b, eps, assigns, rmax, cells, t_end, linear, source, status",
     [
@@ -406,16 +462,18 @@ def _series_forcing(g):
         (3, 2.0, 1.0, 0.7, 1.5, "split", 24.0, 480, 8.0, False, False, "blew_up"),
         (2, 3.0, 0.5, 0.5, 0.8, "to_u0", 24.0, 400, 8.0, False, False, "completed"),
         (5, 2.0, 0.0, 1.0, 1.0, "to_u1", 24.0, 400, 8.0, False, False, "completed"),
-        (3, 2.5, 1.0, 0.0, 0.3, "split", 18.0, 360, 6.0, True, True, "completed"),
+        (3, 2.5, 1.0, 0.0, 0.3, "split", 18.0, 360, 6.0, True, "series", "completed"),
+        (3, 2.0, 0.5, 0.5, 0.3, "split", 18.0, 360, 6.0, False, "bump", "completed"),
     ],
-    ids=["n3-a-blowup", "n3-ab-blowup", "n2-ab", "n5-b", "n3-linear-series"],
+    ids=["n3-a-blowup", "n3-ab-blowup", "n2-ab", "n5-b", "n3-linear-series",
+         "n3-ab-bump"],
 )
 def test_evolve_bit_identical_to_plain_rk4(n, p, a, b, eps, assigns, rmax, cells,
                                            t_end, linear, source, status):
     g = gl.RadialGrid(r_max=rmax, num_cells=cells)
     sp = spec(n=n, p=p, a=a, b=b)
     data = gl.make_profile(gaussian_profile(eps=eps, assigns=assigns), g)
-    forcing = _series_forcing(g) if source else None
+    forcing = _FORCINGS[source](g) if source else None
     kwargs = dict(forcing=forcing, linear_only=linear)
     out = gl.evolve(sp, data.u0, data.u1, g, t_end, forcing_support=6.0 if source else 0.0,
                     **kwargs)
