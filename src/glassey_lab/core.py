@@ -106,7 +106,8 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class RadialField:
-    """Nodal values of a radial function on a grid."""
+    """Nodal values of a radial function on a grid: a read-only copy,
+    checked finite once here, so operations on a field do not re-check."""
 
     grid: RadialGrid
     values: np.ndarray
@@ -263,8 +264,6 @@ def weight_exponents(regime: str, spec: ProblemSpec, s1: float = None, s2: float
     subcritical: s1, s2 are ignored.
     """
     n, p = spec.n_dim, spec.p
-    if regime not in ("subcritical", "critical", "supercritical"):
-        raise PreconditionViolation(f"unknown regime {regime!r}")
     if spec.regime != regime:
         raise PreconditionViolation(
             f"{regime} weights need a {regime} power, but p = {p} is {spec.regime} "
@@ -361,7 +360,6 @@ def _laplacian_values(values: np.ndarray, r: np.ndarray, dr: float, n: int,
 
 def radial_derivative(f: RadialField) -> RadialField:
     """Second-order d/dr: centered inside, one-sided at both ends."""
-    _require_finite(f.values, "radial field")
     return RadialField(f.grid, _derivative_values(f.values, f.grid.spacing))
 
 
@@ -369,7 +367,6 @@ def radial_laplacian(f: RadialField, n: int) -> RadialField:
     """Radial Laplacian f'' + (n-1)/r f', with the n f''(0) origin limit."""
     if n < 2:
         raise PreconditionViolation(f"dimension must be >= 2, got {n}")
-    _require_finite(f.values, "radial field")
     return RadialField(f.grid, _laplacian_values(f.values, f.grid.nodes, f.grid.spacing, n))
 
 
@@ -442,13 +439,11 @@ def weighted_l2(f: RadialField, n: int, mu: float, nu: float) -> float:
     """|| r^mu <r>^nu f ||_{L^2(R^n)} by weight-aware composite trapezoid."""
     if mu <= -n / 2.0:
         raise PreconditionViolation(f"mu must exceed -n/2 = {-n / 2.0}, got {mu}")
-    _require_finite(f.values, "radial field")
     return math.sqrt(_weighted_square_integral(f.values, f.grid, n, mu, nu))
 
 
 def weighted_sup(f: RadialField, n: int, power: float) -> float:
     """A_{n-1}^{1/2} * max_{j>=1} r_j^power |f(r_j)|."""
-    _require_finite(f.values, "radial field")
     r = f.grid.nodes[1:]
     return math.sqrt(sphere_area(n)) * float(np.max(r**power * np.abs(f.values[1:])))
 
@@ -602,11 +597,6 @@ class NormReport:
     le1: float
     le2: float
     components: dict
-
-    def __post_init__(self):
-        total = sum(self.components.values())
-        if abs(total - self.le1) > 1e-12 * max(1.0, abs(self.le1)):
-            raise PreconditionViolation("le1 must equal the sum of its components")
 
 
 def norm_report(traj: Trajectory, w: WeightParams) -> NormReport:

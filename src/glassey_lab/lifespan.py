@@ -77,6 +77,14 @@ def predicted_law(spec: ProblemSpec) -> LawPrediction:
     return LawPrediction(regime="subcritical", exponent=exponent)
 
 
+def _two_rungs(ladder) -> list:
+    """The ladder's two distinct cell counts, coarse first."""
+    rungs = sorted(set(int(c) for c in ladder))
+    if len(rungs) != 2:
+        raise PreconditionViolation("ladder needs exactly 2 distinct resolutions")
+    return rungs
+
+
 def measure_lifespan(
     spec: ProblemSpec,
     profile: DataProfile,
@@ -87,14 +95,12 @@ def measure_lifespan(
     cfl: float = 0.25,
     sample_stride: int = 10,
 ) -> LifespanRecord:
-    """Blow-up time (or censoring horizon) across a grid-resolution ladder.
+    """Blow-up time (or censoring horizon) on a two-rung resolution ladder.
 
-    agreement is the relative gap between the two finest rungs; runs whose
-    rungs disagree on censoring get agreement = inf and are excluded by fits.
+    agreement is the relative gap between the two rungs; runs whose rungs
+    disagree on censoring get agreement = inf and are excluded by fits.
     """
-    ladder = sorted(set(int(c) for c in ladder))
-    if not 2 <= len(ladder) <= 3:
-        raise PreconditionViolation("ladder needs 2 or 3 distinct resolutions")
+    ladder = _two_rungs(ladder)
     scaled = replace(profile, epsilon=epsilon)
     results = []
     for cells in ladder:
@@ -114,13 +120,13 @@ def measure_lifespan(
         # free this rung's samples before the next, finer rung stores its own
         del outcome
 
-    (blew_next, t_next), (blew_fine, t_fine) = results[-2], results[-1]
-    if blew_fine != blew_next:
+    (blew_coarse, t_coarse), (blew_fine, t_fine) = results
+    if blew_fine != blew_coarse:
         agreement = math.inf
     elif not blew_fine:
         agreement = 0.0
     else:
-        agreement = abs(t_fine - t_next) / t_fine
+        agreement = abs(t_fine - t_coarse) / t_fine
     return LifespanRecord(
         epsilon=epsilon,
         t_observed=t_fine,
@@ -131,10 +137,14 @@ def measure_lifespan(
 
 
 def _sweep_one(args):
+    """One sweep point: its LifespanRecord, or the GlasseyLabError it raised."""
     spec, profile, eps, ladder, horizon, r_max, cfl, stride = args
-    return measure_lifespan(
-        spec, profile, eps, ladder, horizon, r_max, cfl=cfl, sample_stride=stride
-    )
+    try:
+        return measure_lifespan(
+            spec, profile, eps, ladder, horizon, r_max, cfl=cfl, sample_stride=stride
+        )
+    except GlasseyLabError as exc:
+        return exc
 
 
 def sweep(
@@ -153,23 +163,17 @@ def sweep(
     eps = [float(e) for e in epsilons]
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise PreconditionViolation("epsilons must be strictly increasing")
-    tasks = [(spec, profile, e, tuple(ladder), horizon, r_max, cfl, sample_stride) for e in eps]
-    records = []
+    ladder = tuple(_two_rungs(ladder))
+    tasks = [(spec, profile, e, ladder, horizon, r_max, cfl, sample_stride) for e in eps]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_sweep_one, t) for t in tasks]
-            for e, fut in zip(eps, futures):
-                try:
-                    records.append(fut.result())
-                except GlasseyLabError as exc:
-                    warnings.warn(f"epsilon={e}: {exc}")
+            results = list(pool.map(_sweep_one, tasks))
     else:
-        for e, task in zip(eps, tasks):
-            try:
-                records.append(_sweep_one(task))
-            except GlasseyLabError as exc:
-                warnings.warn(f"epsilon={e}: {exc}")
-    return records
+        results = [_sweep_one(t) for t in tasks]
+    for e, result in zip(eps, results):
+        if isinstance(result, GlasseyLabError):
+            warnings.warn(f"epsilon={e}: {result}")
+    return [r for r in results if not isinstance(r, GlasseyLabError)]
 
 
 def _usable(records):
@@ -194,8 +198,9 @@ def _least_squares(x, y):
     return float(slope), float(intercept), min(max(r2, 0.0), 1.0)
 
 
-def fit_power(records, spec: ProblemSpec, tolerance: float = None) -> FitResult:
-    """log t against log epsilon, judged against the regime's exponent."""
+def fit_power(records, spec: ProblemSpec) -> FitResult:
+    """log t against log epsilon, judged against the regime's exponent within
+    SLOPE_TOLERANCE of its size."""
     good = _usable(records)
     law = predicted_law(spec)
     if law.exponent is None:
@@ -203,7 +208,7 @@ def fit_power(records, spec: ProblemSpec, tolerance: float = None) -> FitResult:
     x = np.log([r.epsilon for r in good])
     y = np.log([r.t_observed for r in good])
     slope, intercept, r2 = _least_squares(x, y)
-    tol = SLOPE_TOLERANCE * abs(law.exponent) if tolerance is None else tolerance
+    tol = SLOPE_TOLERANCE * abs(law.exponent)
     verdict = "consistent" if abs(slope - law.exponent) <= tol else "inconsistent"
     return FitResult(
         model="power_law",

@@ -123,11 +123,11 @@ def picard_run(
     t_end: float,
     max_iters: int = 12,
     tol: float = 1e-8,
-    weights: WeightParams = None,
     cfl: float = 0.25,
     sample_stride: int = 10,
 ) -> PicardResult:
-    """Iterate the map from the free solution until the step metric is small.
+    """Iterate the map from the free solution until the step metric,
+    measured with default_weights(spec, t_end), is small.
 
     Raises Divergence (with the trace attached) when the step metric grows
     tenfold over two consecutive corrections.
@@ -136,7 +136,7 @@ def picard_run(
         raise PreconditionViolation(f"max_iters must lie in [2, 50], got {max_iters}")
     if tol <= 0.0:
         raise PreconditionViolation("tol must be positive")
-    w = weights or default_weights(spec, t_end)
+    w = default_weights(spec, t_end)
 
     lam = lambda_norms(u0, u1, spec.n_dim).lambda1
     current = evolve(

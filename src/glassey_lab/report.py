@@ -27,15 +27,19 @@ def fmt_value(x) -> str:
     return str(x)
 
 
+def _write_lines(path: str, lines) -> str:
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
 def write_csv(path: str, subcommand: str, columns, rows) -> str:
     """Rows are dicts keyed by column name; missing keys emit empty cells."""
     lines = [f"{CSV_MARKER} {subcommand}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(fmt_value(row.get(c)) for c in columns))
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write_lines(path, lines)
 
 
 def write_series(path: str, label: str, pairs) -> str:
@@ -43,10 +47,7 @@ def write_series(path: str, label: str, pairs) -> str:
     lines = [f"{CSV_MARKER} series {label}"]
     for x, y in pairs:
         lines.append(f"{fmt_value(x)} {fmt_value(y)}")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write_lines(path, lines)
 
 
 def write_config(path: str, values: dict) -> str:
@@ -54,10 +55,7 @@ def write_config(path: str, values: dict) -> str:
     lines = [f"{CSV_MARKER} config"]
     for key in sorted(values):
         lines.append(f"{key} = {fmt_value(values[key])}")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write_lines(path, lines)
 
 
 def read_config(path: str) -> dict:

@@ -85,14 +85,17 @@ def _load_field_file(path: str, grid: RadialGrid) -> np.ndarray:
     if not lines or lines[0] != FILE_HEADER:
         raise PreconditionViolation(f"{path}: first line must be {FILE_HEADER!r}")
     rs, vals = [], []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], start=2):
         if not ln or ln.startswith("#"):
             continue
         parts = ln.split()
         if len(parts) != 2:
             raise PreconditionViolation(f"{path}: expected 'r value' rows, got {ln!r}")
-        rs.append(float(parts[0]))
-        vals.append(float(parts[1]))
+        try:
+            rs.append(float(parts[0]))
+            vals.append(float(parts[1]))
+        except ValueError:
+            raise PreconditionViolation(f"{path}: row {row} is not two numbers: {ln!r}") from None
     rs = np.array(rs)
     vals = np.array(vals)
     if rs.size < 4:
@@ -212,12 +215,6 @@ class SolveOutcome:
     t_blowup: float
     peak_gradient: float
 
-    def __post_init__(self):
-        if self.status not in ("completed", "blew_up"):
-            raise PreconditionViolation(f"unknown status {self.status!r}")
-        if self.status == "blew_up" and self.t_blowup is None:
-            raise PreconditionViolation("blew_up outcome needs t_blowup")
-
 
 class LinearSeries:
     """Piecewise-linear-in-time nodal forcing built from sampled fields.
@@ -259,14 +256,13 @@ def evolve(
     linear_only: bool = False,
     cfl: float = 0.25,
     sample_stride: int = 10,
-    blowup_threshold: float = BLOWUP_THRESHOLD,
     forcing_support: float = 0.0,
 ) -> SolveOutcome:
     """March (u, v) with classical RK4 at dt = cfl*dr.
 
     Neumann symmetry closes the origin, the outer node is clamped, and the
     causality precondition keeps the boundary causally inert.  The run aborts
-    as blown-up the first time max(|v|, |u_r|) passes the threshold or any
+    as blown-up the first time max(|v|, |u_r|) passes BLOWUP_THRESHOLD or any
     value stops being finite; numpy's overflow and invalid-value warnings are
     silenced while stepping, so that detector is the one report.
     `forcing(t)` is called once per distinct stage time: t, t + dt/2, t + dt.
@@ -372,7 +368,7 @@ def evolve(
             vmax = float(np.abs(v, out=work).max())
             gmax = float(np.abs(_derivative_values(u, dr, out=work), out=work).max())
             size = max(vmax, gmax)
-            if not math.isfinite(size) or size > blowup_threshold:
+            if not math.isfinite(size) or size > BLOWUP_THRESHOLD:
                 status, t_blow = "blew_up", t
                 peak = max(peak, size) if math.isfinite(size) else math.inf
                 break

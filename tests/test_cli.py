@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -114,6 +115,46 @@ def test_lifespan_subcommand_small(tmp_path):
     fit = read(os.path.join(out, "fit.csv")).decode().splitlines()
     assert fit[0] == "# glassey-lab v1 lifespan"
     assert "power_law" in fit[2] and "consistent" in fit[2]
+
+
+def test_lifespan_three_rung_ladder_exits_2(tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("evolve was called")
+
+    monkeypatch.setattr(lifespan, "evolve", no_solve)
+    out = str(tmp_path / "run")
+    code = main(["lifespan", "--n", "3", "--p", "1.5", "--eps", "1.4,2.0,2.8,4.0",
+                 "--horizon", "4", "--rmax", "16", "--ladder", "160,240,320",
+                 "--assigns", "split", "--out", out])
+    assert code == 2
+    assert "ladder needs exactly 2" in capsys.readouterr().err
+
+
+def test_from_file_non_numeric_token_exits_2(tmp_path, capsys):
+    path = tmp_path / "field.txt"
+    path.write_text("# radial-field v1\n0.0 1.0\n"
+                    "np.float64(0.5) np.float64(0.7)\n1.0 0.3\n1.5 0.0\n")
+    code = main(["solve", "--profile", "from_file", "--data-file", str(path),
+                 "--rmax", "16", "--cells", "320", "--t-end", "1",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "row 3" in err and "Traceback" not in err
+
+
+def test_solve_huge_data_reports_inf_energy_without_warnings(tmp_path):
+    # the energy of 1e300 data exceeds the double range: it is written as
+    # inf, and neither the solve nor the energy series warns
+    out = str(tmp_path / "run")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--eps", "1e300", "--p", "1.5", "--rmax", "12",
+                     "--cells", "240", "--t-end", "2", "--out", out])
+    assert code == 0
+    outcome = read(os.path.join(out, "outcome.csv")).decode().splitlines()
+    assert outcome[2].startswith("blew_up,")
+    series = read(os.path.join(out, "series.csv")).decode().splitlines()
+    assert series[2].split(",")[1] == "inf"
 
 
 def test_norms_subcommand(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import glassey_lab as gl
+from glassey_lab import estimates
 
 
 def grid(cells=1200, rmax=12.0):
@@ -254,6 +255,32 @@ def test_energy_ineq_forced_bound_and_scaling():
                         t_on=0.0, t_off=1.0)
     s2 = gl.energy_ineq_check(data2.u0, data2.u1, f2, 3, 6.0)
     assert s2.ratio == pytest.approx(s.ratio, rel=1e-6)
+
+
+def test_free_solve_is_the_forced_linear_evolve():
+    g = gl.RadialGrid(r_max=16.0, num_cells=400)
+    data = gl.make_profile(gl.DataProfile(family="gaussian", epsilon=0.5,
+                                          assigns="split"), g)
+    f = gl.ForcingSpec(amplitude=0.5, space_center=1.0, space_width=1.0,
+                       t_on=0.0, t_off=1.0)
+    traj = estimates._free_solve(data.u0, data.u1, 3, 5.0, 0.25, 10, forcing=f)
+    direct = gl.evolve(gl.ProblemSpec(n_dim=3, p=2.0, a=0.0, b=0.0), data.u0, data.u1,
+                       g, 5.0, forcing=f.callable_on(g), linear_only=True,
+                       forcing_support=f.support_radius).trajectory
+    for name in ("times", "u", "v"):
+        assert np.array_equal(getattr(traj, name), getattr(direct, name))
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 0.0])
+def test_energy_ineq_forcing_support_enters_causality(amplitude):
+    # data support ~5.7 + T 4 + margin 2 fits in r_max 12; the source's
+    # support 7 does not, even when its amplitude is zero
+    g = gl.RadialGrid(r_max=12.0, num_cells=480)
+    data = gl.make_profile(gl.DataProfile(family="gaussian", epsilon=1.0), g)
+    f = gl.ForcingSpec(amplitude=amplitude, space_center=6.0, space_width=1.0,
+                       t_on=0.0, t_off=1.0)
+    with pytest.raises(gl.PreconditionViolation, match="causality"):
+        gl.energy_ineq_check(data.u0, data.u1, f, 3, 4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -155,3 +155,47 @@ def test_ladder_duplicate_resolutions_rejected():
                           assigns="to_u1")
     with pytest.raises(gl.PreconditionViolation):
         gl.measure_lifespan(spec(3, 1.5), prof, 1.0, (320, 320), 4.0, 16.0)
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("evolve was called")
+
+
+def test_ladder_of_three_rungs_rejected(monkeypatch):
+    # the record reads two rungs, so a third would be a solve whose result is
+    # never used; the ladder is refused before any solve
+    monkeypatch.setattr(gl.lifespan, "evolve", _no_solve)
+    prof = gl.DataProfile(family="gaussian", epsilon=1.0, width=1.0, center=0.0,
+                          assigns="to_u1")
+    with pytest.raises(gl.PreconditionViolation):
+        gl.measure_lifespan(spec(3, 1.5), prof, 1.0, (160, 240, 320), 4.0, 16.0)
+    with pytest.raises(gl.PreconditionViolation):
+        gl.sweep(spec(3, 1.5), prof, (1.0, 2.0), (160, 240, 320), 4.0, 16.0)
+
+
+def _user_warnings(record):
+    return [str(w.message) for w in record if issubclass(w.category, UserWarning)]
+
+
+def test_sweep_pool_matches_serial():
+    prof = gl.DataProfile(family="gaussian", epsilon=1.0, width=1.0, center=0.0,
+                          assigns="to_u1")
+    args = (spec(3, 1.5), prof, (4.0, 5.0), (160, 320), 8.0, 16.0)
+    serial = gl.sweep(*args, jobs=1)
+    assert len(serial) == 2 and not any(r.censored for r in serial)
+    assert gl.sweep(*args, jobs=2) == serial
+
+
+def test_sweep_pool_skips_failing_epsilon_like_serial():
+    # the all-failing case of test_sweep_skips_failing_epsilon
+    prof = gl.DataProfile(family="gaussian", epsilon=1.0, width=1.0, center=0.0,
+                          assigns="to_u1")
+    args = (spec(3, 1.5), prof, (4.0, 5.0), (160, 320), 20.0, 16.0)
+    with pytest.warns(UserWarning) as serial_warnings:
+        serial = gl.sweep(*args, jobs=1)
+    with pytest.warns(UserWarning) as pool_warnings:
+        pooled = gl.sweep(*args, jobs=2)
+    assert serial == pooled == []
+    messages = _user_warnings(serial_warnings)
+    assert [m.split(":")[0] for m in messages] == ["epsilon=4.0", "epsilon=5.0"]
+    assert _user_warnings(pool_warnings) == messages
