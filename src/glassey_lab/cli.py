@@ -6,6 +6,7 @@ failures, 1 internal errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -23,7 +24,7 @@ from .core import (
     lambda_norms,
     norm_report,
 )
-from .errors import GlasseyLabError, PreconditionViolation
+from .errors import Divergence, GlasseyLabError, PreconditionViolation
 from .report import fmt_value, read_config, write_config, write_csv, write_series
 from .solver import DataProfile, evolve, make_profile
 
@@ -48,18 +49,26 @@ def _jobs(text):
     return jobs
 
 
-def _add_common(parser):
-    parser.add_argument("--n", type=int, default=3, help="space dimension")
-    parser.add_argument("--p", type=float, default=2.0, help="nonlinearity power")
-    parser.add_argument("--a", type=float, default=1.0, help="|u_t|^p coefficient")
-    parser.add_argument("--b", type=float, default=0.0, help="|grad u|^p coefficient")
-    parser.add_argument("--rmax", type=float, default=20.0, help="domain radius")
-    parser.add_argument("--cells", type=int, default=2000, help="grid cells")
-    parser.add_argument("--cfl", type=float, default=0.25, help="dt / dr ratio")
+# The shared flags.  Each subcommand takes only the ones its runner reads, so
+# a flag it would ignore exits 2 as an unrecognized argument.
+_COMMON = {
+    "n": dict(type=int, default=3, help="space dimension"),
+    "p": dict(type=float, default=2.0, help="nonlinearity power"),
+    "a": dict(type=float, default=1.0, help="|u_t|^p coefficient"),
+    "b": dict(type=float, default=0.0, help="|grad u|^p coefficient"),
+    "rmax": dict(type=float, default=20.0, help="domain radius"),
+    "cells": dict(type=int, default=2000, help="grid cells"),
+    "cfl": dict(type=float, default=0.25, help="dt / dr ratio"),
+    "seed": dict(type=int, default=7, help="base seed"),
+    "jobs": dict(type=_jobs, default=1, help="parallel tasks, at most the CPU count"),
+}
+
+
+def _add_common(parser, names):
+    """The shared flags named in `names` (space-separated), --out and --config."""
+    for name in names.split():
+        parser.add_argument("--" + name, **_COMMON[name])
     parser.add_argument("--out", type=str, default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=7, help="base seed")
-    parser.add_argument("--jobs", type=_jobs, default=1,
-                        help="parallel tasks, at most the CPU count")
     parser.add_argument("--config", type=str, default=None, help="config file with flag defaults")
 
 
@@ -80,23 +89,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for radial derivative-nonlinearity waves.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # no prefix matching, so that a flag a subcommand lacks is not taken for
+    # a longer one (kss --b as --band, norms --a as --assigns)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_solve = sub.add_parser("solve", help="evolve one data profile")
-    _add_common(p_solve)
+    p_solve = add_parser("solve", help="evolve one data profile")
+    _add_common(p_solve, "n p a b rmax cells cfl")
     _add_profile(p_solve)
     p_solve.add_argument("--t-end", type=float, default=1.0)
     p_solve.add_argument("--linear", action="store_true", help="drop the nonlinearity")
     p_solve.add_argument("--stride", type=int, default=10)
 
-    p_ineq = sub.add_parser("ineq", help="seeded inequality suite")
-    _add_common(p_ineq)
+    p_ineq = add_parser("ineq", help="seeded inequality suite")
+    _add_common(p_ineq, "n rmax cells seed jobs")
     p_ineq.add_argument("--lemma", choices=("hardy", "trace", "trace_variant"), required=True)
     p_ineq.add_argument("--s", type=float, required=True)
     p_ineq.add_argument("--samples", type=int, default=200)
     p_ineq.add_argument("--tol", type=float, default=estimates.DEFAULT_TOL)
 
-    p_kss = sub.add_parser("kss", help="uniform-in-T space-time bounds")
-    _add_common(p_kss)
+    p_kss = add_parser("kss", help="uniform-in-T space-time bounds")
+    _add_common(p_kss, "n rmax cells cfl")
     _add_profile(p_kss)
     p_kss.add_argument("--variant", choices=("hom", "inhom"), default="hom")
     p_kss.add_argument("--delta", type=float, default=0.3)
@@ -105,16 +117,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_kss.add_argument("--band", type=float, default=estimates.KSS_BAND)
     p_kss.add_argument("--stride", type=int, default=10)
 
-    p_pic = sub.add_parser("picard", help="contraction-map iteration")
-    _add_common(p_pic)
+    p_pic = add_parser("picard", help="contraction-map iteration")
+    _add_common(p_pic, "n p a b rmax cells cfl")
     _add_profile(p_pic)
     p_pic.add_argument("--t-end", type=float, default=10.0)
     p_pic.add_argument("--max-iters", type=int, default=12)
     p_pic.add_argument("--tol", type=float, default=1e-8)
     p_pic.add_argument("--stride", type=int, default=10)
 
-    p_life = sub.add_parser("lifespan", help="epsilon sweep and scaling-law fit")
-    _add_common(p_life)
+    p_life = add_parser("lifespan", help="epsilon sweep and scaling-law fit")
+    _add_common(p_life, "n p a b rmax cells cfl jobs")
     _add_profile(p_life, include_eps=False)
     p_life.add_argument("--eps-list", "--eps", dest="eps_list", type=str,
                         default="0.7,1.0,1.4,2.0,2.8",
@@ -126,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     # defaults sized for the stock subcritical battery
     p_life.set_defaults(rmax=48.0, cells=3840, assigns="split", stride=20)
 
-    p_norms = sub.add_parser("norms", help="norm report for a linear evolution")
-    _add_common(p_norms)
+    p_norms = add_parser("norms", help="norm report for a linear evolution")
+    _add_common(p_norms, "n p rmax cells cfl")
     _add_profile(p_norms)
     p_norms.add_argument("--t-end", type=float, default=10.0)
     p_norms.add_argument("--delta", type=float, default=0.3)
@@ -160,7 +172,9 @@ def _parse_list(text):
 
 def _problem(args):
     """The equation, grid and initial data that the flags describe."""
-    spec = ProblemSpec(n_dim=args.n, p=args.p, a=args.a, b=args.b)
+    # norms has no --a and --b: it evolves the free wave, a = b = 0
+    spec = ProblemSpec(n_dim=args.n, p=args.p, a=getattr(args, "a", 0.0),
+                       b=getattr(args, "b", 0.0))
     grid = RadialGrid(r_max=args.rmax, num_cells=args.cells)
     return spec, grid, make_profile(_profile_from(args), grid)
 
@@ -174,7 +188,7 @@ def _run_solve(args):
     traj = outcome.trajectory
     rows = []
     # an energy past the double range is reported as inf, without a warning
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for t, u, v in zip(traj.times, traj.u, traj.v):
             du = _derivative_values(u, grid.spacing)
             rows.append({
@@ -253,17 +267,26 @@ def _run_kss(args):
         raise InvariantFailure(f"kss {args.variant} ratios breach the {args.band:.0%} band")
 
 
+def _write_picard_trace(out, trace):
+    write_csv(os.path.join(out, "picard_trace.csv"), "picard",
+              ("iteration", "rho_step", "e1", "e2", "le1", "le2"),
+              [asdict(t) for t in trace])
+    write_series(os.path.join(out, "rho_series.txt"), "iteration rho",
+                 [(t.iteration, t.rho_step) for t in trace])
+
+
 def _run_picard(args):
     spec, grid, data = _problem(args)
-    result = picard.picard_run(
-        spec, data.u0, data.u1, grid, args.t_end,
-        max_iters=args.max_iters, tol=args.tol, cfl=args.cfl, sample_stride=args.stride,
-    )
-    write_csv(os.path.join(args.out, "picard_trace.csv"), "picard",
-              ("iteration", "rho_step", "e1", "e2", "le1", "le2"),
-              [asdict(t) for t in result.trace])
-    write_series(os.path.join(args.out, "rho_series.txt"), "iteration rho",
-                 [(t.iteration, t.rho_step) for t in result.trace])
+    try:
+        result = picard.picard_run(
+            spec, data.u0, data.u1, grid, args.t_end,
+            max_iters=args.max_iters, tol=args.tol, cfl=args.cfl, sample_stride=args.stride,
+        )
+    except Divergence as exc:
+        # a diverging run keeps the iterations it measured
+        _write_picard_trace(args.out, exc.trace)
+        raise
+    _write_picard_trace(args.out, result.trace)
     print(f"picard: converged={result.converged} iterations={len(result.trace)} "
           f"delta={fmt_value(result.weights.delta)} "
           f"delta_prime={fmt_value(result.weights.delta_prime)}")
@@ -304,10 +327,8 @@ def _run_lifespan(args):
 
 def _run_norms(args):
     spec, grid, data = _problem(args)
-    outcome = evolve(
-        spec, data.u0, data.u1, grid, args.t_end,
-        linear_only=True, cfl=args.cfl, sample_stride=args.stride,
-    )
+    outcome = evolve(spec, data.u0, data.u1, grid, args.t_end,
+                     cfl=args.cfl, sample_stride=args.stride)
     w = WeightParams(delta=args.delta, delta_prime=args.delta_prime, horizon=args.t_end)
     report = norm_report(outcome.trajectory, w)
     lam = lambda_norms(data.u0, data.u1, args.n)

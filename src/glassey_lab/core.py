@@ -37,7 +37,10 @@ def sphere_area(n: int) -> float:
         raise PreconditionViolation(f"dimension must be >= 2, got {n}")
     if n in _SPHERE_AREA:
         return _SPHERE_AREA[n]
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    try:
+        return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    except OverflowError:
+        raise PreconditionViolation(f"Gamma({n}/2) of |S^{n - 1}| overflows a double") from None
 
 
 def _require_finite(values, label):
@@ -386,7 +389,9 @@ def _quadrature_weight(grid: RadialGrid, q: float, nu: float) -> np.ndarray:
     """r^q <r>^(2nu) at the nodes r_j, j >= 1, read-only; the norms ask for
     the same few weights on every state of a trajectory."""
     tail = grid.nodes[1:]
-    weight = tail**q * (1.0 + tail**2) ** nu
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = tail**q * (1.0 + tail**2) ** nu
+    _require_finite(weight, f"weight r^{q:.4g} <r>^{2.0 * nu:.4g} on [0, {grid.r_max:.4g}]")
     weight.flags.writeable = False
     return weight
 
@@ -537,6 +542,28 @@ class LocalEnergyNorm:
     components: dict
 
 
+def _le_squares(du_abs, u_abs, grid, n, w):
+    """One state's squared local-energy terms: deriv, field (n >= 3 only), log
+    and horizon, from the gradient magnitude du_abs and the field |u|."""
+    d, dp = w.delta, w.delta_prime
+    terms = [_weighted_square_integral(du_abs, grid, n, -d, -0.5 + dp)]
+    comp, alpha = du_abs, 0.0
+    if n >= 3:
+        alpha = u_abs[0]
+        comp = du_abs.copy()
+        comp[1:] += u_abs[1:] / grid.nodes[1:]
+        terms.append(_weighted_square_integral(u_abs, grid, n, -1.0 - d, -0.5 + dp))
+    terms.append(_weighted_square_integral(comp, grid, n, -d, -0.5 + d, inv_r_coeff=alpha))
+    terms.append(_weighted_square_integral(comp, grid, n, -d, 0.0, inv_r_coeff=alpha))
+    return terms
+
+
+def _time_norms(times, rows, horizon):
+    """sqrt(int_0^horizon) of each column, where rows[k] holds the terms at times[k]."""
+    return [math.sqrt(_integrate_to_horizon(times, col, horizon))
+            for col in np.array(rows).T]
+
+
 def le_norm(traj: Trajectory, w: WeightParams, second_order: bool = False) -> LocalEnergyNorm:
     """Local energy norm over [0, T]: weighted derivative term, weighted field
     term, log-in-T term and T-power term (only derivative terms when n <= 2).
@@ -545,46 +572,19 @@ def le_norm(traj: Trajectory, w: WeightParams, second_order: bool = False) -> Lo
     d_r v, gradient slot lap u, field slot d_r u.
     """
     n = traj.problem.n_dim
-    d, dp, horizon = w.delta, w.delta_prime, w.horizon
     grid = traj.grid
-
-    s_deriv, s_field, s_log, s_hor = [], [], [], []
+    rows = []
     for u, v in zip(traj.u, traj.v):
         if second_order:
             du, dv, lap = _slopes(u, v, grid, n)
-            du_abs = np.sqrt(dv**2 + lap**2)
-            u_abs = np.abs(du)
+            rows.append(_le_squares(np.sqrt(dv**2 + lap**2), np.abs(du), grid, n, w))
         else:
             du = _derivative_values(u, grid.spacing)
-            du_abs = np.sqrt(v**2 + du**2)
-            u_abs = np.abs(u)
-        s_deriv.append(_weighted_square_integral(du_abs, grid, n, -d, -0.5 + dp))
-        if n >= 3:
-            alpha = u_abs[0]
-            comp = du_abs.copy()
-            comp[1:] += u_abs[1:] / grid.nodes[1:]
-            s_field.append(_weighted_square_integral(u_abs, grid, n, -1.0 - d, -0.5 + dp))
-            s_log.append(
-                _weighted_square_integral(comp, grid, n, -d, -0.5 + d, inv_r_coeff=alpha)
-            )
-            s_hor.append(
-                _weighted_square_integral(comp, grid, n, -d, 0.0, inv_r_coeff=alpha)
-            )
-        else:
-            s_log.append(_weighted_square_integral(du_abs, grid, n, -d, -0.5 + d))
-            s_hor.append(_weighted_square_integral(du_abs, grid, n, -d, 0.0))
-
-    times = traj.times
-    comps = {}
-    comps["deriv"] = math.sqrt(_integrate_to_horizon(times, np.array(s_deriv), horizon))
-    if n >= 3:
-        comps["field"] = math.sqrt(_integrate_to_horizon(times, np.array(s_field), horizon))
-    comps["log"] = (math.log(2.0 + horizon)) ** -0.5 * math.sqrt(
-        _integrate_to_horizon(times, np.array(s_log), horizon)
-    )
-    comps["horizon"] = horizon ** (d - 0.5) * math.sqrt(
-        _integrate_to_horizon(times, np.array(s_hor), horizon)
-    )
+            rows.append(_le_squares(np.sqrt(v**2 + du**2), np.abs(u), grid, n, w))
+    names = ("deriv", "field", "log", "horizon") if n >= 3 else ("deriv", "log", "horizon")
+    scale = {"log": math.log(2.0 + w.horizon) ** -0.5, "horizon": w.horizon ** (w.delta - 0.5)}
+    comps = {name: scale.get(name, 1.0) * norm
+             for name, norm in zip(names, _time_norms(traj.times, rows, w.horizon))}
     return LocalEnergyNorm(total=sum(comps.values()), components=comps)
 
 
@@ -614,20 +614,10 @@ def lestar_upper(forcing_traj: Trajectory, w: WeightParams) -> float:
     n = forcing_traj.problem.n_dim
     d, dp, horizon = w.delta, w.delta_prime, w.horizon
     grid = forcing_traj.grid
-
-    s_a, s_b, s_c = [], [], []
+    rows = []
     for u in forcing_traj.u:
         vals = np.abs(u)
-        s_a.append(_weighted_square_integral(vals, grid, n, d, 0.5 - dp))
-        s_b.append(_weighted_square_integral(vals, grid, n, d, 0.5 - d))
-        s_c.append(_weighted_square_integral(vals, grid, n, d, 0.0))
-
-    times = forcing_traj.times
-    cand = (
-        math.sqrt(_integrate_to_horizon(times, np.array(s_a), horizon)),
-        math.sqrt(math.log(2.0 + horizon))
-        * math.sqrt(_integrate_to_horizon(times, np.array(s_b), horizon)),
-        horizon ** (0.5 - d)
-        * math.sqrt(_integrate_to_horizon(times, np.array(s_c), horizon)),
-    )
-    return min(cand)
+        rows.append([_weighted_square_integral(vals, grid, n, d, nu)
+                     for nu in (0.5 - dp, 0.5 - d, 0.0)])
+    a, b, c = _time_norms(forcing_traj.times, rows, horizon)
+    return min(a, math.sqrt(math.log(2.0 + horizon)) * b, horizon ** (0.5 - d) * c)

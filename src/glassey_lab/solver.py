@@ -331,10 +331,6 @@ def evolve(
     vs = np.empty((rows, v.size))
     times[0], us[0], vs[0] = 0.0, u, v
     stored = 1
-    peak = max(
-        float(np.max(np.abs(v))),
-        float(np.max(np.abs(_derivative_values(u, dr)))),
-    )
     status, t_blow = "completed", None
 
     # RK4 in the operation order of
@@ -345,6 +341,11 @@ def evolve(
     t = 0.0
     source = None
     with np.errstate(over="ignore", invalid="ignore"):
+        # data near the double range overflows the one-sided origin row
+        peak = max(
+            float(np.max(np.abs(v))),
+            float(np.max(np.abs(_derivative_values(u, dr)))),
+        )
         for k in range(nsteps):
             if forcing is not None:
                 source = forcing(t)

@@ -142,19 +142,89 @@ def test_from_file_non_numeric_token_exits_2(tmp_path, capsys):
     assert str(path) in err and "row 3" in err and "Traceback" not in err
 
 
-def test_solve_huge_data_reports_inf_energy_without_warnings(tmp_path):
+def test_solve_huge_data_reports_inf_energy_without_warnings(tmp_path, capsys):
     # the energy of 1e300 data exceeds the double range: it is written as
-    # inf, and neither the solve nor the energy series warns
+    # inf, and neither the solve nor the energy series warns; at 1e308 the
+    # one-sided origin row of u_r is -inf + inf as well
+    for eps in ("1e300", "1e308"):
+        out = str(tmp_path / eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--eps", eps, "--p", "1.5", "--rmax", "12",
+                         "--cells", "240", "--t-end", "2", "--out", out])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        outcome = read(os.path.join(out, "outcome.csv")).decode().splitlines()
+        assert outcome[2].startswith("blew_up,")
+        series = read(os.path.join(out, "series.csv")).decode().splitlines()
+        assert series[2].split(",")[1] == "inf"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ineq", "--lemma", "hardy", "--n", "400", "--s", "0.5", "--samples", "3"],
+    ["norms", "--n", "400", "--eps", "1", "--rmax", "18", "--cells", "450", "--t-end", "2"],
+    ["solve", "--n", "340", "--linear", "--eps", "1", "--rmax", "12", "--cells", "240",
+     "--t-end", "0.05"],
+], ids=["ineq", "norms", "solve"])
+def test_dimension_past_the_double_range_exits_2(tmp_path, capsys, argv):
+    # the quadrature weight r^(n-1) overflows on these grids; it used to end
+    # in NaN energies (solve) or in Gamma(n/2) overflowing in the sphere area
+    # (ineq, norms), a traceback
     out = str(tmp_path / "run")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["solve", "--eps", "1e300", "--p", "1.5", "--rmax", "12",
-                     "--cells", "240", "--t-end", "2", "--out", out])
-    assert code == 0
-    outcome = read(os.path.join(out, "outcome.csv")).decode().splitlines()
-    assert outcome[2].startswith("blew_up,")
-    series = read(os.path.join(out, "series.csv")).decode().splitlines()
-    assert series[2].split(",")[1] == "inf"
+        code = main(argv + ["--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "precondition: weight r^" in err and "Traceback" not in err
+    assert not [name for name in os.listdir(out) if name.endswith(".csv")]
+
+
+# at least one flag per subcommand that its runner never reads; kss --b and
+# norms --a must not be taken as prefixes of --band and --assigns
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "--rmax", "12", "--cells", "240", "--t-end", "0.5", "--seed", "1"], "--seed"),
+    (["ineq", "--lemma", "hardy", "--n", "3", "--s", "1.0", "--samples", "4",
+      "--cells", "600", "--p", "2"], "--p"),
+    (["kss", "--variant", "hom", "--n", "3", "--t-list", "1,2", "--rmax", "24",
+      "--cells", "480", "--jobs", "1"], "--jobs"),
+    (["kss", "--variant", "hom", "--n", "3", "--t-list", "1,2", "--rmax", "24",
+      "--cells", "480", "--b", "1"], "--b"),
+    (["picard", "--n", "3", "--p", "2.5", "--eps", "0.05", "--assigns", "split",
+      "--rmax", "10", "--cells", "160", "--t-end", "2", "--seed", "9"], "--seed"),
+    (["lifespan", "--n", "3", "--p", "1.5", "--eps", "2.8,4.0", "--horizon", "6",
+      "--rmax", "12", "--ladder", "120,240", "--seed", "1"], "--seed"),
+    (["norms", "--n", "3", "--eps", "1.0", "--rmax", "18", "--cells", "450",
+      "--t-end", "4", "--a", "1"], "--a"),
+    (["norms", "--n", "3", "--eps", "1.0", "--rmax", "18", "--cells", "450",
+      "--t-end", "4", "--b", "1"], "--b"),
+    # a config.txt written before the flag was dropped names it as a key
+    (["--config", "{config}"], "--seed"),
+], ids=["solve-seed", "ineq-p", "kss-jobs", "kss-b", "picard-seed", "lifespan-seed", "norms-a",
+        "norms-b", "solve-config-seed"])
+def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv, flag):
+    config = tmp_path / "config.txt"
+    config.write_text("# glassey-lab v1 config\nsubcommand = solve\nrmax = 12.0\n"
+                      "cells = 240\nt_end = 0.5\nseed = 7\n")
+    argv = [str(config) if arg == "{config}" else arg for arg in argv]
+    out = str(tmp_path / "run")
+    assert main(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and flag in err
+    assert not os.path.exists(out)
+
+
+def test_diverging_picard_keeps_its_trace(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    code = main(["picard", "--n", "3", "--p", "2.5", "--eps", "6", "--assigns", "split",
+                 "--rmax", "14", "--cells", "400", "--t-end", "6", "--out", out])
+    assert code == 2
+    assert "iterate exploded" in capsys.readouterr().err
+    rows = read(os.path.join(out, "picard_trace.csv")).decode().splitlines()
+    assert rows[1] == "iteration,rho_step,e1,e2,le1,le2"
+    assert [r.split(",")[0] for r in rows[2:]] == ["1", "2"]
+    series = read(os.path.join(out, "rho_series.txt")).decode().splitlines()
+    assert [line.split()[0] for line in series[1:]] == ["1", "2"]
 
 
 def test_norms_subcommand(tmp_path):

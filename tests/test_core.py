@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,22 @@ def test_cached_weight_is_read_only():
         weight[0] = 1.0
 
 
+def test_values_past_the_double_range_raise_a_precondition():
+    # Gamma(n/2) overflows past n ~ 343, r^(n-1) on [0, 12] past n ~ 287;
+    # neither may reach a norm as inf or NaN, nor warn on the way
+    assert math.isfinite(gl.sphere_area(343))
+    g = gl.RadialGrid(r_max=12.0, num_cells=240)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(gl.PreconditionViolation, match="overflows a double"):
+            gl.sphere_area(400)
+        with pytest.raises(gl.PreconditionViolation, match="weight r"):
+            _quadrature_weight(g, 339.0, 0.0)
+        with pytest.raises(gl.PreconditionViolation, match="weight r"):
+            gl.weighted_l2(gl.RadialField.zeros(g), 340, 0.0, 0.0)
+    assert math.isfinite(gl.weighted_l2(gl.RadialField.zeros(g), 280, 0.0, 0.0))
+
+
 def test_sup_trace_norm_gaussian():
     # the trace norm || r^{n/2-s} f ||_{L_r^inf L_omega^2} at n=3, s=1/2
     g = gl.RadialGrid(r_max=12.0, num_cells=4000)
@@ -452,16 +469,21 @@ def test_le_norm_horizon_mismatch():
         gl.le_norm(traj, w)
 
 
-def _le1_reference(traj, w):
-    """First-order le_norm components with u_r taken from _slopes, which also
-    computes v_r and lap u."""
+def _le1_reference(traj, w, second_order=False):
+    """le_norm components with u_r taken from _slopes, which also computes
+    v_r and lap u; second order puts (v_r, lap u) in the gradient slot and
+    u_r in the field slot."""
     n, grid = traj.problem.n_dim, traj.grid
     d, dp, horizon = w.delta, w.delta_prime, w.horizon
     sums = {"deriv": [], "field": [], "log": [], "horizon": []}
     for u, v in zip(traj.u, traj.v):
-        du, _, _ = _slopes(u, v, grid, n)
-        du_abs = np.sqrt(v**2 + du**2)
-        u_abs = np.abs(u)
+        du, dv, lap = _slopes(u, v, grid, n)
+        if second_order:
+            du_abs = np.sqrt(dv**2 + lap**2)
+            u_abs = np.abs(du)
+        else:
+            du_abs = np.sqrt(v**2 + du**2)
+            u_abs = np.abs(u)
         sums["deriv"].append(_weighted_square_integral(du_abs, grid, n, -d, -0.5 + dp))
         if n >= 3:
             comp = du_abs.copy()
@@ -491,7 +513,10 @@ def test_le_norm_first_order_matches_slopes_reference(n):
     out = gl.evolve(gl.ProblemSpec(n_dim=n, p=4.0, a=0.0, b=0.0), data.u0, data.u1, g,
                     2.0, linear_only=True)
     w = gl.WeightParams(delta=0.25, delta_prime=0.1, horizon=2.0)
-    assert gl.le_norm(out.trajectory, w).components == _le1_reference(out.trajectory, w)
+    # the same bits at second order too
+    for second_order in (False, True):
+        assert (gl.le_norm(out.trajectory, w, second_order).components
+                == _le1_reference(out.trajectory, w, second_order))
 
 
 def test_le_golden_self_convergence(goldens):
@@ -541,6 +566,26 @@ def test_lestar_upper_min_property():
     zeros = np.zeros((times.size, g.num_cells + 1))
     zero_traj = gl.Trajectory(spec(a=0.0, b=0.0), g, times, zeros, zeros)
     assert gl.lestar_upper(zero_traj, w) == 0.0
+
+
+@pytest.mark.parametrize("center, d, dp, T, winner", [
+    (0.0, 0.05, 0.04, 50.0, 0), (1.0, 0.05, -1.0, 50.0, 1), (0.5, 0.3, 0.1, 1.1, 2),
+])
+def test_lestar_upper_matches_quadrature_reference(center, d, dp, T, winner):
+    # the three decompositions written out, to the bit; each wins one case
+    g = gl.RadialGrid(r_max=8.0, num_cells=400)
+    f = gl.ForcingSpec(amplitude=1.0, space_center=center, space_width=1.5,
+                       t_on=0.0, t_off=T + 1.0)
+    times = np.linspace(0.0, T + 0.5, 41)
+    traj = f.sampled(g, times, spec(n=5, a=0.0, b=0.0))
+    cand = []
+    for nu, pref in ((0.5 - dp, 1.0), (0.5 - d, math.sqrt(math.log(2.0 + T))),
+                     (0.0, T ** (0.5 - d))):
+        sq = [_weighted_square_integral(np.abs(u), g, 5, d, nu) for u in traj.u]
+        cand.append(pref * math.sqrt(_integrate_to_horizon(times, np.array(sq), T)))
+    assert cand.index(min(cand)) == winner
+    w = gl.WeightParams(delta=d, delta_prime=dp, horizon=T)
+    assert gl.lestar_upper(traj, w) == min(cand)
 
 
 def test_trajectory_difference():

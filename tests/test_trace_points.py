@@ -1,0 +1,75 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps package names where
+their callers look them up, so renaming or removing one of them stops a
+traced benchmark run.  This runs a small call of each benchmark workload
+under `tracing.install` and checks that every layer the workload lists
+fires, and that its silent layers do not.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import glassey_lab
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# small versions of the workloads' CLI calls
+CALLS = {
+    "picard-contraction": [
+        ["picard", "--n", "3", "--p", "2.5", "--eps", "0.05", "--assigns", "split",
+         "--rmax", "14", "--cells", "350", "--t-end", "4"],
+    ],
+    "ineq-suite": [
+        ["ineq", "--lemma", "hardy", "--n", "3", "--s", "1.0", "--samples", "4",
+         "--cells", "600"],
+        ["ineq", "--lemma", "trace_variant", "--n", "2", "--s", "0.125", "--samples", "4",
+         "--cells", "600"],
+    ],
+    "lifespan-sweep": [
+        ["lifespan", "--n", "3", "--p", "1.5", "--eps", "1.4,2.0,2.8,4.0", "--horizon", "15",
+         "--rmax", "23", "--ladder", "460,920", "--assigns", "split"],
+    ],
+}
+
+SCRIPT = """
+import contextlib, io, json, os, sys
+perfbench, calls, out = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3]
+sys.path.insert(0, perfbench)
+import glassey_lab.cli
+import tracing
+from workloads import WORKLOADS
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+main = tracer.wrap("cli.main", glassey_lab.cli.main)
+report = {}
+for name, argvs in calls.items():
+    start = len(tracer.spans)
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [main(argv + ["--out", os.path.join(out, f"{name}-{k}")])
+                 for k, argv in enumerate(argvs)]
+    fired = {span[2] for span in tracer.spans[start:]}
+    report[name] = {
+        "codes": codes,
+        "missing": [layer for layer in WORKLOADS[name].layers if layer not in fired],
+        "loud": [layer for layer in WORKLOADS[name].silent if layer in fired],
+    }
+print(json.dumps(report))
+"""
+
+
+def test_every_workload_layer_fires_under_the_tracer(tmp_path):
+    src = os.path.dirname(os.path.dirname(glassey_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, os.path.join(ROOT, "perfbench"),
+         json.dumps(CALLS), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert set(report) == set(CALLS)
+    for name, result in report.items():
+        assert result == {"codes": [0] * len(CALLS[name]), "missing": [], "loud": []}, name
