@@ -320,42 +320,61 @@ def _derivative_values(values: np.ndarray, dr: float, out: np.ndarray = None) ->
     return out
 
 
-def _laplacian_weights(r: np.ndarray, n: int) -> np.ndarray:
-    """The grid-dependent weights of _laplacian_values, (n-1)/r inside."""
-    return (n - 1) / r[1:-1]
+@lru_cache(maxsize=64)
+def _flux_weights(grid: RadialGrid, n: int):
+    """The flux-form coefficients (c_plus, c_minus) of _laplacian_values,
+    read-only.
+
+    Row j (j < N) is c_plus[j] (u[j+1] - u[j]) - c_minus[j-1] (u[j] - u[j-1]),
+    with c_plus = r_{j+1/2}^(n-1) / (V_j dr), c_minus = r_{j-1/2}^(n-1) / (V_j dr)
+    and the shell volume V_j = (r_{j+1/2}^n - r_{j-1/2}^n) / n, r_{-1/2} = 0;
+    c_minus holds rows 1..N-1.  They are written through q = r_{j-1/2}/r_{j+1/2}
+    so that no power of r is formed and every n keeps them finite:
+    c_plus = n / (r_{j+1/2} (1 - q^n) dr), c_minus = c_plus q^(n-1).
+    Row 0 is the origin's 2n/dr^2 (q = 0).
+    """
+    dr = grid.spacing
+    half = np.arange(1, grid.num_cells) + 0.5
+    log_q = np.log1p(-1.0 / half)
+    c_plus = np.empty(grid.num_cells)
+    c_plus[0] = 2.0 * n / dr**2
+    one_minus_qn = -np.expm1(n * log_q)
+    c_plus[1:] = n / (half * dr * one_minus_qn * dr)
+    c_minus = c_plus[1:] * np.exp((n - 1) * log_q)
+    c_plus.flags.writeable = False
+    c_minus.flags.writeable = False
+    return c_plus, c_minus
 
 
-def _laplacian_values(values: np.ndarray, r: np.ndarray, dr: float, n: int,
-                      out: np.ndarray = None, weights: np.ndarray = None,
+def _laplacian_values(values: np.ndarray, grid: RadialGrid, n: int,
+                      out: np.ndarray = None, work: np.ndarray = None,
                       outer: bool = True) -> np.ndarray:
-    """Radial Laplacian: centred u'' + (n-1)/r * centred u' inside, the
-    symmetric limit n u''(0) at the origin, one-sided at the outer node.
+    """Radial Laplacian in flux (summation-by-parts) form: rows 0..N-1 as in
+    _flux_weights, one-sided at the outer node.
 
-    Callers that apply the stencil many times on one grid pass
-    `weights` = _laplacian_weights(r, n) and an `out` row (not sharing memory
-    with `values`); `outer=False` leaves out[-1] untouched.  Every operation
-    runs in the order of the expression
-    (u[j+1] - 2u[j] + u[j-1])/dr**2 + ((n-1)/r[j]) * (u[j+1] - u[j-1])/(2dr),
-    so the result does not depend on which form is used, to the bit.
+    With the shell volumes V_j, the free wave conserves the discrete energy
+    (1/2) (sum_j V_j v_j^2 + sum_j r_{j+1/2}^(n-1) (u[j+1] - u[j])^2 / dr)
+    exactly in time-continuous form, for every n.  The stencil runs in four
+    passes over one difference row: diff, scale by c_plus, scale by c_minus,
+    subtract.  Callers that apply it many times pass `out` and `work` rows
+    shaped like `values` (neither sharing memory with it); `outer=False`
+    leaves out[-1] untouched.
     """
     if out is None:
         out = np.empty_like(values)
-    if weights is None:
-        weights = _laplacian_weights(r, n)
-    first = values[2:] - values[:-2]
-    first *= weights
-    first /= 2.0 * dr
-    inner = np.multiply(values[1:-1], 2.0, out=out[1:-1])
-    np.subtract(values[2:], inner, out=inner)
-    inner += values[:-2]
-    inner /= dr**2
-    inner += first
-    # r = 0: symmetric extension gives lap f(0) = n f''(0)
-    out[0] = 2.0 * n * (values[1] - values[0]) / dr**2
+    c_plus, c_minus = _flux_weights(grid, n)
+    if work is None:
+        work = np.empty_like(values)
+    diff = np.subtract(values[1:], values[:-1], out=work[:-1])
+    np.multiply(diff, c_plus, out=out[:-1])
+    diff = diff[:-1]
+    diff *= c_minus
+    out[1:-1] -= diff
     if outer:
+        dr = grid.spacing
         out[-1] = (
             2.0 * values[-1] - 5.0 * values[-2] + 4.0 * values[-3] - values[-4]
-        ) / dr**2 + ((n - 1) / r[-1]) * (
+        ) / dr**2 + ((n - 1) / grid.r_max) * (
             3.0 * values[-1] - 4.0 * values[-2] + values[-3]
         ) / (2.0 * dr)
     return out
@@ -367,10 +386,11 @@ def radial_derivative(f: RadialField) -> RadialField:
 
 
 def radial_laplacian(f: RadialField, n: int) -> RadialField:
-    """Radial Laplacian f'' + (n-1)/r f', with the n f''(0) origin limit."""
+    """Radial Laplacian f'' + (n-1)/r f' in flux form (see _laplacian_values),
+    with the n f''(0) origin limit."""
     if n < 2:
         raise PreconditionViolation(f"dimension must be >= 2, got {n}")
-    return RadialField(f.grid, _laplacian_values(f.values, f.grid.nodes, f.grid.spacing, n))
+    return RadialField(f.grid, _laplacian_values(f.values, f.grid, n))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +514,7 @@ def _slopes(u: np.ndarray, v: np.ndarray, grid: RadialGrid, n: int):
     dr = grid.spacing
     du = _derivative_values(u, dr)
     dv = _derivative_values(v, dr)
-    lap = _laplacian_values(u, grid.nodes, dr, n)
+    lap = _laplacian_values(u, grid, n)
     return du, dv, lap
 
 

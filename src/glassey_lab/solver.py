@@ -21,7 +21,6 @@ from .core import (
     _derivative_values,
     _energy_integral,
     _laplacian_values,
-    _laplacian_weights,
     _read_only,
     _require_finite,
 )
@@ -294,11 +293,9 @@ def evolve(
     if dt < 1e-12:
         raise StepUnderflow(f"dt = {dt:.3g} below 1e-12")
 
-    r = grid.nodes
     n = spec.n_dim
     nonlinear = not linear_only and (spec.a != 0.0 or spec.b != 0.0)
-    weights = _laplacian_weights(r, n)
-    work = np.empty_like(r)
+    work = np.empty(grid.num_cells + 1)
 
     def rhs(y, slope, source):
         """slope <- (u_t, u_tt) at y = (u, v) plus the forcing row `source`
@@ -308,7 +305,7 @@ def evolve(
         np.copyto(du_t, v)
         du_t[-1] = 0.0
         # the outer row is clamped below, so its stencil is skipped
-        _laplacian_values(u, r, dr, n, out=acc, weights=weights, outer=False)
+        _laplacian_values(u, grid, n, out=acc, work=work, outer=False)
         if nonlinear:
             _add_nonlinearity(acc, u, v, dr, spec, work)
         if source is not None:

@@ -6,7 +6,9 @@ import pytest
 
 import glassey_lab as gl
 from glassey_lab.core import (
+    _flux_weights,
     _integrate_to_horizon,
+    _laplacian_values,
     _power_cell,
     _quadrature_weight,
     _slopes,
@@ -219,6 +221,57 @@ def test_laplacian_second_order_on_gaussian():
         errs[cells] = np.max(np.abs(lap.values - exact))
     order = math.log2(errs[200] / errs[400])
     assert 1.8 <= order <= 2.2
+
+
+def _flux_laplacian_reference(u, g, n, last):
+    """The flux-form rows written out: c+ (u[j+1] - u[j]) - c- (u[j] - u[j-1])
+    with c+- = r_{j+-1/2}^(n-1) / (V_j dr) through q = r_{j-1/2}/r_{j+1/2};
+    `last` is the outer row."""
+    dr = g.spacing
+    half = np.arange(1, g.num_cells) + 0.5
+    log_q = np.log1p(-1.0 / half)
+    c_plus = np.concatenate([[2.0 * n / dr**2], n / (half * dr * -np.expm1(n * log_q) * dr)])
+    c_minus = c_plus[1:] * np.exp((n - 1) * log_q)
+    lap = np.empty_like(u)
+    lap[0] = c_plus[0] * (u[1] - u[0])
+    lap[1:-1] = c_plus[1:] * (u[2:] - u[1:-1]) - c_minus * (u[1:-1] - u[:-2])
+    lap[-1] = last
+    return lap
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 12])
+def test_laplacian_is_the_written_out_flux_form_to_the_bit(n):
+    g = gl.RadialGrid(r_max=7.0, num_cells=140)
+    r, dr = g.nodes, g.spacing
+    u = np.exp(-((r - 1.0) ** 2)) + 0.3 * np.cos(3.0 * r) * np.exp(-r)
+    outer = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / dr**2 + (
+        (n - 1) / r[-1]) * (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dr)
+    assert np.array_equal(_laplacian_values(u, g, n), _flux_laplacian_reference(u, g, n, outer))
+    out = np.full_like(u, 7.0)
+    work = np.empty_like(u)
+    _laplacian_values(u, g, n, out=out, work=work, outer=False)
+    assert np.array_equal(out, _flux_laplacian_reference(u, g, n, 7.0))
+    assert np.array_equal(gl.radial_laplacian(gl.RadialField(g, u), n).values,
+                          _flux_laplacian_reference(u, g, n, outer))
+    # the ratio form agrees with the plain r^(n-1) / (V_j dr) definition
+    hi = (np.arange(g.num_cells) + 0.5) * dr
+    lo = np.maximum(np.arange(g.num_cells) - 0.5, 0.0) * dr
+    vol = (hi**n - lo**n) / n
+    c_plus, c_minus = _flux_weights(g, n)
+    np.testing.assert_allclose(c_plus, hi ** (n - 1) / (vol * dr), rtol=1e-12)
+    np.testing.assert_allclose(c_minus, lo[1:] ** (n - 1) / (vol[1:] * dr), rtol=1e-12)
+
+
+def test_flux_weights_are_read_only_and_finite_at_large_n():
+    g = gl.RadialGrid(r_max=18.0, num_cells=1800)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        weights = _flux_weights(g, 400)
+    for c in weights:
+        assert np.all(np.isfinite(c)) and np.all(c >= 0.0)
+        with pytest.raises(ValueError):
+            c[0] = 1.0
+    assert _flux_weights(g, 400) is weights
 
 
 # ---------------------------------------------------------------------------

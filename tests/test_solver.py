@@ -373,6 +373,67 @@ def test_evolve_linear_energy_drift():
     assert drift <= 1e-5
 
 
+def _sbp_energy(g, n, u, v):
+    """(1/2) (sum_j V_j v_j^2 + sum_j r_{j+1/2}^(n-1) (u[j+1] - u[j])^2 / dr)
+    over j < N, with the shell volumes V_j = (r_{j+1/2}^n - r_{j-1/2}^n) / n."""
+    dr = g.spacing
+    j = np.arange(g.num_cells)
+    hi = (j + 0.5) * dr
+    lo = np.maximum(j - 0.5, 0.0) * dr
+    vol = (hi**n - lo**n) / n
+    return 0.5 * (np.sum(vol * v[:-1] ** 2) + np.sum(hi ** (n - 1) * np.diff(u) ** 2) / dr)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_free_wave_is_stable_and_keeps_the_sbp_energy(n):
+    # the flux-form stencil conserves the SBP energy exactly in continuous
+    # time, so only RK4's loss remains: |R(i w dt)|^2 = 1 - (w dt)^6/72 + ...
+    # per step, O(dt^5) per unit time, so halving dt on a fixed grid shrinks
+    # the drift about 32x (the assertion asks 16x, the ratio for O(dt^4))
+    g = gl.RadialGrid(r_max=20.0, num_cells=400)
+    data = gl.make_profile(gaussian_profile(), g)
+    drifts = []
+    for cfl in (0.5, 0.25):
+        out = gl.evolve(spec(n=n, a=0.0, b=0.0), data.u0, data.u1, g, 10.0,
+                        linear_only=True, cfl=cfl)
+        assert out.status == "completed"
+        traj = out.trajectory
+        energies = np.array([_sbp_energy(g, n, u, v) for u, v in zip(traj.u, traj.v)])
+        drifts.append(np.max(np.abs(energies / energies[0] - 1.0)))
+    assert drifts[0] <= 1e-5
+    assert drifts[0] >= 16.0 * drifts[1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_manufactured_solution_converges_at_second_order(n):
+    # u* = T(t) exp(-r^2) solves the equation with the source
+    # F = u*_tt - lap u* - a|u*_t|^p - b|u*_r|^p, so evolve(forcing=F) must
+    # track u* with an error that falls 4x per grid halving
+    sp = spec(n=n, p=2.0, a=0.7, b=-0.5)
+
+    def error(cells):
+        g = gl.RadialGrid(r_max=10.0, num_cells=cells)
+        r = g.nodes
+        bump = np.exp(-(r**2))
+        lap_bump = (4.0 * r**2 - 2.0 * n) * bump
+        bump_r = -2.0 * r * bump
+
+        def forcing(t):
+            amp, amp_t = 1.0 + 0.5 * math.sin(2.0 * t), math.cos(2.0 * t)
+            amp_tt = -2.0 * math.sin(2.0 * t)
+            return (amp_tt * bump - amp * lap_bump - sp.a * np.abs(amp_t * bump) ** sp.p
+                    - sp.b * np.abs(amp * bump_r) ** sp.p)
+
+        out = gl.evolve(sp, gl.RadialField(g, bump), gl.RadialField(g, bump), g, 1.0,
+                        forcing=forcing, forcing_support=6.0)
+        assert out.status == "completed"
+        exact = (1.0 + 0.5 * math.sin(2.0)) * bump
+        return gl.weighted_l2(gl.RadialField(g, out.trajectory.u[-1] - exact), n, 0.0, 0.0)
+
+    order = math.log2(error(100) / error(200))
+    assert 1.8 <= order <= 2.2
+
+
 def test_energy_scaling():
     g = gl.RadialGrid(r_max=12.0, num_cells=300)
     data = gl.make_profile(gaussian_profile(), g)
@@ -391,7 +452,7 @@ def _reference_rk4(sp, u0, u1, g, t_end, forcing=None, linear_only=False,
                    cfl=0.25, stride=10, threshold=BLOWUP_THRESHOLD):
     """Classical RK4 written out with a fresh array per operation and the
     unflushed |.|^p; returns (times, u, v, status, t_blowup, peak)."""
-    dr, r, n = g.spacing, g.nodes, sp.n_dim
+    dr, n = g.spacing, sp.n_dim
     nsteps = max(1, math.ceil(t_end / (cfl * dr)))
     nsteps = stride * math.ceil(nsteps / stride)
     dt = t_end / nsteps
@@ -400,7 +461,7 @@ def _reference_rk4(sp, u0, u1, g, t_end, forcing=None, linear_only=False,
     def rhs(t, u, v):
         du_t = v.copy()
         du_t[-1] = 0.0
-        acc = _laplacian_values(u, r, dr, n)
+        acc = _laplacian_values(u, g, n)
         if nonlinear and sp.a != 0.0:
             acc += sp.a * np.abs(v) ** sp.p
         if nonlinear and sp.b != 0.0:
@@ -535,7 +596,7 @@ def test_duhamel_residual_second_order():
         num = den = 0.0
         for k in range(1, len(ts) - 1):
             u_pp = (traj.u[k + 1] - 2.0 * traj.u[k] + traj.u[k - 1]) / dt**2
-            lap = _laplacian_values(traj.u[k], g.nodes, g.spacing, 3)
+            lap = _laplacian_values(traj.u[k], g, 3)
             F = f.envelope(ts[k]) * shape
             num += gl.weighted_l2(gl.RadialField(g, u_pp - lap - F), 3, 0, 0) ** 2 * dt
             den += gl.weighted_l2(gl.RadialField(g, F), 3, 0, 0) ** 2 * dt
