@@ -315,8 +315,12 @@ def _derivative_values(values: np.ndarray, dr: float, out: np.ndarray = None) ->
         out = np.empty_like(values)
     inner = np.subtract(values[2:], values[:-2], out=out[1:-1])
     inner /= 2.0 * dr
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dr)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dr)
+    # the end rows in Python floats: the same IEEE operations as on numpy
+    # scalars, without their per-operation cost
+    a0, a1, a2 = values[:3].tolist()
+    b2, b1, b0 = values[-3:].tolist()
+    out[0] = (-3.0 * a0 + 4.0 * a1 - a2) / (2.0 * dr)
+    out[-1] = (3.0 * b0 - 4.0 * b1 + b2) / (2.0 * dr)
     return out
 
 
@@ -346,37 +350,48 @@ def _flux_weights(grid: RadialGrid, n: int):
     return c_plus, c_minus
 
 
-def _laplacian_values(values: np.ndarray, grid: RadialGrid, n: int,
-                      out: np.ndarray = None, work: np.ndarray = None,
-                      outer: bool = True) -> np.ndarray:
+def _flux_stencil(values: np.ndarray, c_plus: np.ndarray, c_minus: np.ndarray,
+                  out: np.ndarray, work: np.ndarray):
+    """A function that writes rows 0..N-1 of the flux-form Laplacian (see
+    _flux_weights) of the current `values` into out[:-1], leaving out[-1]
+    untouched.
+
+    It runs four passes over one difference row: diff, scale by c_plus, scale
+    by c_minus, subtract.  The row views are built here, once, so a caller
+    that applies the stencil to the same rows many times pays no slicing per
+    call.  `work` is a scratch row; neither it nor `out` may share memory
+    with `values`.
+    """
+    hi, lo = values[1:], values[:-1]
+    diff, head = work[:-1], work[:-2]
+    out_head, out_mid = out[:-1], out[1:-1]
+
+    def apply():
+        np.subtract(hi, lo, out=diff)
+        np.multiply(diff, c_plus, out=out_head)
+        np.multiply(head, c_minus, out=head)
+        np.subtract(out_mid, head, out=out_mid)
+
+    return apply
+
+
+def _laplacian_values(values: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
     """Radial Laplacian in flux (summation-by-parts) form: rows 0..N-1 as in
     _flux_weights, one-sided at the outer node.
 
     With the shell volumes V_j, the free wave conserves the discrete energy
     (1/2) (sum_j V_j v_j^2 + sum_j r_{j+1/2}^(n-1) (u[j+1] - u[j])^2 / dr)
-    exactly in time-continuous form, for every n.  The stencil runs in four
-    passes over one difference row: diff, scale by c_plus, scale by c_minus,
-    subtract.  Callers that apply it many times pass `out` and `work` rows
-    shaped like `values` (neither sharing memory with it); `outer=False`
-    leaves out[-1] untouched.
+    exactly in time-continuous form, for every n.  Rows 0..N-1 are
+    _flux_stencil's; callers that apply it many times use that directly.
     """
-    if out is None:
-        out = np.empty_like(values)
-    c_plus, c_minus = _flux_weights(grid, n)
-    if work is None:
-        work = np.empty_like(values)
-    diff = np.subtract(values[1:], values[:-1], out=work[:-1])
-    np.multiply(diff, c_plus, out=out[:-1])
-    diff = diff[:-1]
-    diff *= c_minus
-    out[1:-1] -= diff
-    if outer:
-        dr = grid.spacing
-        out[-1] = (
-            2.0 * values[-1] - 5.0 * values[-2] + 4.0 * values[-3] - values[-4]
-        ) / dr**2 + ((n - 1) / grid.r_max) * (
-            3.0 * values[-1] - 4.0 * values[-2] + values[-3]
-        ) / (2.0 * dr)
+    out = np.empty_like(values)
+    _flux_stencil(values, *_flux_weights(grid, n), out, np.empty_like(values))()
+    dr = grid.spacing
+    out[-1] = (
+        2.0 * values[-1] - 5.0 * values[-2] + 4.0 * values[-3] - values[-4]
+    ) / dr**2 + ((n - 1) / grid.r_max) * (
+        3.0 * values[-1] - 4.0 * values[-2] + values[-3]
+    ) / (2.0 * dr)
     return out
 
 

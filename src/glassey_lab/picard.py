@@ -22,7 +22,7 @@ from .core import (
     weight_exponents,
 )
 from .errors import Divergence, PreconditionViolation
-from .solver import LinearSeries, _add_nonlinearity, evolve
+from .solver import LinearSeries, _add_nonlinearity, _flush_scratch, evolve
 
 DEFAULT_S1 = 0.5
 DEFAULT_S2 = 1.0
@@ -55,8 +55,9 @@ class PicardResult:
 def sampled_nonlinearity(traj: Trajectory) -> LinearSeries:
     """N[u] on the trajectory's sample times, linearly interpolated between."""
     fields = np.zeros_like(traj.u)
+    scratch = _flush_scratch(fields.shape[1], traj.problem.p)
     for row, u, v in zip(fields, traj.u, traj.v):
-        _add_nonlinearity(row, u, v, traj.grid.spacing, traj.problem)
+        _add_nonlinearity(row, u, v, traj.grid.spacing, traj.problem, scratch)
     return LinearSeries(traj.times, fields)
 
 

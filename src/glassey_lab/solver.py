@@ -20,7 +20,8 @@ from .core import (
     WaveState,
     _derivative_values,
     _energy_integral,
-    _laplacian_values,
+    _flux_stencil,
+    _flux_weights,
     _read_only,
     _require_finite,
 )
@@ -168,36 +169,48 @@ def _power_cut(p: float) -> float:
     return float(x[0])
 
 
-def _flushed_power(x: np.ndarray, p: float) -> None:
-    """x <- x**p in place for x >= 0, with results below DBL_MIN set to 0.
+def _flush_scratch(size: int, p: float) -> tuple:
+    """(work row, dead mask, live mask, cut) for _add_nonlinearity on rows of
+    `size` nodes, so a caller that applies it many times allocates them and
+    looks up the cut of |.|^p once."""
+    return np.empty(size), np.empty(size, bool), np.empty(size, bool), _power_cut(p)
+
+
+def _add_flushed_power(out: np.ndarray, x: np.ndarray, coef: float, p: float,
+                       scratch: tuple) -> None:
+    """out += coef * x**p for x >= 0, overwriting x, with powers below DBL_MIN
+    set to 0.
 
     np.power is up to ~60x slower on arguments whose result underflows (the
     far tail of the data), and a subnormal term cannot move a sum of
     normal-range values, so those entries skip the power.  NaN and inf are
-    not below the cut and still pass through np.power.
+    not below the cut and still pass through np.power.  x * 1.0 == x
+    bitwise, so a unit coefficient skips its scale.
     """
-    dead = x < _power_cut(p)
-    np.power(x, p, out=x, where=~dead)
-    x[dead] = 0.0
+    _, dead, live, cut = scratch
+    np.less(x, cut, out=dead)
+    np.logical_not(dead, out=live)
+    np.power(x, p, out=x, where=live)
+    np.copyto(x, 0.0, where=dead)
+    if coef != 1.0:
+        x *= coef
+    out += x
 
 
 def _add_nonlinearity(out: np.ndarray, u: np.ndarray, v: np.ndarray, dr: float,
-                      spec: ProblemSpec, work: np.ndarray = None) -> None:
+                      spec: ProblemSpec, scratch: tuple = None) -> None:
     """out += a|v|^p, then out += b|u_r|^p, in place; a zero coefficient
-    skips its term, and |.|^p below DBL_MIN counts as 0 (see _flushed_power).
-    `work` is a scratch row like `out`."""
-    if work is None:
-        work = np.empty_like(out)
+    skips its term, and |.|^p below DBL_MIN counts as 0 (see
+    _add_flushed_power).  `scratch` is a _flush_scratch for rows like `out`."""
+    if scratch is None:
+        scratch = _flush_scratch(out.size, spec.p)
+    work = scratch[0]
     if spec.a != 0.0:
         np.abs(v, out=work)
-        _flushed_power(work, spec.p)
-        work *= spec.a
-        out += work
+        _add_flushed_power(out, work, spec.a, spec.p, scratch)
     if spec.b != 0.0:
         np.abs(_derivative_values(u, dr, out=work), out=work)
-        _flushed_power(work, spec.p)
-        work *= spec.b
-        out += work
+        _add_flushed_power(out, work, spec.b, spec.p, scratch)
 
 
 def nonlinearity(state: WaveState, spec: ProblemSpec) -> RadialField:
@@ -220,7 +233,9 @@ class LinearSeries:
 
     `fields` is a read-only view of the array given (not a copy); outside the
     sample range a call returns its first or last row itself, inside it a
-    new row (1-w) f[k] + w f[k+1].
+    new row (1-w) f[k] + w f[k+1].  The term w f[k+1] goes through a scratch
+    row of the series, so that row is the call's one allocation and a series
+    must not be called from two threads at once.
     """
 
     def __init__(self, times, fields):
@@ -231,6 +246,7 @@ class LinearSeries:
         # a list of Python floats: the cell search and the weight give the
         # same bits as with numpy scalars, at a fraction of the per-call cost
         self.times = times.tolist()
+        self._term = np.empty(self.fields.shape[1:])
 
     def __call__(self, t: float) -> np.ndarray:
         ts = self.times
@@ -241,7 +257,8 @@ class LinearSeries:
         k = bisect.bisect_left(ts, t) - 1
         w = (t - ts[k]) / (ts[k + 1] - ts[k])
         out = np.multiply(self.fields[k], 1.0 - w)
-        out += w * self.fields[k + 1]
+        # f * w == w * f bitwise
+        out += np.multiply(self.fields[k + 1], w, out=self._term)
         return out
 
 
@@ -293,39 +310,71 @@ def evolve(
     if dt < 1e-12:
         raise StepUnderflow(f"dt = {dt:.3g} below 1e-12")
 
-    n = spec.n_dim
     nonlinear = not linear_only and (spec.a != 0.0 or spec.b != 0.0)
-    work = np.empty(grid.num_cells + 1)
-
-    def rhs(y, slope, source):
-        """slope <- (u_t, u_tt) at y = (u, v) plus the forcing row `source`
-        (None without forcing), clamped at the outer node."""
-        u, v = y
-        du_t, acc = slope
-        np.copyto(du_t, v)
-        du_t[-1] = 0.0
-        # the outer row is clamped below, so its stencil is skipped
-        _laplacian_values(u, grid, n, out=acc, work=work, outer=False)
-        if nonlinear:
-            _add_nonlinearity(acc, u, v, dr, spec, work)
-        if source is not None:
-            acc += source
-        acc[-1] = 0.0
+    nodes = grid.num_cells + 1
+    # looked up once per run: each lookup hashes the grid
+    c_plus, c_minus = _flux_weights(grid, spec.n_dim)
+    scratch = _flush_scratch(nodes, spec.p)
+    work = scratch[0]
 
     # the state y = (u, v) as one (2, nodes) array, so every stage build and
     # the update run once over both rows; u and v are views of its rows
     y = np.stack((u0.values, u1.values))
     u, v = y
-    # stage slopes k1..k4 and the stage point, reused by every step; zeroed
-    # so the skipped outer row of acc holds a finite value before its clamp
-    slopes = np.zeros((4,) + y.shape)
+    # Z[i] = (u_i, v_i, a_i) for stage i: its state is Z[i, :2] and its slope
+    # (u_t, u_tt) is Z[i, 1:], so a slope's u-row is its stage's v-row.  Both
+    # slope rows are clamped at the outer node.  Clamping v_i there is
+    # harmless: only the a-term reads it, into a_i[-1], which is clamped too.
+    # Stage 1's state is y itself, whose v[-1] keeps its data value, so
+    # Z[0, 1] is a copy of v and Z[0, 0] is unused.  Zeroed so the skipped
+    # outer row of a_i holds a finite value before its clamp.
+    Z = np.zeros((4, 3, nodes))
+    slopes = [Z[i, 1:] for i in range(4)]
     k1, k2, k3, k4 = slopes
-    y_stage = np.empty_like(y)
+    k23 = Z[1:3, 1:]
+    outer = Z[:, 1:, -1]
+    stage_rows = [(u, v, Z[0, 2])] + [tuple(Z[i]) for i in (1, 2, 3)]
+    stencils = [_flux_stencil(su, c_plus, c_minus, acc, work)
+                for su, _, acc in stage_rows]
+
+    def rhs(i, source):
+        """Stage i's slope from its state plus the forcing row `source` (None
+        without forcing), clamped at the outer node."""
+        su, sv, acc = stage_rows[i]
+        stencils[i]()
+        if nonlinear:
+            _add_nonlinearity(acc, su, sv, dr, spec, scratch)
+        if source is not None:
+            acc += source
+        outer[i] = 0.0
+
+    # the blow-up size max(max|v|, max|u_r|) in four array calls: |v| and
+    # |du| share one (2, nodes) scratch and one max, where du is u_r times
+    # 2 dr.  A correctly rounded division by 2 dr > 0 is monotone, so
+    # dividing the max gives the max of the divided row; each row's max
+    # keeps np.max's NaN propagation before the Python max of the two
+    sizes = np.empty((2, nodes))
+    v_abs, du = sizes
+    du_inner, u_hi, u_lo = du[1:-1], u[2:], u[:-2]
+    head, tail = u[:3].tolist, u[-3:].tolist
+    two_dr = 2.0 * dr
+
+    def size():
+        np.abs(v, out=v_abs)
+        np.subtract(u_hi, u_lo, out=du_inner)
+        a0, a1, a2 = head()
+        b2, b1, b0 = tail()
+        du[0] = -3.0 * a0 + 4.0 * a1 - a2
+        du[-1] = 3.0 * b0 - 4.0 * b1 + b2
+        np.abs(du, out=du)
+        vmax, dmax = sizes.max(axis=1).tolist()
+        return max(vmax, dmax / two_dr)
+
     # one row per sample; a blow-up trims the buffer to the rows written
     rows = nsteps // sample_stride + 1
     times = np.empty(rows)
-    us = np.empty((rows, u.size))
-    vs = np.empty((rows, v.size))
+    us = np.empty((rows, nodes))
+    vs = np.empty((rows, nodes))
     times[0], us[0], vs[0] = 0.0, u, v
     stored = 1
     status, t_blow = "completed", None
@@ -334,43 +383,41 @@ def evolve(
     #   k2 = f(t + dt/2, y + (dt/2) k1), k3 = f(t + dt/2, y + (dt/2) k2),
     #   k4 = f(t + dt, y + dt k3),  y += (dt/6) (k1 + 2 k2 + 2 k3 + k4)
     # so the buffered loop gives the same bits as the plain formulas
-    stages = (0.5 * dt, 0.5 * dt, dt)
+    # stage i + 1's state is y + h k_i
+    builds = list(zip((0.5 * dt, 0.5 * dt, dt), slopes, (Z[i, :2] for i in (1, 2, 3))))
+    sixth = dt / 6.0
     t = 0.0
     source = None
     with np.errstate(over="ignore", invalid="ignore"):
         # data near the double range overflows the one-sided origin row
-        peak = max(
-            float(np.max(np.abs(v))),
-            float(np.max(np.abs(_derivative_values(u, dr)))),
-        )
+        peak = size()
         for k in range(nsteps):
             if forcing is not None:
                 source = forcing(t)
-            rhs(y, k1, source)
-            for i, h in enumerate(stages):
-                np.multiply(slopes[i], h, out=y_stage)
-                y_stage += y
+            np.copyto(k1[0], v)
+            rhs(0, source)
+            for i, (h, slope, state) in enumerate(builds, start=1):
+                np.multiply(slope, h, out=state)
+                state += y
                 # k2 and k3 share the stage time t + dt/2, so its row is reused
-                if forcing is not None and i != 1:
+                if forcing is not None and i != 2:
                     source = forcing(t + h)
-                rhs(y_stage, slopes[i + 1], source)
-            k2 *= 2.0
+                rhs(i, source)
+            # k2 and k3 doubled in one call; the sum keeps its written order
+            k23 *= 2.0
             k2 += k1
-            k3 *= 2.0
             k2 += k3
             k2 += k4
-            k2 *= dt / 6.0
+            k2 *= sixth
             y += k2
             t = (k + 1) * dt
 
-            vmax = float(np.abs(v, out=work).max())
-            gmax = float(np.abs(_derivative_values(u, dr, out=work), out=work).max())
-            size = max(vmax, gmax)
-            if not math.isfinite(size) or size > BLOWUP_THRESHOLD:
+            now = size()
+            if not math.isfinite(now) or now > BLOWUP_THRESHOLD:
                 status, t_blow = "blew_up", t
-                peak = max(peak, size) if math.isfinite(size) else math.inf
+                peak = max(peak, now) if math.isfinite(now) else math.inf
                 break
-            peak = max(peak, size)
+            peak = max(peak, now)
             if (k + 1) % sample_stride == 0:
                 times[stored], us[stored], vs[stored] = t, u, v
                 stored += 1

@@ -6,6 +6,8 @@ import pytest
 
 import glassey_lab as gl
 from glassey_lab.core import (
+    _derivative_values,
+    _flux_stencil,
     _flux_weights,
     _integrate_to_horizon,
     _laplacian_values,
@@ -190,6 +192,22 @@ def test_derivative_zero_field():
     assert not np.any(df.values)
 
 
+def test_derivative_end_rows_are_the_written_out_formula_to_the_bit():
+    # the end rows run on Python floats; they must match numpy-scalar
+    # arithmetic byte for byte, -0.0, overflow to inf and NaN included
+    dr = 0.05
+    rng = np.random.default_rng(3)
+    rows = [rng.standard_normal(12), np.full(12, -0.0), np.full(12, 1e308),
+            np.array([1e308, -1e308, np.inf] * 4), np.array([np.nan] + [1.0] * 11)]
+    for u in rows:
+        with np.errstate(all="ignore"):
+            out = _derivative_values(u, dr)
+            first = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dr)
+            last = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dr)
+        assert out[:1].tobytes() == np.array([first]).tobytes()
+        assert out[-1:].tobytes() == np.array([last]).tobytes()
+
+
 def test_derivative_second_order_on_gaussian():
     errs = {}
     for cells in (200, 400):
@@ -247,9 +265,9 @@ def test_laplacian_is_the_written_out_flux_form_to_the_bit(n):
     outer = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / dr**2 + (
         (n - 1) / r[-1]) * (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dr)
     assert np.array_equal(_laplacian_values(u, g, n), _flux_laplacian_reference(u, g, n, outer))
+    # the row kernel evolve applies leaves the outer row untouched
     out = np.full_like(u, 7.0)
-    work = np.empty_like(u)
-    _laplacian_values(u, g, n, out=out, work=work, outer=False)
+    _flux_stencil(u, *_flux_weights(g, n), out, np.empty_like(u))()
     assert np.array_equal(out, _flux_laplacian_reference(u, g, n, 7.0))
     assert np.array_equal(gl.radial_laplacian(gl.RadialField(g, u), n).values,
                           _flux_laplacian_reference(u, g, n, outer))

@@ -515,38 +515,149 @@ def _bump_forcing(g):
 _FORCINGS = {"series": _series_forcing, "bump": _bump_forcing}
 
 
-@pytest.mark.parametrize(
-    "n, p, a, b, eps, assigns, rmax, cells, t_end, linear, source, status",
-    [
-        # the lifespan setting; its tail holds subnormal and zero values
-        (3, 1.5, 1.0, 0.0, 2.0, "split", 30.0, 600, 12.0, False, False, "blew_up"),
-        (3, 2.0, 1.0, 0.7, 1.5, "split", 24.0, 480, 8.0, False, False, "blew_up"),
-        (2, 3.0, 0.5, 0.5, 0.8, "to_u0", 24.0, 400, 8.0, False, False, "completed"),
-        (5, 2.0, 0.0, 1.0, 1.0, "to_u1", 24.0, 400, 8.0, False, False, "completed"),
-        (3, 2.5, 1.0, 0.0, 0.3, "split", 18.0, 360, 6.0, True, "series", "completed"),
-        (3, 2.0, 0.5, 0.5, 0.3, "split", 18.0, 360, 6.0, False, "bump", "completed"),
-    ],
-    ids=["n3-a-blowup", "n3-ab-blowup", "n2-ab", "n5-b", "n3-linear-series",
-         "n3-ab-bump"],
-)
-def test_evolve_bit_identical_to_plain_rk4(n, p, a, b, eps, assigns, rmax, cells,
-                                           t_end, linear, source, status):
-    g = gl.RadialGrid(r_max=rmax, num_cells=cells)
-    sp = spec(n=n, p=p, a=a, b=b)
-    data = gl.make_profile(gaussian_profile(eps=eps, assigns=assigns), g)
-    forcing = _FORCINGS[source](g) if source else None
-    kwargs = dict(forcing=forcing, linear_only=linear)
-    out = gl.evolve(sp, data.u0, data.u1, g, t_end, forcing_support=6.0 if source else 0.0,
-                    **kwargs)
-    times, us, vs, ref_status, ref_blow, ref_peak = _reference_rk4(
-        sp, data.u0, data.u1, g, t_end, **kwargs)
-    assert out.status == ref_status == status
+def _assert_same_run(out, ref):
+    """evolve's outcome equals _reference_rk4's, every output to the byte
+    (np.array_equal would not tell -0.0 from 0.0 or one NaN from another)."""
+    times, us, vs, ref_status, ref_blow, ref_peak = ref
+    assert out.status == ref_status
     assert out.t_blowup == ref_blow
     assert out.peak_gradient == ref_peak
     traj = out.trajectory
-    assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.u, us)
-    assert np.array_equal(traj.v, vs)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.u.tobytes() == us.tobytes()
+    assert traj.v.tobytes() == vs.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, p, a, b, eps, assigns, rmax, cells, t_end, linear, source, status, v_outer",
+    [
+        # the lifespan setting; its tail holds subnormal and zero values
+        (3, 1.5, 1.0, 0.0, 2.0, "split", 30.0, 600, 12.0, False, False, "blew_up", None),
+        (3, 2.0, 1.0, 0.7, 1.5, "split", 24.0, 480, 8.0, False, False, "blew_up", None),
+        (2, 3.0, 0.5, 0.5, 0.8, "to_u0", 24.0, 400, 8.0, False, False, "completed", None),
+        (5, 2.0, 0.0, 1.0, 1.0, "to_u1", 24.0, 400, 8.0, False, False, "completed", None),
+        (3, 2.5, 1.0, 0.0, 0.3, "split", 18.0, 360, 6.0, True, "series", "completed", None),
+        (3, 2.0, 0.5, 0.5, 0.3, "split", 18.0, 360, 6.0, False, "bump", "completed", None),
+        # u1 nonzero at the outer node, below support_radius's cut: the
+        # state's v[-1] keeps it while the slope's u-row is clamped there
+        (3, 2.0, 0.7, 0.4, 1.0, "split", 24.0, 400, 8.0, False, False, "completed", 1e-300),
+    ],
+    ids=["n3-a-blowup", "n3-ab-blowup", "n2-ab", "n5-b", "n3-linear-series",
+         "n3-ab-bump", "n3-ab-outer-v"],
+)
+def test_evolve_bit_identical_to_plain_rk4(n, p, a, b, eps, assigns, rmax, cells,
+                                           t_end, linear, source, status, v_outer):
+    g = gl.RadialGrid(r_max=rmax, num_cells=cells)
+    sp = spec(n=n, p=p, a=a, b=b)
+    data = gl.make_profile(gaussian_profile(eps=eps, assigns=assigns), g)
+    u1 = data.u1
+    if v_outer is not None:
+        u1 = u1.values.copy()
+        u1[-1] = v_outer
+        u1 = gl.RadialField(g, u1)
+    forcing = _FORCINGS[source](g) if source else None
+    kwargs = dict(forcing=forcing, linear_only=linear)
+    out = gl.evolve(sp, data.u0, u1, g, t_end, forcing_support=6.0 if source else 0.0,
+                    **kwargs)
+    assert out.status == status
+    _assert_same_run(out, _reference_rk4(sp, data.u0, u1, g, t_end, **kwargs))
+    # the outer node is clamped: both rows keep their data values there
+    assert np.all(out.trajectory.u[:, -1] == data.u0.values[-1])
+    assert np.all(out.trajectory.v[:, -1] == u1.values[-1])
+
+
+_DETECTOR_GRID = gl.RadialGrid(r_max=12.0, num_cells=240)
+
+
+def _origin_spike():
+    # u = 1 at r = 0 only: the one-sided origin row, 3/(2 dr), is the largest
+    # |u_r| and outgrows |v| on each of the 4 short steps
+    g = _DETECTOR_GRID
+    u0 = np.zeros(g.num_cells + 1)
+    u0[0] = 1.0
+    return g, gl.RadialField(g, u0), gl.RadialField.zeros(g), dict(t_end=0.01, cfl=0.05,
+                                                                   stride=1)
+
+
+def _overflow():
+    # |v|^p overflows to inf on the first stage
+    g = _DETECTOR_GRID
+    v = np.zeros(g.num_cells + 1)
+    v[20] = 1e300
+    return g, gl.RadialField.zeros(g), gl.RadialField(g, v), {}
+
+
+def _nan_gradient_finite_v():
+    # u overflows to inf at nodes 4 and 6 while v stays finite, so u_r at
+    # node 5 is inf - inf = NaN: max(max|v|, NaN) keeps the finite |v| as
+    # the size, and the run stops over the threshold with that as its peak
+    g = gl.RadialGrid(r_max=16.0, num_cells=16)
+    v = np.zeros(g.num_cells + 1)
+    v[4] = v[6] = 5e307
+    return g, gl.RadialField.zeros(g), gl.RadialField(g, v), dict(t_end=1.0)
+
+
+def _nan_at_one_stage():
+    # a NaN forcing row at the midpoint stage time of step 8 only
+    g = _DETECTOR_GRID
+    data = gl.make_profile(gaussian_profile(eps=0.3, assigns="split"), g)
+    dt = 2.0 / 160  # 240 cells on rmax 12, t_end 2: 160 steps at cfl 0.25
+
+    def forcing(t):
+        row = np.zeros(g.num_cells + 1)
+        if t == 7 * dt + 0.5 * dt:
+            row[10] = np.nan
+        return row
+
+    return g, data.u0, data.u1, dict(forcing=forcing)
+
+
+def _crossing_on_a_sample_step():
+    # every step is a sample step, so the crossing step's state is not stored
+    g = _DETECTOR_GRID
+    data = gl.make_profile(gaussian_profile(eps=8.0, assigns="to_u1"), g)
+    return g, data.u0, data.u1, dict(stride=1)
+
+
+@pytest.mark.parametrize(
+    "setup, p, a, status",
+    [
+        (_origin_spike, 2.0, 0.5, "completed"),
+        (_overflow, 1.5, 1.0, "blew_up"),
+        (_nan_gradient_finite_v, 2.0, 0.0, "blew_up"),
+        (_nan_at_one_stage, 2.0, 0.5, "blew_up"),
+        (_crossing_on_a_sample_step, 1.5, 1.0, "blew_up"),
+    ],
+    ids=["origin-row-gradient", "overflow-to-inf", "nan-gradient-finite-v",
+         "nan-forcing-one-stage", "crossing-on-sample-step"],
+)
+def test_blowup_detector_matches_the_written_out_max(setup, p, a, status):
+    # the reference takes max(np.max|v|, np.max|u_r|) on freshly built rows
+    g, u0, u1, opts = setup()
+    sp = spec(p=p, a=a)
+    t_end = opts.pop("t_end", 2.0)
+    cfl = opts.pop("cfl", 0.25)
+    stride = opts.pop("stride", 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = gl.evolve(sp, u0, u1, g, t_end, cfl=cfl, sample_stride=stride, **opts)
+    with np.errstate(all="ignore"):
+        ref = _reference_rk4(sp, u0, u1, g, t_end, cfl=cfl, stride=stride, **opts)
+    assert out.status == status
+    _assert_same_run(out, ref)
+    if setup is _origin_spike:
+        assert out.peak_gradient == 3.0 / (2.0 * g.spacing)
+    elif setup is _nan_gradient_finite_v:
+        assert out.peak_gradient == 5e307
+    elif setup is _crossing_on_a_sample_step:
+        # states 0..k-1 are stored, the crossing state k is not
+        steps = round(out.t_blowup / (t_end / 160))
+        assert out.trajectory.times.size == steps
+        assert out.trajectory.times[-1] < out.t_blowup
+    else:
+        assert out.peak_gradient == math.inf
+    if setup is _nan_at_one_stage:
+        assert out.t_blowup == 8 * (t_end / 160)
 
 
 # ---------------------------------------------------------------------------
