@@ -17,16 +17,16 @@ import numpy as np
 from . import estimates, lifespan, picard
 from .core import (
     ProblemSpec,
+    RadialField,
     RadialGrid,
+    WaveState,
     WeightParams,
-    _derivative_values,
-    _energy_integral,
     lambda_norms,
     norm_report,
 )
 from .errors import Divergence, GlasseyLabError, PreconditionViolation
 from .report import fmt_value, read_config, write_config, write_csv, write_series
-from .solver import DataProfile, evolve, make_profile
+from .solver import DataProfile, energy, evolve, make_profile
 
 SUBCOMMANDS = ("solve", "ineq", "kss", "picard", "lifespan", "norms")
 
@@ -190,10 +190,10 @@ def _run_solve(args):
     # an energy past the double range is reported as inf, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for t, u, v in zip(traj.times, traj.u, traj.v):
-            du = _derivative_values(u, grid.spacing)
+            state = WaveState(float(t), RadialField(grid, u), RadialField(grid, v))
             rows.append({
                 "t": float(t),
-                "energy": 0.5 * _energy_integral(v, du, grid, args.n),
+                "energy": energy(state, args.n),
                 "max_v": float(np.max(np.abs(v))),
                 "max_u": float(np.max(np.abs(u))),
             })
@@ -239,7 +239,7 @@ def _run_kss(args):
         )
         for s in samples:
             row = s.row()
-            row.update({k: v for k, v in details[s.params["T"]].items()})
+            row.update(details[s.params["T"]])
             rows.append(row)
         columns = estimates.SUITE_COLUMNS + ("e1", "le1", "deriv", "field", "log", "horizon")
     else:

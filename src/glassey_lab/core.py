@@ -137,9 +137,6 @@ class RadialField:
     def scaled(self, c: float) -> "RadialField":
         return RadialField(self.grid, c * self.values)
 
-    def is_zero(self) -> bool:
-        return not np.any(self.values)
-
 
 @dataclass(frozen=True)
 class WaveState:
@@ -519,7 +516,8 @@ class EnergyNorms:
 
 
 def _energy_integral(v: np.ndarray, du: np.ndarray, grid: RadialGrid, n: int) -> float:
-    """int (v^2 + u_r^2) over R^n, given nodal v and u_r."""
+    """int (v^2 + u_r^2) over R^n, given nodal v and u_r (e_norms also passes
+    v_r and lap u, for the second-order energy)."""
     return _weighted_square_integral(v, grid, n, 0.0, 0.0) + _weighted_square_integral(
         du, grid, n, 0.0, 0.0
     )
@@ -543,10 +541,8 @@ def e_norms(traj: Trajectory, t_max: float = None) -> EnergyNorms:
         if t_max is not None and t > t_max + 1e-9 * max(1.0, t_max):
             break
         du, dv, lap = _slopes(u, v, grid, n)
-        a2 = _weighted_square_integral(dv, grid, n, 0.0, 0.0)
-        b2 = _weighted_square_integral(lap, grid, n, 0.0, 0.0)
         e1 = max(e1, math.sqrt(_energy_integral(v, du, grid, n)))
-        e2 = max(e2, math.sqrt(a2 + b2))
+        e2 = max(e2, math.sqrt(_energy_integral(dv, lap, grid, n)))
     return EnergyNorms(e1=e1, e2=e2)
 
 

@@ -113,22 +113,23 @@ def random_compact(seed: int, grid: RadialGrid, num_terms: int) -> RadialField:
     return RadialField(grid, base.values * window)
 
 
-def _reject_zero(f: RadialField, label: str):
-    if f.is_zero():
-        raise DegenerateInput(f"{label}: field is identically zero")
+def _interpolation_denominator(f: RadialField, n: int, s: float, label: str) -> float:
+    """||f||^(1-s) ||f_r||^s, the right side of the Hardy and trace bounds; it
+    is 0 for a zero field, also at s = 0 and s = 1 (0**0 = 1)."""
+    base = weighted_l2(f, n, 0.0, 0.0)
+    slope = weighted_l2(radial_derivative(f), n, 0.0, 0.0)
+    denom = base ** (1.0 - s) * slope**s
+    if denom == 0.0:
+        raise DegenerateInput(f"{label}: zero denominator")
+    return denom
 
 
 def hardy_check(f: RadialField, n: int, s: float, tol: float = DEFAULT_TOL) -> IneqSample:
     """||r^-s f|| against ||f||^(1-s) ||f_r||^s with the proof's constant."""
     if not (0.0 <= s <= 1.0) or (n == 2 and s >= 1.0):
         raise PreconditionViolation(f"need 0 <= s <= 1 (s < 1 when n = 2), got s={s}, n={n}")
-    _reject_zero(f, "hardy_check")
     num = weighted_l2(f, n, -s, 0.0)
-    base = weighted_l2(f, n, 0.0, 0.0)
-    slope = weighted_l2(radial_derivative(f), n, 0.0, 0.0)
-    denom = base ** (1.0 - s) * slope**s
-    if denom == 0.0:
-        raise DegenerateInput("hardy_check: zero denominator")
+    denom = _interpolation_denominator(f, n, s, "hardy_check")
     bound = (2.0 / (n - 2.0 * s)) ** s if s >= 0.5 else (2.0 / (n - 1.0)) ** s
     return IneqSample("hardy", {"n": n, "s": s}, num / denom, bound=bound, tol=tol)
 
@@ -137,13 +138,8 @@ def trace_check(f: RadialField, n: int, s: float, tol: float = DEFAULT_TOL) -> I
     """Sup-in-radius trace ratio; no sharp constant is asserted."""
     if not (0.5 <= s <= 1.0) or (n == 2 and s >= 1.0):
         raise PreconditionViolation(f"need 1/2 <= s <= 1 (s < 1 when n = 2), got s={s}, n={n}")
-    _reject_zero(f, "trace_check")
     num = weighted_sup(f, n, n / 2.0 - s)
-    base = weighted_l2(f, n, 0.0, 0.0)
-    slope = weighted_l2(radial_derivative(f), n, 0.0, 0.0)
-    denom = base ** (1.0 - s) * slope**s
-    if denom == 0.0:
-        raise DegenerateInput("trace_check: zero denominator")
+    denom = _interpolation_denominator(f, n, s, "trace_check")
     return IneqSample("trace", {"n": n, "s": s}, num / denom, bound=None, tol=tol)
 
 
@@ -153,7 +149,6 @@ def trace_variant_check(
     """Compact-support trace variant with the sqrt(2) constant."""
     if s < 0.0:
         raise PreconditionViolation(f"need s >= 0, got {s}")
-    _reject_zero(f, "trace_variant_check")
     mu = s - (n - 1) / 2.0
     num = weighted_sup(f, n, s)
     base = weighted_l2(f, n, mu, 0.0)
@@ -221,21 +216,18 @@ def kss_hom_check(
     Returns (samples, details); details carries the per-term LE component
     breakdown for each horizon so band failures can be audited.
     """
-    if not (0.0 <= delta < 0.5 and delta_prime < delta):
-        raise PreconditionViolation(
-            f"need 0 <= delta < 1/2 and delta_prime < delta, got ({delta}, {delta_prime})"
-        )
     t_list = sorted(float(t) for t in t_list)
-    if not t_list or t_list[0] <= 0.0:
+    if not t_list:
         raise PreconditionViolation("t_list must contain positive horizons")
+    weights = [WeightParams(delta=delta, delta_prime=delta_prime, horizon=T) for T in t_list]
     denom = weighted_l2(radial_derivative(u0), n, 0.0, 0.0) + weighted_l2(u1, n, 0.0, 0.0)
     if denom == 0.0:
         raise DegenerateInput("kss_hom_check: zero data")
 
     traj = _free_solve(u0, u1, n, t_list[-1], cfl, sample_stride)
     samples, details = [], {}
-    for T in t_list:
-        w = WeightParams(delta=delta, delta_prime=delta_prime, horizon=T)
+    for w in weights:
+        T = w.horizon
         le = le_norm(traj, w)
         e = e_norms(traj, t_max=T)
         ratio = (e.e1 + le.total) / denom
@@ -305,10 +297,7 @@ def kss_inhom_check(
         raise PreconditionViolation(
             f"the inhomogeneous bound requires n >= 3, got n = {n}"
         )
-    if not (0.0 < delta < 0.5 and delta_prime < delta):
-        raise PreconditionViolation(
-            f"need 0 < delta < 1/2 and delta_prime < delta, got ({delta}, {delta_prime})"
-        )
+    w = WeightParams(delta=delta, delta_prime=delta_prime, horizon=horizon)
     if forcing.amplitude == 0.0:
         raise DegenerateInput("kss_inhom_check: zero forcing")
     side = max(1.0, forcing.support_radius + horizon + 2.5)
@@ -316,7 +305,6 @@ def kss_inhom_check(
     grid = RadialGrid(r_max=side, num_cells=cells)
     zero = RadialField.zeros(grid)
     traj = _free_solve(zero, zero, n, horizon, cfl, sample_stride, forcing=forcing)
-    w = WeightParams(delta=delta, delta_prime=delta_prime, horizon=horizon)
     le = le_norm(traj, w)
     e = e_norms(traj, t_max=horizon)
     f_traj = forcing.sampled(grid, traj.times, traj.problem)
@@ -351,26 +339,23 @@ def energy_ineq_check(
     grid = u0.grid
     traj = _free_solve(u0, u1, n, horizon, cfl, sample_stride, forcing=forcing)
     shape = forcing.shape(grid)
-    lhs = 0.0
-    work_series = []
+    energies, work_series = [], []
     for t, u, v in zip(traj.times, traj.u, traj.v):
         du = _derivative_values(u, grid.spacing)
-        lhs = max(lhs, _energy_integral(v, du, grid, n))
+        energies.append(_energy_integral(v, du, grid, n))
         mag = np.sqrt(v**2 + du**2)
         f_abs = np.abs(forcing.envelope(t) * shape)
         integrand = mag * f_abs * grid.nodes ** (n - 1)
         work_series.append(
             sphere_area(n) * float(np.trapezoid(integrand, dx=grid.spacing))
         )
-    du0 = _derivative_values(traj.u[0], grid.spacing)
-    data_sq = _energy_integral(traj.v[0], du0, grid, n)
-    rhs = data_sq + float(np.trapezoid(np.array(work_series), traj.times))
+    rhs = energies[0] + float(np.trapezoid(np.array(work_series), traj.times))
     if rhs == 0.0:
         raise DegenerateInput("energy_ineq_check: zero data and forcing")
     return IneqSample(
         "energy_ineq",
         {"n": n, "T": horizon},
-        lhs / rhs,
+        max(energies) / rhs,
         bound=2.0,
         tol=ENERGY_INEQ_TOL,
     )
@@ -391,10 +376,7 @@ def _one_sample(args):
     lemma, n, s, seed, grid, tol = args
     check, generator = _CHECKS[lemma]
     nt = int(np.random.default_rng((seed, 998877)).integers(1, 9))
-    f = generator(seed, grid, nt)
-    if f.is_zero():  # vanishing amplitudes are astronomically unlikely but cheap to guard
-        f = generator(seed + 10_000_019, grid, nt)
-    return replace(check(f, n, s, tol=tol), seed=seed)
+    return replace(check(generator(seed, grid, nt), n, s, tol=tol), seed=seed)
 
 
 def run_ineq_suite(

@@ -7,8 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     ProblemSpec,
     RadialField,
@@ -18,11 +16,12 @@ from .core import (
     e_norms,
     lambda_norms,
     le_norm,
+    norm_report,
     trajectory_difference,
     weight_exponents,
 )
 from .errors import Divergence, PreconditionViolation
-from .solver import LinearSeries, _add_nonlinearity, _flush_scratch, evolve
+from .solver import evolve, sampled_nonlinearity
 
 DEFAULT_S1 = 0.5
 DEFAULT_S2 = 1.0
@@ -50,15 +49,6 @@ class PicardResult:
     converged: bool
     weights: WeightParams
     lambda1: float
-
-
-def sampled_nonlinearity(traj: Trajectory) -> LinearSeries:
-    """N[u] on the trajectory's sample times, linearly interpolated between."""
-    fields = np.zeros_like(traj.u)
-    scratch = _flush_scratch(fields.shape[1], traj.problem.p)
-    for row, u, v in zip(fields, traj.u, traj.v):
-        _add_nonlinearity(row, u, v, traj.grid.spacing, traj.problem, scratch)
-    return LinearSeries(traj.times, fields)
 
 
 def phi_map(
@@ -145,7 +135,6 @@ def picard_run(
     ).trajectory
 
     trace = []
-    rhos = []
     converged = False
     for k in range(1, max_iters + 1):
         try:
@@ -154,20 +143,16 @@ def picard_run(
         except Divergence as exc:
             raise Divergence(str(exc), trace=trace) from None
         rho = rho_metric(nxt, current, w)
-        e = e_norms(nxt, t_max=t_end)
-        le1 = le_norm(nxt, w).total
-        le2 = le_norm(nxt, w, second_order=True).total
-        trace.append(
-            PicardTrace(iteration=k, rho_step=rho, e1=e.e1, e2=e.e2, le1=le1, le2=le2)
-        )
-        rhos.append(rho)
+        norms = norm_report(nxt, w)
+        trace.append(PicardTrace(iteration=k, rho_step=rho, e1=norms.e1, e2=norms.e2,
+                                 le1=norms.le1, le2=norms.le2))
         current = nxt
         if rho <= tol * (lam + 1e-300):
             converged = True
             break
-        if len(rhos) >= 3 and rhos[-1] > 10.0 * rhos[-3]:
+        if len(trace) >= 3 and rho > 10.0 * trace[-3].rho_step:
             raise Divergence(
-                f"step metric grew from {rhos[-3]:.3e} to {rhos[-1]:.3e} "
+                f"step metric grew from {trace[-3].rho_step:.3e} to {rho:.3e} "
                 "over two corrections",
                 trace=trace,
             )

@@ -220,6 +220,15 @@ def nonlinearity(state: WaveState, spec: ProblemSpec) -> RadialField:
     return RadialField(state.grid, vals)
 
 
+def sampled_nonlinearity(traj: Trajectory) -> LinearSeries:
+    """N[u] on the trajectory's sample times, linearly interpolated between."""
+    fields = np.zeros_like(traj.u)
+    scratch = _flush_scratch(fields.shape[1], traj.problem.p)
+    for row, u, v in zip(fields, traj.u, traj.v):
+        _add_nonlinearity(row, u, v, traj.grid.spacing, traj.problem, scratch)
+    return LinearSeries(traj.times, fields)
+
+
 @dataclass(frozen=True)
 class SolveOutcome:
     status: str  # "completed" | "blew_up"
@@ -351,8 +360,9 @@ def evolve(
     # the blow-up size max(max|v|, max|u_r|) in four array calls: |v| and
     # |du| share one (2, nodes) scratch and one max, where du is u_r times
     # 2 dr.  A correctly rounded division by 2 dr > 0 is monotone, so
-    # dividing the max gives the max of the divided row; each row's max
-    # keeps np.max's NaN propagation before the Python max of the two
+    # dividing the max gives the max of the divided row.  Each row's max
+    # propagates NaN as np.max does, and so does their combination: Python's
+    # max(vmax, NaN) would return vmax, so a NaN gradient max is returned as is
     sizes = np.empty((2, nodes))
     v_abs, du = sizes
     du_inner, u_hi, u_lo = du[1:-1], u[2:], u[:-2]
@@ -368,7 +378,8 @@ def evolve(
         du[-1] = 3.0 * b0 - 4.0 * b1 + b2
         np.abs(du, out=du)
         vmax, dmax = sizes.max(axis=1).tolist()
-        return max(vmax, dmax / two_dr)
+        gmax = dmax / two_dr
+        return gmax if math.isnan(gmax) else max(vmax, gmax)
 
     # one row per sample; a blow-up trims the buffer to the rows written
     rows = nsteps // sample_stride + 1

@@ -113,6 +113,11 @@ def test_trace_sweep_finite():
     assert all(x.bound is None for x in samples)
 
 
+def test_trace_zero_rejected(grid12):
+    with pytest.raises(gl.DegenerateInput):
+        gl.trace_check(gl.RadialField.zeros(grid12), 3, 0.5)
+
+
 def test_trace_variant_zero_rejected(grid12):
     with pytest.raises(gl.DegenerateInput):
         gl.trace_variant_check(gl.RadialField.zeros(grid12), 2, 0.0)
@@ -181,6 +186,17 @@ def test_kss_hom_zero_data_rejected():
         gl.kss_hom_check(z, z, 3, 0.3, 0.2, [1.0])
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the weights must be checked before the solve")
+
+
+def test_kss_hom_rejects_weights_before_solving(monkeypatch):
+    data = gl.make_profile(gl.DataProfile(family="gaussian", epsilon=1.0), grid())
+    monkeypatch.setattr(estimates, "evolve", _no_solve)
+    with pytest.raises(gl.PreconditionViolation):
+        gl.kss_hom_check(data.u0, data.u1, 3, 0.0, -0.1, [1.0])
+
+
 def test_kss_hom_band_n3():
     g = gl.RadialGrid(r_max=24.0, num_cells=960)
     prof = gl.DataProfile(family="gaussian", epsilon=1.0, width=1.0, center=0.0,
@@ -209,6 +225,14 @@ def test_kss_inhom_n2_gate():
                        t_on=0.0, t_off=0.5)
     with pytest.raises(gl.PreconditionViolation):
         gl.kss_inhom_check(f, 2, 0.3, 0.2, 1.0)
+
+
+def test_kss_inhom_rejects_weights_before_solving(monkeypatch):
+    f = gl.ForcingSpec(amplitude=1.0, space_center=0.0, space_width=1.0,
+                       t_on=0.0, t_off=0.5)
+    monkeypatch.setattr(estimates, "evolve", _no_solve)
+    with pytest.raises(gl.PreconditionViolation):
+        gl.kss_inhom_check(f, 3, 0.3, 0.3, 1.0)
 
 
 def test_kss_inhom_zero_forcing_rejected():

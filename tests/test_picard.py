@@ -65,6 +65,14 @@ def test_picard_contracts_small_data():
         assert r1 / r0 <= 0.9
 
 
+def test_picard_trace_is_the_norm_report_of_the_final_iterate():
+    spec, g, data = make_setup(eps=0.05, cells=400)
+    res = gl.picard_run(spec, data.u0, data.u1, g, 4.0, max_iters=3, tol=1e-10)
+    last, report = res.trace[-1], gl.norm_report(res.final, res.weights)
+    assert (last.e1, last.e2, last.le1, last.le2) == (
+        report.e1, report.e2, report.le1, report.le2)
+
+
 def test_picard_fixed_point_residual():
     spec, g, data = make_setup(eps=0.05)
     tol = 1e-8
