@@ -481,8 +481,8 @@ def weighted_l2(f: RadialField, n: int, mu: float, nu: float) -> float:
 
 def weighted_sup(f: RadialField, n: int, power: float) -> float:
     """A_{n-1}^{1/2} * max_{j>=1} r_j^power |f(r_j)|."""
-    r = f.grid.nodes[1:]
-    return math.sqrt(sphere_area(n)) * float(np.max(r**power * np.abs(f.values[1:])))
+    weight = _quadrature_weight(f.grid, power, 0.0)
+    return math.sqrt(sphere_area(n)) * float(np.max(weight * np.abs(f.values[1:])))
 
 
 # ---------------------------------------------------------------------------

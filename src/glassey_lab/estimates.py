@@ -9,8 +9,8 @@ merge results in seed order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,6 +89,10 @@ class IneqSample:
 
 def random_radial(seed: int, grid: RadialGrid, num_terms: int) -> RadialField:
     """Deterministic sum of Gaussians: smooth, decaying, reproducible."""
+    return RadialField(grid, _gaussian_sum(seed, grid, num_terms))
+
+
+def _gaussian_sum(seed: int, grid: RadialGrid, num_terms: int) -> np.ndarray:
     if not 1 <= num_terms <= 20:
         raise PreconditionViolation(f"num_terms must lie in [1, 20], got {num_terms}")
     rng = np.random.default_rng(seed)
@@ -99,18 +103,27 @@ def random_radial(seed: int, grid: RadialGrid, num_terms: int) -> RadialField:
     vals = np.zeros_like(r)
     for c, w, a in zip(centers, widths, amps):
         vals += a * np.exp(-(((r - c) / w) ** 2))
-    return RadialField(grid, vals)
+    return vals
 
 
-def random_compact(seed: int, grid: RadialGrid, num_terms: int) -> RadialField:
-    """random_radial times a smooth cutoff supported in r < 0.75 r_max."""
-    base = random_radial(seed, grid, num_terms)
+@lru_cache(maxsize=16)
+def _compact_window(grid: RadialGrid) -> np.ndarray:
+    """The smooth cutoff exp(1 - 1/(1 - (r/cap)^2)) on r < cap = 0.75 r_max,
+    0 beyond, read-only; every random_compact sample on grid multiplies by it."""
     r = grid.nodes
     cap = 0.75 * grid.r_max
     window = np.zeros_like(r)
     inside = r < cap
     window[inside] = np.exp(1.0 - 1.0 / (1.0 - (r[inside] / cap) ** 2))
-    return RadialField(grid, base.values * window)
+    window.flags.writeable = False
+    return window
+
+
+def random_compact(seed: int, grid: RadialGrid, num_terms: int) -> RadialField:
+    """random_radial times a smooth cutoff supported in r < 0.75 r_max."""
+    vals = _gaussian_sum(seed, grid, num_terms)
+    vals *= _compact_window(grid)
+    return RadialField(grid, vals)
 
 
 def _interpolation_denominator(f: RadialField, n: int, s: float, label: str) -> float:
@@ -398,6 +411,8 @@ def run_ineq_suite(
     grid = RadialGrid(r_max=r_max, num_cells=num_cells)
     tasks = [(lemma, n, s, seed + i, grid, tol) for i in range(samples)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_one_sample, tasks, chunksize=8))
     return [_one_sample(t) for t in tasks]

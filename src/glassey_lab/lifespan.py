@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import ProblemSpec, RadialGrid
 from .errors import GlasseyLabError, InsufficientData, PreconditionViolation
-from .solver import DataProfile, evolve, make_profile
+from .solver import DataProfile, evolve, make_profile, step_count
 
 AGREEMENT_CUTOFF = 0.10
 SLOPE_TOLERANCE = 0.20
@@ -106,19 +105,12 @@ def measure_lifespan(
     for cells in ladder:
         grid = RadialGrid(r_max=r_max, num_cells=cells)
         data = make_profile(scaled, grid)
-        outcome = evolve(
-            spec,
-            data.u0,
-            data.u1,
-            grid,
-            horizon,
-            cfl=cfl,
-            sample_stride=sample_stride,
-        )
+        # the whole run as one stride: the same steps at the same dt, and
+        # only the t = 0 and t = horizon samples are stored
+        steps = step_count(horizon, grid, cfl, sample_stride)
+        outcome = evolve(spec, data.u0, data.u1, grid, horizon, cfl=cfl, sample_stride=steps)
         blew = outcome.status == "blew_up"
         results.append((blew, outcome.t_blowup if blew else horizon))
-        # free this rung's samples before the next, finer rung stores its own
-        del outcome
 
     (blew_coarse, t_coarse), (blew_fine, t_fine) = results
     if blew_fine != blew_coarse:
@@ -166,6 +158,8 @@ def sweep(
     ladder = tuple(_two_rungs(ladder))
     tasks = [(spec, profile, e, ladder, horizon, r_max, cfl, sample_stride) for e in eps]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:

@@ -271,6 +271,19 @@ class LinearSeries:
         return out
 
 
+def step_count(t_end: float, grid: RadialGrid, cfl: float, sample_stride: int) -> int:
+    """The RK4 steps `evolve` takes to reach t_end > 0 on grid: the fewest
+    with dt <= cfl*dr, rounded up to a multiple of sample_stride."""
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise PreconditionViolation(f"t_end must be >= 0, got {t_end}")
+    if not (0.0 < cfl <= 0.75):
+        raise PreconditionViolation(f"cfl must lie in (0, 0.75], got {cfl}")
+    if sample_stride < 1:
+        raise PreconditionViolation("sample_stride must be >= 1")
+    nsteps = max(1, math.ceil(t_end / (cfl * grid.spacing)))
+    return sample_stride * math.ceil(nsteps / sample_stride)
+
+
 def evolve(
     spec: ProblemSpec,
     u0: RadialField,
@@ -283,7 +296,7 @@ def evolve(
     sample_stride: int = 10,
     forcing_support: float = 0.0,
 ) -> SolveOutcome:
-    """March (u, v) with classical RK4 at dt = cfl*dr.
+    """March (u, v) with classical RK4 at dt = t_end / step_count(...) <= cfl*dr.
 
     Neumann symmetry closes the origin, the outer node is clamped, and the
     causality precondition keeps the boundary causally inert.  The run aborts
@@ -294,12 +307,7 @@ def evolve(
     """
     if u0.grid != grid or u1.grid != grid:
         raise PreconditionViolation("data must live on the target grid")
-    if not (math.isfinite(t_end) and t_end >= 0.0):
-        raise PreconditionViolation(f"t_end must be >= 0, got {t_end}")
-    if not (0.0 < cfl <= 0.75):
-        raise PreconditionViolation(f"cfl must lie in (0, 0.75], got {cfl}")
-    if sample_stride < 1:
-        raise PreconditionViolation("sample_stride must be >= 1")
+    nsteps = step_count(t_end, grid, cfl, sample_stride)
 
     reach = max(support_radius(u0, u1), forcing_support)
     if reach + t_end + CAUSALITY_MARGIN > grid.r_max:
@@ -313,8 +321,6 @@ def evolve(
         return SolveOutcome("completed", traj, None, 0.0)
 
     dr = grid.spacing
-    nsteps = max(1, math.ceil(t_end / (cfl * dr)))
-    nsteps = sample_stride * math.ceil(nsteps / sample_stride)
     dt = t_end / nsteps
     if dt < 1e-12:
         raise StepUnderflow(f"dt = {dt:.3g} below 1e-12")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import warnings
 import pytest
 
 import glassey_lab
-from glassey_lab import estimates, lifespan
+from glassey_lab import lifespan
 from glassey_lab.cli import main
 from glassey_lab.report import read_config
 
@@ -27,6 +28,18 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.returncode == 0
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only --jobs > 1 starts a pool; every other run should not pay for
+    # importing concurrent.futures.process and multiprocessing
+    src = os.path.dirname(os.path.dirname(glassey_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, glassey_lab.cli; "
+            "sys.exit(bool({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["--definitely-not-a-flag"]) == 2
 
@@ -40,8 +53,7 @@ def test_jobs_outside_cpu_range_exits_2(tmp_path, monkeypatch, capsys, jobs):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(estimates, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(lifespan, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     out = str(tmp_path / "jobs")
     code = main(["ineq", "--lemma", "hardy", "--n", "3", "--s", "1.0",
                  "--samples", "4", "--jobs", jobs, "--out", out])

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import glassey_lab as gl
+from glassey_lab import solver
 from glassey_lab.lifespan import LifespanRecord
 
 
@@ -130,6 +133,63 @@ def test_measure_lifespan_blowup_record():
     assert rec.t_observed < 8.0
     assert rec.agreement <= 0.10
     assert rec.num_cells == 640
+
+
+def _rung_by_hand(sp, prof, eps, cells, horizon, r_max, stride):
+    """(blew, t) of one rung solved at the sample stride the caller asked for."""
+    grid = gl.RadialGrid(r_max=r_max, num_cells=cells)
+    data = gl.make_profile(replace(prof, epsilon=eps), grid)
+    out = gl.evolve(sp, data.u0, data.u1, grid, horizon, sample_stride=stride)
+    blew = out.status == "blew_up"
+    return blew, out.t_blowup if blew else horizon
+
+
+@pytest.mark.parametrize("eps, censored", [(5.0, False), (0.5, True)])
+def test_measure_lifespan_rungs_store_at_most_two_samples(monkeypatch, eps, censored):
+    # a rung reads only the status and the blow-up time, so it keeps the t = 0
+    # sample and at most the t = horizon one; the record is the one built
+    # from the same rungs solved with the caller's stride, whose step count
+    # (7 does not divide 320) sets dt
+    prof = gl.DataProfile(family="gaussian", epsilon=1.0, width=1.0, center=0.0,
+                          assigns="to_u1")
+    sp, ladder, horizon, r_max, stride = spec(3, 1.5), (320, 640), 4.0, 16.0, 7
+    stored = []
+
+    def recording_evolve(*args, **kwargs):
+        outcome = solver.evolve(*args, **kwargs)
+        stored.append(outcome.trajectory.times.size)
+        return outcome
+
+    monkeypatch.setattr(gl.lifespan, "evolve", recording_evolve)
+    rec = gl.measure_lifespan(sp, prof, eps, ladder, horizon, r_max, sample_stride=stride)
+    assert stored == [1 if not censored else 2] * 2
+
+    (blew_c, t_c), (blew_f, t_f) = [
+        _rung_by_hand(sp, prof, eps, cells, horizon, r_max, stride) for cells in ladder]
+    assert blew_c == blew_f == (not censored)
+    expected = LifespanRecord(
+        epsilon=eps, t_observed=t_f, censored=censored, num_cells=640,
+        agreement=0.0 if censored else abs(t_f - t_c) / t_f,
+    )
+    assert rec == expected
+
+
+def test_lifespan_rung_memory_stays_within_a_few_rows():
+    # one 1920-cell blow-up rung (the benchmark's fine rung and its fastest
+    # epsilon).  Measured peak: ~27 rows of 1921 nodes (stage buffers, data,
+    # grid and weights); storing every 20th step, as before, peaked at ~670
+    # rows (10.3 MB)
+    prof = gl.DataProfile(family="gaussian", epsilon=1.0, width=1.0, center=0.0,
+                          assigns="split")
+    tracemalloc.start()
+    try:
+        rec = gl.measure_lifespan(spec(3, 1.5), prof, 2.8, (480, 1920), 40.0, 48.0,
+                                  sample_stride=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not rec.censored
+    assert peak <= 40 * 1921 * 8
 
 
 def test_sweep_requires_increasing_epsilons():

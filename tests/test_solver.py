@@ -6,7 +6,13 @@ import pytest
 
 import glassey_lab as gl
 from glassey_lab.core import _derivative_values, _laplacian_values
-from glassey_lab.solver import BLOWUP_THRESHOLD, LinearSeries, _add_nonlinearity, _power_cut
+from glassey_lab.solver import (
+    BLOWUP_THRESHOLD,
+    LinearSeries,
+    _add_nonlinearity,
+    _power_cut,
+    step_count,
+)
 
 
 def spec(n=3, p=2.0, a=1.0, b=0.0):
@@ -713,6 +719,21 @@ def test_duhamel_residual_second_order():
     r1, r2 = residual(200), residual(400)
     assert r1 <= 5.0 * 4e-4  # frozen reference magnitude at 200 cells
     assert math.log2(r1 / r2) >= 1.8
+
+
+@pytest.mark.parametrize("t_end, cells, cfl, stride, steps", [
+    (2.0, 200, 0.25, 10, 200),
+    (2.0, 200, 0.3, 7, 168),   # ceil(166.7) = 167 steps, rounded up to 24 strides
+    (1.5, 150, 0.5, 4, 60),    # ceil(56.25) = 57 steps, rounded up to 15 strides
+    (0.01, 100, 0.25, 3, 3),   # under one cfl step: one stride
+])
+def test_step_count_is_the_sample_spacing_of_evolve(t_end, cells, cfl, stride, steps):
+    g = gl.RadialGrid(r_max=8.0, num_cells=cells)
+    z = gl.RadialField.zeros(g)
+    assert step_count(t_end, g, cfl, stride) == steps
+    times = gl.evolve(spec(), z, z, g, t_end, cfl=cfl, sample_stride=stride).trajectory.times
+    dt = t_end / steps
+    assert times.tolist() == [j * stride * dt for j in range(steps // stride + 1)]
 
 
 def test_step_underflow():

@@ -2,15 +2,22 @@
 their callers look them up, so renaming or removing one of them stops a
 traced benchmark run.  This runs a small call of each benchmark workload
 under `tracing.install` and checks that every layer the workload lists
-fires, and that its silent layers do not.
+fires, and that its silent layers do not.  It also checks the tracer's
+node-step count, which re-derives evolve's step formula, against the steps
+evolve takes.
 """
 
+import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 import glassey_lab
+from glassey_lab import solver
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -73,3 +80,48 @@ def test_every_workload_layer_fires_under_the_tracer(tmp_path):
     assert set(report) == set(CALLS)
     for name, result in report.items():
         assert result == {"codes": [0] * len(CALLS[name]), "missing": [], "loud": []}, name
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    """perfbench/tracing.py, imported through sys.path without writing
+    bytecode there, and dropped from sys.modules afterwards."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    yield importlib.import_module("tracing")
+    for name in ("tracing", "workloads"):
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("eps, status", [(0.5, "completed"), (5.0, "blew_up")])
+def test_traced_node_steps_are_the_steps_evolve_takes(tracing, monkeypatch, eps, status):
+    # solver.node_steps rebuilds evolve's step formula from its arguments;
+    # here the steps are counted from the RK4 stages (4 nonlinear slopes each)
+    stages = []
+    real = solver._add_nonlinearity
+
+    def counting(*args):
+        stages.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_add_nonlinearity", counting)
+    spec = glassey_lab.ProblemSpec(n_dim=3, p=1.5, a=1.0, b=0.0)
+    grid = glassey_lab.RadialGrid(r_max=16.0, num_cells=320)
+    data = glassey_lab.make_profile(glassey_lab.DataProfile(
+        family="gaussian", epsilon=eps, width=1.0, center=0.0, assigns="to_u1"), grid)
+    # 7 does not divide the 320 cfl steps, so the stride rounding counts
+    call = (spec, data.u0, data.u1, grid, 4.0)
+    outcome = solver.evolve(*call, sample_stride=7)
+    assert outcome.status == status
+
+    bound = inspect.signature(solver.evolve).bind(*call, sample_stride=7)
+    bound.apply_defaults()
+    attrs = tracing._evolve_attrs(bound.arguments, outcome)
+    steps = len(stages) // 4
+    assert len(stages) == 4 * steps
+    planned = solver.step_count(4.0, grid, 0.25, 7)
+    if status == "completed":
+        assert steps == planned
+    else:
+        assert steps < planned and outcome.t_blowup == steps * (4.0 / planned)
+    assert attrs["node_steps"] == steps * len(grid.nodes)
