@@ -21,6 +21,7 @@ from .core import (
     RadialGrid,
     WaveState,
     WeightParams,
+    _quadrature_weight,
     lambda_norms,
     norm_report,
 )
@@ -136,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma list of two cell counts; default cells/2,cells")
     p_life.add_argument("--stride", type=int, default=10)
     # defaults sized for the stock subcritical battery
-    p_life.set_defaults(rmax=48.0, cells=3840, assigns="split", stride=20)
+    p_life.set_defaults(rmax=48.0, cells=3840, assigns="split", stride=20,
+                        cfl=lifespan.DEFAULT_CFL)
 
     p_norms = add_parser("norms", help="norm report for a linear evolution")
     _add_common(p_norms, "n p rmax cells cfl")
@@ -176,6 +178,9 @@ def _problem(args):
     spec = ProblemSpec(n_dim=args.n, p=args.p, a=getattr(args, "a", 0.0),
                        b=getattr(args, "b", 0.0))
     grid = RadialGrid(r_max=args.rmax, num_cells=args.cells)
+    # the energies weigh by r^(n-1): a dimension past the double range is
+    # refused for that before the solve, whose step bound it would also fail
+    _quadrature_weight(grid, args.n - 1.0, 0.0)
     return spec, grid, make_profile(_profile_from(args), grid)
 
 

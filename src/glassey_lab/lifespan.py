@@ -13,10 +13,13 @@ import numpy as np
 
 from .core import ProblemSpec, RadialGrid
 from .errors import GlasseyLabError, InsufficientData, PreconditionViolation
-from .solver import DataProfile, evolve, make_profile, step_count
+from .solver import DataProfile, evolve, make_profile, require_stable_step, step_count
 
 AGREEMENT_CUTOFF = 0.10
 SLOPE_TOLERANCE = 0.20
+# a rung reads only when it blew up, and RK4's time error at this step is far
+# below the spatial gap between the two rungs (README, "Lifespan step")
+DEFAULT_CFL = 0.5
 
 SWEEP_COLUMNS = ("epsilon", "t_observed", "censored", "num_cells", "agreement")
 FIT_COLUMNS = (
@@ -91,7 +94,7 @@ def measure_lifespan(
     ladder,
     horizon: float,
     r_max: float,
-    cfl: float = 0.25,
+    cfl: float = DEFAULT_CFL,
     sample_stride: int = 10,
 ) -> LifespanRecord:
     """Blow-up time (or censoring horizon) on a two-rung resolution ladder.
@@ -146,16 +149,21 @@ def sweep(
     ladder,
     horizon: float,
     r_max: float,
-    cfl: float = 0.25,
+    cfl: float = DEFAULT_CFL,
     sample_stride: int = 10,
     jobs: int = 1,
 ):
     """One record per epsilon, in epsilon order; a failed run is skipped with
-    a warning rather than aborting the sweep."""
+    a warning rather than aborting the sweep.  A parameter that would fail
+    every run (the horizon, cfl, stride or grid) is refused before any starts."""
     eps = [float(e) for e in epsilons]
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise PreconditionViolation("epsilons must be strictly increasing")
     ladder = tuple(_two_rungs(ladder))
+    for cells in ladder:
+        grid = RadialGrid(r_max=r_max, num_cells=cells)
+        step_count(horizon, grid, cfl, sample_stride)
+        require_stable_step(grid, spec.n_dim, cfl)
     tasks = [(spec, profile, e, ladder, horizon, r_max, cfl, sample_stride) for e in eps]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -1,6 +1,6 @@
 """Radial wave propagation: method-of-lines evolution of
-u_tt = lap u + a|u_t|^p + b|u_r|^p + F, the exact n=3 free-wave oracle,
-and blow-up detection.
+u_tt = lap u + a|u_t|^p + b|u_r|^p + F, the RK4 step bound of the stencil,
+the exact n=3 free-wave oracle, and blow-up detection.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ def _bump_shape(r: np.ndarray, center: float, width: float) -> np.ndarray:
 
 
 def _load_field_file(path: str, grid: RadialGrid) -> np.ndarray:
-    # scipy is imported here and in exact_free_n3 only: it is most of the
-    # package's import time and memory, and no other path needs it
+    # scipy is imported here, in exact_free_n3 and in stable_cfl only: it is
+    # most of the package's import time and memory, and no other path needs it
     from scipy.interpolate import PchipInterpolator
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -284,6 +284,48 @@ def step_count(t_end: float, grid: RadialGrid, cfl: float, sample_stride: int) -
     return sample_stride * math.ceil(nsteps / sample_stride)
 
 
+# RK4's stability interval on the imaginary axis: |omega dt| < 2 sqrt(2)
+RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
+
+
+@functools.lru_cache(maxsize=64)
+def stable_cfl(grid: RadialGrid, n: int) -> float:
+    """The largest stable RK4 step of the n-dimensional flux stencil on grid,
+    2 sqrt(2) / (omega_max dr), in units of dr.
+
+    The stencil on nodes 0..N-1 (the outer node is clamped) is tridiagonal and
+    symmetric in the shell-volume inner product; symmetrised, its diagonal is
+    -(c+_j + c-_{j-1}) and its off-diagonal sqrt(c+_j c-_j), and omega_max^2
+    is minus its smallest eigenvalue.  Scaled by dr^2 so the entries are O(n).
+    """
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    dr2 = grid.spacing ** 2
+    c_plus, c_minus = _flux_weights(grid, n)
+    diag = -dr2 * c_plus
+    diag[1:] -= dr2 * c_minus
+    off = dr2 * np.sqrt(c_plus[:-1] * c_minus)
+    lowest = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
+    return RK4_STABILITY_LIMIT / math.sqrt(-lowest)
+
+
+def require_stable_step(grid: RadialGrid, n: int, cfl: float) -> None:
+    """Refuse a cfl at or past stable_cfl(grid, n), where RK4 itself blows up.
+
+    Gershgorin bounds (omega_max dr)^2 by 4n (the origin row), so a cfl below
+    sqrt(2/n) is stable without the eigenvalue solve (or the scipy import).
+    """
+    if cfl < math.sqrt(2.0 / n):
+        return
+    bound = stable_cfl(grid, n)
+    if not cfl < bound:
+        raise PreconditionViolation(
+            f"cfl {cfl:.6g} is at or past the RK4 stability bound {bound:.6g} = "
+            f"2*sqrt(2)/(omega_max dr) of the n = {n} stencil on {grid.num_cells} "
+            f"cells; pass a cfl (--cfl) below it"
+        )
+
+
 def evolve(
     spec: ProblemSpec,
     u0: RadialField,
@@ -302,12 +344,15 @@ def evolve(
     causality precondition keeps the boundary causally inert.  The run aborts
     as blown-up the first time max(|v|, |u_r|) passes BLOWUP_THRESHOLD or any
     value stops being finite; numpy's overflow and invalid-value warnings are
-    silenced while stepping, so that detector is the one report.
+    silenced while stepping, so that detector is the one report.  A cfl that
+    RK4 cannot take on this stencil is refused (require_stable_step), so a
+    reported blow-up is not RK4's own instability.
     `forcing(t)` is called once per distinct stage time: t, t + dt/2, t + dt.
     """
     if u0.grid != grid or u1.grid != grid:
         raise PreconditionViolation("data must live on the target grid")
     nsteps = step_count(t_end, grid, cfl, sample_stride)
+    require_stable_step(grid, spec.n_dim, cfl)
 
     reach = max(support_radius(u0, u1), forcing_support)
     if reach + t_end + CAUSALITY_MARGIN > grid.r_max:

@@ -142,6 +142,32 @@ def test_lifespan_three_rung_ladder_exits_2(tmp_path, monkeypatch, capsys):
     assert "ladder needs exactly 2" in capsys.readouterr().err
 
 
+# a parameter that every rung would fail is refused once, before the first
+# epsilon, with its own message (not one warning per epsilon and then
+# "no records"); --n 20 is past the default lifespan step's bound
+@pytest.mark.parametrize("flag, value, message", [
+    ("--stride", "0", "sample_stride must be >= 1"),
+    ("--horizon", "nan", "t_end must be >= 0, got nan"),
+    ("--cfl", "0.9", "cfl must lie in (0, 0.75], got 0.9"),
+    ("--n", "20", "cfl 0.5 is at or past the RK4 stability bound 0.447214"),
+], ids=["stride", "horizon", "cfl", "n"])
+def test_lifespan_run_wide_bad_parameter_exits_2_before_any_epsilon(
+        tmp_path, monkeypatch, capsys, flag, value, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("evolve was called")
+
+    monkeypatch.setattr(lifespan, "evolve", no_solve)
+    out = str(tmp_path / "run")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["lifespan", "--n", "3", "--p", "1.5", "--eps-list", "1,2,3,4",
+                     "--horizon", "4", "--rmax", "16", "--ladder", "160,320",
+                     flag, value, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"precondition: {message}" in err and "Traceback" not in err
+
+
 def test_from_file_non_numeric_token_exits_2(tmp_path, capsys):
     path = tmp_path / "field.txt"
     path.write_text("# radial-field v1\n0.0 1.0\n"

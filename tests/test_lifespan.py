@@ -136,10 +136,12 @@ def test_measure_lifespan_blowup_record():
 
 
 def _rung_by_hand(sp, prof, eps, cells, horizon, r_max, stride):
-    """(blew, t) of one rung solved at the sample stride the caller asked for."""
+    """(blew, t) of one rung solved at the sample stride the caller asked for,
+    at the lifespan step."""
     grid = gl.RadialGrid(r_max=r_max, num_cells=cells)
     data = gl.make_profile(replace(prof, epsilon=eps), grid)
-    out = gl.evolve(sp, data.u0, data.u1, grid, horizon, sample_stride=stride)
+    out = gl.evolve(sp, data.u0, data.u1, grid, horizon, cfl=gl.lifespan.DEFAULT_CFL,
+                    sample_stride=stride)
     blew = out.status == "blew_up"
     return blew, out.t_blowup if blew else horizon
 

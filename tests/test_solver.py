@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from glassey_lab.solver import (
     LinearSeries,
     _add_nonlinearity,
     _power_cut,
+    stable_cfl,
     step_count,
 )
 
@@ -313,6 +318,63 @@ def test_evolve_matches_exact_oracle():
     err = gl.weighted_l2(gl.RadialField(g, fin_u - exact.u.values), 3, 0, 0)
     ref = gl.weighted_l2(exact.u, 3, 0, 0)
     assert err / ref <= 1e-3
+
+
+def origin_oracle(n):
+    """u(t, 0) of the free wave in odd dimension n from u0 = exp(-r^2), u1 = 0:
+    gamma_n^{-1} d/dt (t^{-1} d/dt)^{(n-3)/2} (t^{n-2} exp(-t^2)), with
+    gamma_n = 1*3*...*(n-2).
+
+    Each derivative maps P(t) exp(-t^2) to (P' - 2t P) exp(-t^2), so the
+    polynomial P is built in exact rational arithmetic; every division by t
+    is exact.  Returns (t -> u(t, 0), the coefficients of P, lowest first).
+    """
+
+    def d_dt(poly):
+        out = [Fraction(0)] * (len(poly) + 1)
+        for k, c in enumerate(poly):
+            if k:
+                out[k - 1] += k * c
+            out[k + 1] -= 2 * c
+        return out
+
+    poly = [Fraction(0)] * (n - 2) + [Fraction(1)]
+    for _ in range((n - 3) // 2):
+        poly = d_dt(poly)
+        assert poly[0] == 0
+        poly = poly[1:]
+    gamma = math.prod(range(1, n - 1, 2))
+    poly = [c / gamma for c in d_dt(poly)]
+
+    def u_origin(t):
+        x = Fraction(t)
+        return float(sum(c * x**k for k, c in enumerate(poly))) * math.exp(-t * t)
+
+    return u_origin, poly
+
+
+def test_origin_oracle_is_the_n3_formula_and_starts_at_the_data():
+    # n = 3: u(t, 0) = d/dt (t exp(-t^2)) = (1 - 2t^2) exp(-t^2)
+    assert origin_oracle(3)[1] == [1, 0, -2]
+    for n in (3, 5, 9, 31):
+        assert origin_oracle(n)[0](0.0) == 1.0
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_free_wave_origin_matches_the_odd_n_oracle_at_both_steps(n):
+    # the larger lifespan step is as accurate as the default one beyond
+    # n = 3: measured max errors 6.1e-4 (n = 5) and 1.43e-3 (n = 9) at both
+    # cfl 0.25 and 0.5, the grid's error, not RK4's
+    g = gl.RadialGrid(r_max=20.0, num_cells=800)
+    data = gl.make_profile(gaussian_profile(), g)
+    u_origin = origin_oracle(n)[0]
+    for cfl in (0.25, 0.5):
+        out = gl.evolve(spec(n=n, a=0.0, b=0.0), data.u0, data.u1, g, 8.0,
+                        linear_only=True, cfl=cfl, sample_stride=4)
+        assert out.status == "completed"
+        traj = out.trajectory
+        exact = np.array([u_origin(t) for t in traj.times])
+        assert np.max(np.abs(traj.u[:, 0] - exact)) <= 2e-3
 
 
 def test_evolve_time_symmetry():
@@ -741,3 +803,62 @@ def test_step_underflow():
     z = gl.RadialField.zeros(g)
     with pytest.raises(gl.StepUnderflow):
         gl.evolve(spec(), z, z, g, 1e-12, sample_stride=10)
+
+
+# ---------------------------------------------------------------------------
+# the RK4 step bound of the stencil
+# ---------------------------------------------------------------------------
+
+def _free_wave(n, cfl):
+    g = gl.RadialGrid(r_max=20.0, num_cells=400)
+    data = gl.make_profile(gaussian_profile(), g)
+    return gl.evolve(spec(n=n, a=0.0, b=0.0), data.u0, data.u1, g, 10.0,
+                     linear_only=True, cfl=cfl)
+
+
+@pytest.mark.parametrize("n, cfl", [(8, 0.75), (64, 0.25), (16, 0.5)])
+def test_evolve_refuses_a_step_past_the_stencil_bound(n, cfl):
+    # n = 8 and n = 64 used to report blew_up (t 2.56 and 7.05), a blow-up of
+    # RK4 and not of the free wave; n = 64 sits exactly on its bound 0.25,
+    # and n = 16's bound is 0.49999999, a hair below the lifespan step
+    with pytest.raises(gl.PreconditionViolation, match="stability bound"):
+        _free_wave(n, cfl)
+
+
+@pytest.mark.parametrize("n, cfl", [(7, 0.75), (60, 0.25), (3, 0.75), (12, 0.5)])
+def test_evolve_takes_a_step_inside_the_stencil_bound(n, cfl):
+    assert _free_wave(n, cfl).status == "completed"
+
+
+@pytest.mark.parametrize("n, bound", [(2, 1.285), (8, 0.707), (16, 0.500)])
+def test_stable_cfl_is_the_measured_bound(n, bound):
+    for cells in (400, 960):
+        assert round(stable_cfl(gl.RadialGrid(r_max=20.0, num_cells=cells), n), 3) == bound
+
+
+def test_gershgorin_fast_path_is_inside_the_exact_bound():
+    # (omega_max dr)^2 <= 4n, so a cfl below sqrt(2/n) needs no eigen solve
+    g = gl.RadialGrid(r_max=20.0, num_cells=400)
+    for n in list(range(2, 40)) + [64, 200, 1000]:
+        assert math.sqrt(2.0 / n) <= stable_cfl(g, n)
+
+
+def test_default_runs_do_not_import_scipy(tmp_path):
+    # the step check takes the Gershgorin path at n = 3, so a lifespan run at
+    # its default step and a default solve never load scipy
+    src = os.path.dirname(os.path.dirname(gl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "from glassey_lab.cli import main\n"
+        "out = sys.argv[1]\n"
+        "assert main(['lifespan', '--n', '3', '--p', '1.5', '--eps-list', '1.4,2,2.8,4',\n"
+        "             '--horizon', '15', '--rmax', '23', '--ladder', '160,320',\n"
+        "             '--out', out + '/life']) == 0\n"
+        "assert main(['solve', '--out', out + '/solve']) == 0\n"
+        "sys.exit('scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          stdout=subprocess.DEVNULL, timeout=120)
+    assert proc.returncode == 0
