@@ -13,7 +13,6 @@ from .core import (
     RadialGrid,
     Trajectory,
     WaveState,
-    WeightChoice,
     WeightParams,
     e_norms,
     lambda_norms,
@@ -43,7 +42,6 @@ from .errors import (
 from .estimates import (
     ForcingSpec,
     IneqSample,
-    decay_envelope_check,
     energy_ineq_check,
     hardy_check,
     kss_band_ok,
@@ -57,23 +55,20 @@ from .estimates import (
 )
 from .lifespan import (
     FitResult,
-    LawPrediction,
     LifespanRecord,
     fit_exponential,
     fit_power,
     measure_lifespan,
-    predicted_law,
+    predicted_exponent,
     sweep,
 )
 from .picard import (
     PicardResult,
     PicardTrace,
-    SmallnessReport,
     default_weights,
     phi_map,
     picard_run,
     rho_metric,
-    smallness_report,
 )
 from .solver import (
     DataProfile,
@@ -83,7 +78,6 @@ from .solver import (
     evolve,
     exact_free_n3,
     make_profile,
-    nonlinearity,
     support_radius,
 )
 

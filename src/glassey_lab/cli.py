@@ -315,15 +315,14 @@ def _run_lifespan(args):
               lifespan.SWEEP_COLUMNS, [asdict(r) for r in records])
     write_series(os.path.join(args.out, "sweep_series.txt"), "epsilon t_observed",
                  [(r.epsilon, r.t_observed) for r in records])
-    law = lifespan.predicted_law(spec)
     fits = []
-    if law.regime == "subcritical":
+    if spec.regime == "subcritical":
         fits.append(lifespan.fit_power(records, spec))
-    elif law.regime == "critical":
+    elif spec.regime == "critical":
         fits.append(lifespan.fit_exponential(records, spec))
     write_csv(os.path.join(args.out, "fit.csv"), "lifespan",
               lifespan.FIT_COLUMNS, [asdict(f) for f in fits])
-    print(f"lifespan: regime={law.regime} records={len(records)} "
+    print(f"lifespan: regime={spec.regime} records={len(records)} "
           f"censored={sum(1 for r in records if r.censored)}")
     for f in fits:
         print(f"  fit {f.model}: slope={fmt_value(f.slope)} r2={fmt_value(f.r_squared)} "

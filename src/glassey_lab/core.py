@@ -7,7 +7,7 @@ is a pure function, so values can be shared freely between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -244,31 +244,15 @@ class WeightParams:
             raise PreconditionViolation(f"horizon must be positive, got {self.horizon}")
 
 
-@dataclass(frozen=True)
-class WeightChoice:
-    """Regime-resolved weight exponents; `governing` names the dominant term."""
-
-    delta: float
-    delta_prime: float
-    regime: str
-    governing: str
-
-
-def weight_exponents(regime: str, spec: ProblemSpec, s1: float = None, s2: float = None) -> WeightChoice:
-    """Weight exponents for the three lifespan regimes; `regime` must be
-    spec.regime.
+def weight_exponents(spec: ProblemSpec, s1: float = None, s2: float = None) -> tuple:
+    """(delta, delta_prime) for the lifespan regime of spec.
 
     supercritical: requires 1/2 <= s1 < n/2 - 1/(p-1) < s2 <= 1.
     critical: s2 in (1/2, 1] (s1 is pinned to 1/2); the log-weighted term
     governs and delta_prime = delta is reported.
     subcritical: s1, s2 are ignored.
     """
-    n, p = spec.n_dim, spec.p
-    if spec.regime != regime:
-        raise PreconditionViolation(
-            f"{regime} weights need a {regime} power, but p = {p} is {spec.regime} "
-            f"(p_c = {spec.p_critical:.6g})"
-        )
+    n, p, regime = spec.n_dim, spec.p, spec.regime
     if regime == "supercritical":
         if s1 is None or s2 is None:
             raise PreconditionViolation("supercritical regime needs s1 and s2")
@@ -279,27 +263,24 @@ def weight_exponents(regime: str, spec: ProblemSpec, s1: float = None, s2: float
             )
         delta = (n - 2.0 * s2) * (p - 1.0) / 4.0
         delta_prime = (1.0 - (s2 - s1) * (p - 1.0)) / 2.0
-        governing = "deriv"
     elif regime == "critical":
         s = 1.0 if s2 is None else s2
         if not (0.5 < s <= 1.0):
             raise PreconditionViolation(f"critical regime needs s in (1/2, 1], got {s}")
         delta = (n - 2.0 * s) * (p - 1.0) / 4.0
         delta_prime = delta
-        governing = "log"
     else:
         if p < 1.0 + 1.0 / (n - 1):
             delta = (n - 1) * (p - 1.0) / 2.0
         else:
             delta = (n - 1) * (p - 1.0) / 4.0
         delta_prime = 0.0
-        governing = "horizon"
 
     if not (0.0 < delta < 0.5):
         raise PreconditionViolation(f"derived delta {delta:.6g} escapes (0, 1/2)")
     if regime == "supercritical" and not delta_prime < delta:
         raise PreconditionViolation("derived delta_prime >= delta")
-    return WeightChoice(delta=delta, delta_prime=delta_prime, regime=regime, governing=governing)
+    return delta, delta_prime
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +474,6 @@ def weighted_sup(f: RadialField, n: int, power: float) -> float:
 class LambdaNorms:
     lambda1: float
     lambda2: float
-    parts: dict = field(default_factory=dict)
 
 
 def lambda_norms(u0: RadialField, u1: RadialField, n: int) -> LambdaNorms:
@@ -502,11 +482,7 @@ def lambda_norms(u0: RadialField, u1: RadialField, n: int) -> LambdaNorms:
     n_u1 = weighted_l2(u1, n, 0.0, 0.0)
     lap_u0 = weighted_l2(radial_laplacian(u0, n), n, 0.0, 0.0)
     du1 = weighted_l2(radial_derivative(u1), n, 0.0, 0.0)
-    return LambdaNorms(
-        lambda1=du0 + n_u1,
-        lambda2=lap_u0 + du1,
-        parts={"grad_u0": du0, "u1": n_u1, "lap_u0": lap_u0, "grad_u1": du1},
-    )
+    return LambdaNorms(lambda1=du0 + n_u1, lambda2=lap_u0 + du1)
 
 
 @dataclass(frozen=True)

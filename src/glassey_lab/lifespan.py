@@ -61,22 +61,13 @@ class FitResult:
             raise PreconditionViolation(f"r_squared must lie in [0,1], got {self.r_squared}")
 
 
-@dataclass(frozen=True)
-class LawPrediction:
-    regime: str  # "global" | "critical" | "subcritical"
-    exponent: float = None  # power-law slope of T against epsilon
-    rate_exponent: float = None  # log T grows like epsilon**rate_exponent
-
-
-def predicted_law(spec: ProblemSpec) -> LawPrediction:
-    """The regime and its scaling law for the given (n, p)."""
+def predicted_exponent(spec: ProblemSpec) -> float:
+    """The power-law slope of T against epsilon, -2(p-1)/(2-(n-1)(p-1)),
+    which only the subcritical regime predicts."""
+    if spec.regime != "subcritical":
+        raise PreconditionViolation(f"no power law is predicted in the {spec.regime} regime")
     n, p = spec.n_dim, spec.p
-    if spec.regime == "supercritical":
-        return LawPrediction(regime="global")
-    if spec.regime == "critical":
-        return LawPrediction(regime="critical", rate_exponent=1.0 - p)
-    exponent = -2.0 * (p - 1.0) / (2.0 - (n - 1) * (p - 1.0))
-    return LawPrediction(regime="subcritical", exponent=exponent)
+    return -2.0 * (p - 1.0) / (2.0 - (n - 1) * (p - 1.0))
 
 
 def _two_rungs(ladder) -> list:
@@ -160,6 +151,8 @@ def sweep(
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise PreconditionViolation("epsilons must be strictly increasing")
     ladder = tuple(_two_rungs(ladder))
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise PreconditionViolation(f"horizon must be finite and > 0, got {horizon}")
     for cells in ladder:
         grid = RadialGrid(r_max=r_max, num_cells=cells)
         step_count(horizon, grid, cfl, sample_stride)
@@ -204,20 +197,18 @@ def fit_power(records, spec: ProblemSpec) -> FitResult:
     """log t against log epsilon, judged against the regime's exponent within
     SLOPE_TOLERANCE of its size."""
     good = _usable(records)
-    law = predicted_law(spec)
-    if law.exponent is None:
-        raise PreconditionViolation(f"no power law is predicted in the {law.regime} regime")
+    exponent = predicted_exponent(spec)
     x = np.log([r.epsilon for r in good])
     y = np.log([r.t_observed for r in good])
     slope, intercept, r2 = _least_squares(x, y)
-    tol = SLOPE_TOLERANCE * abs(law.exponent)
-    verdict = "consistent" if abs(slope - law.exponent) <= tol else "inconsistent"
+    tol = SLOPE_TOLERANCE * abs(exponent)
+    verdict = "consistent" if abs(slope - exponent) <= tol else "inconsistent"
     return FitResult(
         model="power_law",
         slope=slope,
         intercept=intercept,
         r_squared=r2,
-        predicted_slope=law.exponent,
+        predicted_slope=exponent,
         verdict=verdict,
         tolerance=tol,
     )
@@ -226,10 +217,9 @@ def fit_power(records, spec: ProblemSpec) -> FitResult:
 def fit_exponential(records, spec: ProblemSpec) -> FitResult:
     """log t against epsilon^(1-p); the verdict compares this model's fit
     quality against the competing power law on the same records."""
-    law = predicted_law(spec)
-    if law.regime != "critical":
+    if spec.regime != "critical":
         raise PreconditionViolation(
-            f"exponential-rate fit applies at the threshold power only, regime is {law.regime}"
+            f"exponential-rate fit applies at the threshold power only, regime is {spec.regime}"
         )
     good = _usable(records)
     eps = np.array([r.epsilon for r in good])

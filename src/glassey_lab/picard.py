@@ -90,14 +90,13 @@ def phi_map(
 def default_weights(spec: ProblemSpec, horizon: float) -> WeightParams:
     """Regime-appropriate LE weights for the contraction metric."""
     if spec.regime == "critical":
-        choice = weight_exponents("critical", spec, s2=0.75)
+        delta, _ = weight_exponents(spec, s2=0.75)
         # the critical family sits at the delta_prime = delta endpoint; back
         # off so the metric stays inside the admissible weight range
-        dp = choice.delta - 0.05
+        delta_prime = delta - 0.05
     else:
-        choice = weight_exponents(spec.regime, spec, DEFAULT_S1, DEFAULT_S2)
-        dp = choice.delta_prime
-    return WeightParams(delta=choice.delta, delta_prime=dp, horizon=horizon)
+        delta, delta_prime = weight_exponents(spec, DEFAULT_S1, DEFAULT_S2)
+    return WeightParams(delta=delta, delta_prime=delta_prime, horizon=horizon)
 
 
 def rho_metric(a: Trajectory, b: Trajectory, w: WeightParams) -> float:
@@ -158,44 +157,4 @@ def picard_run(
             )
     return PicardResult(
         final=current, trace=tuple(trace), converged=converged, weights=w, lambda1=lam
-    )
-
-
-@dataclass(frozen=True)
-class SmallnessReport:
-    regime: str
-    lambda1: float
-    lambda2: float
-    quantity: float
-    breakdown: dict
-
-
-def smallness_report(
-    spec: ProblemSpec,
-    u0: RadialField,
-    u1: RadialField,
-    s1: float = DEFAULT_S1,
-    s2: float = DEFAULT_S2,
-) -> SmallnessReport:
-    """Multiplicative-form data size for the regime the exponent p selects."""
-    lam = lambda_norms(u0, u1, spec.n_dim)
-    l1, l2 = lam.lambda1, lam.lambda2
-
-    def prod(s):
-        if l1 == 0.0 or l2 == 0.0:
-            return 0.0
-        return l1 ** (1.0 - s) * l2**s
-
-    if spec.regime == "supercritical":
-        terms = {"s1_term": prod(s1), "s2_term": prod(s2)}
-    elif spec.regime == "critical":
-        terms = {"half_term": prod(0.5), "s_term": prod(s2)}
-    else:
-        terms = {"half_term": prod(0.5)}
-    return SmallnessReport(
-        regime=spec.regime,
-        lambda1=l1,
-        lambda2=l2,
-        quantity=sum(terms.values()),
-        breakdown=terms,
     )

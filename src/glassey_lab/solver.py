@@ -100,15 +100,25 @@ def _load_field_file(path: str, grid: RadialGrid) -> np.ndarray:
     vals = np.array(vals)
     if rs.size < 4:
         raise PreconditionViolation(f"{path}: need at least 4 samples")
-    if np.any(np.diff(rs) <= 0.0):
-        raise PreconditionViolation(f"{path}: radii must be strictly increasing")
-    if rs[0] > 1e-12:
+    _require_finite(rs, f"{path} radii")
+    if abs(rs[0]) > 1e-12:
         raise PreconditionViolation(f"{path}: radii must start at r = 0")
+    # a first radius within 1e-12 of 0 is the origin; left as read, a positive
+    # one would leave the node r = 0 outside the samples, reading 0
+    rs[0] = 0.0
+    if np.any(rs[1:] <= rs[:-1]):
+        raise PreconditionViolation(f"{path}: radii must be strictly increasing")
     _require_finite(vals, f"{path} values")
-    interp = PchipInterpolator(rs, vals, extrapolate=False)
-    out = interp(grid.nodes)
+    # gaps or slopes near the double range overflow inside the interpolant:
+    # scipy refuses the non-finite slopes, and nodes they reach read NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            interp = PchipInterpolator(rs, vals, extrapolate=False)
+        except ValueError as exc:
+            raise PreconditionViolation(f"{path}: cannot interpolate: {exc}") from None
+        out = interp(grid.nodes)
     out[grid.nodes > rs[-1]] = 0.0
-    out = np.nan_to_num(out, nan=0.0)
+    _require_finite(out, f"{path} interpolated values")
     return out
 
 
@@ -211,13 +221,6 @@ def _add_nonlinearity(out: np.ndarray, u: np.ndarray, v: np.ndarray, dr: float,
     if spec.b != 0.0:
         np.abs(_derivative_values(u, dr, out=work), out=work)
         _add_flushed_power(out, work, spec.b, spec.p, scratch)
-
-
-def nonlinearity(state: WaveState, spec: ProblemSpec) -> RadialField:
-    """a|u_t|^p + b|u_r|^p evaluated nodewise."""
-    vals = np.zeros_like(state.u.values)
-    _add_nonlinearity(vals, state.u.values, state.v.values, state.grid.spacing, spec)
-    return RadialField(state.grid, vals)
 
 
 def sampled_nonlinearity(traj: Trajectory) -> LinearSeries:

@@ -1,10 +1,16 @@
 import concurrent.futures
+import contextlib
+import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import glassey_lab
 from glassey_lab import lifespan
@@ -129,6 +135,19 @@ def test_lifespan_subcommand_small(tmp_path):
     assert "power_law" in fit[2] and "consistent" in fit[2]
 
 
+def test_lifespan_supercritical_writes_sweep_and_no_fit(tmp_path, capsys):
+    # above the threshold power no law is predicted, so nothing is fitted
+    out = str(tmp_path / "run")
+    code = main(["lifespan", "--n", "3", "--p", "2.5", "--eps", "0.5,1", "--horizon", "2",
+                 "--rmax", "12", "--ladder", "120,240", "--out", out])
+    assert code == 0
+    assert "lifespan: regime=supercritical records=2 " in capsys.readouterr().out
+    fit = read(os.path.join(out, "fit.csv")).decode().splitlines()
+    assert fit == ["# glassey-lab v1 lifespan", ",".join(lifespan.FIT_COLUMNS)]
+    sweep = read(os.path.join(out, "sweep.csv")).decode().splitlines()
+    assert len(sweep) == 2 + 2
+
+
 def test_lifespan_three_rung_ladder_exits_2(tmp_path, monkeypatch, capsys):
     def no_solve(*args, **kwargs):
         raise AssertionError("evolve was called")
@@ -147,10 +166,12 @@ def test_lifespan_three_rung_ladder_exits_2(tmp_path, monkeypatch, capsys):
 # "no records"); --n 20 is past the default lifespan step's bound
 @pytest.mark.parametrize("flag, value, message", [
     ("--stride", "0", "sample_stride must be >= 1"),
-    ("--horizon", "nan", "t_end must be >= 0, got nan"),
+    ("--horizon", "nan", "horizon must be finite and > 0, got nan"),
+    ("--horizon", "0", "horizon must be finite and > 0, got 0.0"),
+    ("--horizon", "-1", "horizon must be finite and > 0, got -1.0"),
     ("--cfl", "0.9", "cfl must lie in (0, 0.75], got 0.9"),
     ("--n", "20", "cfl 0.5 is at or past the RK4 stability bound 0.447214"),
-], ids=["stride", "horizon", "cfl", "n"])
+], ids=["stride", "horizon", "horizon-0", "horizon-negative", "cfl", "n"])
 def test_lifespan_run_wide_bad_parameter_exits_2_before_any_epsilon(
         tmp_path, monkeypatch, capsys, flag, value, message):
     def no_solve(*args, **kwargs):
@@ -178,6 +199,59 @@ def test_from_file_non_numeric_token_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert str(path) in err and "row 3" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("radius", ["inf", "nan", "3e308"])
+def test_from_file_non_finite_radius_exits_2(tmp_path, capsys, radius):
+    path = tmp_path / "field.txt"
+    path.write_text(f"# radial-field v1\n0.0 1.0\n0.5 0.7\n1.0 0.3\n{radius} 0.0\n")
+    code = main(["solve", "--profile", "from_file", "--data-file", str(path),
+                 "--rmax", "12", "--cells", "240", "--t-end", "1",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{path} radii contains NaN or infinite entries" in err and "Traceback" not in err
+
+
+# a data-file token: any double's repr (nan, inf, 1.7976931348623157e+308,
+# subnormals), a few spelled-out edge values, or junk
+_TOKENS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-inf", "3e308", "-1e308", "1e-320", "0x10", "1,5", "junk"]),
+)
+
+
+@st.composite
+def _field_rows(draw):
+    """Up to 7 'r value' rows of a well-formed file (r = 0, 0.5, ...; values
+    e^-j), with at most two of its tokens replaced by drawn ones."""
+    num_rows = draw(st.integers(0, 7))
+    tokens = [t for j in range(num_rows) for t in (repr(0.5 * j), repr(math.exp(-j)))]
+    if tokens:
+        slots = st.integers(0, len(tokens) - 1)
+        for k in draw(st.lists(slots, max_size=2, unique=True)):
+            tokens[k] = draw(_TOKENS)
+    return [f"{r} {v}" for r, v in zip(tokens[::2], tokens[1::2])]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(rows=_field_rows())
+# a negative first radius, a radius gap and a slope past the double range
+@example(rows=["-1e308 1.0", "0.5 0.4", "1.0 0.1", "1.5 0.0"])
+@example(rows=["0.0 1.0", "0.5 0.4", "1.0 0.1", "1.7976931348623157e+308 0.0"])
+@example(rows=["0.0 1.0", "0.5 -1e308", "1.0 0.1", "1.5 0.0"])
+def test_from_file_contents_never_exit_1(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(["# radial-field v1"] + rows) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["solve", "--profile", "from_file", "--data-file", path,
+                         "--rmax", "4", "--cells", "16", "--t-end", "0.05",
+                         "--out", os.path.join(tmp, "run")])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_solve_huge_data_reports_inf_energy_without_warnings(tmp_path, capsys):

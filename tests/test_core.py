@@ -34,20 +34,22 @@ def test_critical_exponents():
 
 @pytest.mark.parametrize("offset", [-5e-10, 5e-10])
 def test_regime_classifiers_agree_near_threshold(offset):
-    # n=3 has p_c = 2; within 1e-9 of it every classifier must say critical
+    # n=3 has p_c = 2; within 1e-9 of it spec.regime says critical, and the
+    # weights and the lifespan laws take their critical branch from it
     sp = spec(n=3, p=2.0 + offset)
     assert sp.regime == "critical"
-    assert gl.predicted_law(sp).regime == "critical"
-    g = gl.RadialGrid(r_max=12.0, num_cells=600)
-    f = gl.RadialField.from_function(g, lambda r: np.exp(-(r**2)))
-    assert gl.smallness_report(sp, f, f).regime == "critical"
-    critical = gl.weight_exponents("critical", sp, s2=0.75)
+    delta, delta_prime = gl.weight_exponents(sp, s2=0.75)
+    assert delta == pytest.approx(0.375) and delta_prime == delta
+    # the critical branch pins s1 to 1/2 and reads s2, so (0.5, 1.0) is its
+    # default s = 1, not a supercritical window
+    assert gl.weight_exponents(sp, 0.5, 1.0) == gl.weight_exponents(sp)
     w = gl.default_weights(sp, 5.0)
-    assert w.delta == critical.delta and w.delta_prime < w.delta
-    with pytest.raises(gl.PreconditionViolation):
-        gl.weight_exponents("subcritical", sp)
-    with pytest.raises(gl.PreconditionViolation):
-        gl.weight_exponents("supercritical", sp, 0.5, 1.0)
+    assert w.delta == delta and w.delta_prime == delta - 0.05
+    with pytest.raises(gl.PreconditionViolation, match="in the critical regime"):
+        gl.predicted_exponent(sp)
+    recs = [gl.LifespanRecord(epsilon=e, t_observed=math.exp(2.0 / e), censored=False,
+                              num_cells=100, agreement=0.0) for e in (0.5, 0.7, 1.0, 1.5)]
+    assert gl.fit_exponential(recs, sp).model == "exponential_rate"
 
 
 def test_regime_away_from_threshold():
@@ -66,38 +68,38 @@ def test_problem_spec_rejects_bad_inputs():
 
 
 def test_weight_exponents_supercritical():
-    w = gl.weight_exponents("supercritical", spec(n=3, p=2.2), 0.5, 1.0)
-    assert w.delta == pytest.approx(0.3)
-    assert w.delta_prime == pytest.approx(0.2)
+    delta, delta_prime = gl.weight_exponents(spec(n=3, p=2.2), 0.5, 1.0)
+    assert delta == pytest.approx(0.3)
+    assert delta_prime == pytest.approx(0.2)
 
 
 def test_weight_exponents_subcritical_branches():
-    assert gl.weight_exponents("subcritical", spec(n=3, p=1.5)).delta == pytest.approx(0.25)
-    assert gl.weight_exponents("subcritical", spec(n=3, p=1.3)).delta == pytest.approx(0.3)
+    assert gl.weight_exponents(spec(n=3, p=1.5))[0] == pytest.approx(0.25)
+    assert gl.weight_exponents(spec(n=3, p=1.3))[0] == pytest.approx(0.3)
+    assert gl.weight_exponents(spec(n=3, p=1.5), 0.5, 1.0) == (0.25, 0.0)
 
 
 def test_weight_exponents_critical_reports_log_family():
-    w = gl.weight_exponents("critical", spec(n=3, p=2.0), s2=0.75)
-    assert w.delta == pytest.approx((3 - 1.5) / 4.0)
-    assert w.delta_prime == w.delta
-    assert w.governing == "log"
+    delta, delta_prime = gl.weight_exponents(spec(n=3, p=2.0), s2=0.75)
+    assert delta == pytest.approx((3 - 1.5) / 4.0)
+    assert delta_prime == delta
 
 
 def test_weight_exponents_window_gate():
-    with pytest.raises(gl.PreconditionViolation):
-        gl.weight_exponents("supercritical", spec(n=3, p=2.0), 0.5, 1.0)  # empty window
-    with pytest.raises(gl.PreconditionViolation):
-        gl.weight_exponents("subcritical", spec(n=3, p=2.5))
-    with pytest.raises(gl.PreconditionViolation):
-        gl.weight_exponents("critical", spec(n=3, p=2.3))
+    with pytest.raises(gl.PreconditionViolation, match="violates"):
+        gl.weight_exponents(spec(n=3, p=2.1), 0.75, 0.95)  # s1 above the pivot 0.59
+    with pytest.raises(gl.PreconditionViolation, match="needs s1 and s2"):
+        gl.weight_exponents(spec(n=3, p=2.5))
+    with pytest.raises(gl.PreconditionViolation, match="needs s in"):
+        gl.weight_exponents(spec(n=3, p=2.0), s2=0.5)
 
 
 @pytest.mark.parametrize("n,p,s1,s2", [(3, 2.2, 0.5, 1.0), (3, 2.7, 0.5, 0.95),
                                        (4, 1.9, 0.5, 0.95), (5, 1.6, 0.75, 0.95)])
 def test_weight_exponents_always_admissible(n, p, s1, s2):
-    w = gl.weight_exponents("supercritical", spec(n=n, p=p), s1, s2)
-    assert 0.0 < w.delta < 0.5
-    assert w.delta_prime < w.delta
+    delta, delta_prime = gl.weight_exponents(spec(n=n, p=p), s1, s2)
+    assert 0.0 < delta < 0.5
+    assert delta_prime < delta
 
 
 def test_weight_params_gate():
@@ -482,10 +484,9 @@ def test_e_norms_zero_and_single_state():
 
     f = gl.RadialField.from_function(g, lambda r: np.exp(-(r**2)))
     traj1 = gl.Trajectory(spec(), g, np.zeros(1), f.values[None], z.values[None])
-    lam = gl.lambda_norms(f, z, 3)
     en1 = gl.e_norms(traj1)
     assert en1.e1 == pytest.approx(
-        math.hypot(lam.parts["grad_u0"], lam.parts["u1"]), rel=1e-12
+        gl.weighted_l2(gl.radial_derivative(f), 3, 0.0, 0.0), rel=1e-12
     )
 
 

@@ -140,42 +140,6 @@ def test_trace_variant_sweep_no_violations(n, s):
 
 
 # ---------------------------------------------------------------------------
-# decay envelope
-# ---------------------------------------------------------------------------
-
-def _free_traj(eps=1.0, n=3, cells=900, t_end=5.0):
-    g = gl.RadialGrid(r_max=14.0, num_cells=cells)
-    prof = gl.DataProfile(family="gaussian", epsilon=eps, width=1.0, center=0.0,
-                          assigns="to_u0")
-    data = gl.make_profile(prof, g)
-    sp = gl.ProblemSpec(n_dim=n, p=2.5, a=0.0, b=0.0)
-    return gl.evolve(sp, data.u0, data.u1, g, t_end, linear_only=True).trajectory
-
-
-def test_decay_envelope_zero_rejected():
-    g = grid()
-    z = np.zeros((3, g.num_cells + 1))
-    sp = gl.ProblemSpec(n_dim=3, p=2.5, a=0.0, b=0.0)
-    traj = gl.Trajectory(sp, g, np.array([0.0, 1.0, 2.0]), z, z)
-    with pytest.raises(gl.DegenerateInput):
-        gl.decay_envelope_check(traj, 0.5, 1.0)
-
-
-def test_decay_envelope_scale_invariant():
-    t1 = _free_traj(eps=1.0)
-    t2 = _free_traj(eps=3.0)
-    c1 = gl.decay_envelope_check(t1, 0.5, 1.0).ratio
-    c2 = gl.decay_envelope_check(t2, 0.5, 1.0).ratio
-    assert c2 == pytest.approx(c1, rel=1e-10)
-
-
-def test_decay_envelope_stable_under_refinement():
-    c1 = gl.decay_envelope_check(_free_traj(cells=900), 0.5, 1.0).ratio
-    c2 = gl.decay_envelope_check(_free_traj(cells=1800), 0.5, 1.0).ratio
-    assert abs(c2 - c1) / c2 < 0.10
-
-
-# ---------------------------------------------------------------------------
 # KSS checks
 # ---------------------------------------------------------------------------
 

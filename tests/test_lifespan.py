@@ -24,20 +24,23 @@ def record(eps, t, censored=False, agreement=0.0):
 # ---------------------------------------------------------------------------
 
 def test_predicted_law_examples():
-    assert gl.predicted_law(spec(3, 1.5)).exponent == pytest.approx(-1.0)
-    assert gl.predicted_law(spec(2, 2.0)).exponent == pytest.approx(-2.0)
-    law = gl.predicted_law(spec(3, 2.0))
-    assert law.regime == "critical" and law.rate_exponent == pytest.approx(-1.0)
-    assert gl.predicted_law(spec(3, 2.5)).regime == "global"
+    assert gl.predicted_exponent(spec(3, 1.5)) == pytest.approx(-1.0)
+    assert gl.predicted_exponent(spec(2, 2.0)) == pytest.approx(-2.0)
+    # no power law at or above the threshold power; the error names the regime
+    with pytest.raises(gl.PreconditionViolation, match="in the critical regime"):
+        gl.predicted_exponent(spec(3, 2.0))
+    with pytest.raises(gl.PreconditionViolation, match="supercritical regime"):
+        gl.predicted_exponent(spec(3, 2.5))
 
 
 def test_power_exponent_monotone_in_p():
     # exponents are strictly negative and steepen toward the threshold power,
     # where the power law degenerates into the exponential rate law
     ps = np.linspace(1.05, 1.95, 19)
-    mags = [abs(gl.predicted_law(spec(3, p)).exponent) for p in ps]
+    exps = [gl.predicted_exponent(spec(3, p)) for p in ps]
+    mags = [abs(e) for e in exps]
     assert all(m2 > m1 for m1, m2 in zip(mags, mags[1:]))
-    assert all(gl.predicted_law(spec(3, p)).exponent < 0 for p in ps)
+    assert all(e < 0 for e in exps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -123,26 +121,3 @@ def test_default_weights_by_regime():
     assert w_crit.delta_prime < w_crit.delta
     w_sub = gl.default_weights(gl.ProblemSpec(n_dim=3, p=1.5, a=1.0, b=0.0), 5.0)
     assert w_sub.delta == pytest.approx(0.25)
-
-
-def test_smallness_report():
-    spec, g, data = make_setup(eps=0.1)
-    z = gl.RadialField.zeros(g)
-    rep0 = gl.smallness_report(spec, z, z)
-    assert rep0.quantity == 0.0
-
-    rep = gl.smallness_report(spec, data.u0, data.u1, s1=0.5, s2=1.0)
-    assert rep.regime == "supercritical"
-    lam = gl.lambda_norms(data.u0, data.u1, 3)
-    expect = (lam.lambda1 ** 0.5 * lam.lambda2 ** 0.5
-              + lam.lambda1 ** 0.0 * lam.lambda2 ** 1.0)
-    assert rep.quantity == pytest.approx(expect, rel=1e-12)
-
-    rep2 = gl.smallness_report(spec, data.u0.scaled(2.0), data.u1.scaled(2.0),
-                               s1=0.5, s2=1.0)
-    assert rep2.quantity == pytest.approx(2.0 * rep.quantity, rel=1e-12)
-
-    sub = gl.smallness_report(gl.ProblemSpec(n_dim=3, p=1.5, a=1.0, b=0.0),
-                              data.u0, data.u1)
-    assert sub.regime == "subcritical"
-    assert sub.quantity == pytest.approx(math.sqrt(lam.lambda1 * lam.lambda2), rel=1e-12)

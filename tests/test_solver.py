@@ -85,6 +85,24 @@ def test_from_file_round_trip(tmp_path):
     assert np.max(np.abs(data.u1.values - exact)) < 1e-3
 
 
+@pytest.mark.parametrize("r0", [1e-13, -1e-13])
+def test_from_file_first_radius_near_zero_is_the_origin(tmp_path, r0):
+    # a first radius within the 1e-12 the parser allows used to leave node
+    # r = 0 outside the samples, and a zero there: a jump that blew up at t = 0
+    g = gl.RadialGrid(r_max=12.0, num_cells=240)
+    rs = np.linspace(0.0, 6.0, 61)
+    vals = np.exp(-(rs**2)) * np.cos(rs)
+    fields = []
+    for name, first in (("zero", 0.0), ("near", r0)):
+        path = tmp_path / f"{name}.txt"
+        rows = [f"{first if j == 0 else r} {v}" for j, (r, v) in enumerate(zip(rs, vals))]
+        path.write_text("\n".join(["# radial-field v1"] + rows) + "\n")
+        prof = gl.DataProfile(family="from_file", epsilon=1.0, path=str(path))
+        fields.append(gl.make_profile(prof, g).u0.values)
+    assert fields[0][0] == 1.0
+    assert np.array_equal(fields[0], fields[1])
+
+
 def test_from_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("nonsense\n0 1\n1 0\n2 0\n3 0\n")
@@ -110,15 +128,21 @@ def test_support_radius():
 # nonlinearity
 # ---------------------------------------------------------------------------
 
+def nonlinearity(u, v, dr, sp):
+    """a|v|^p + b|u_r|^p nodewise, from zero."""
+    out = np.zeros_like(v)
+    _add_nonlinearity(out, u, v, dr, sp)
+    return out
+
+
 def test_nonlinearity_constant_v():
     g = gl.RadialGrid(r_max=12.0, num_cells=300)
-    z = gl.RadialField.zeros(g)
-    two = gl.RadialField(g, np.full(301, 2.0))
-    st = gl.WaveState(0.0, z, two)
-    nl = gl.nonlinearity(st, spec(p=2.5, a=1.0, b=0.0))
-    assert np.allclose(nl.values, 2.0**2.5)
-    nl0 = gl.nonlinearity(st, spec(p=2.5, a=0.0, b=0.0))
-    assert not np.any(nl0.values)
+    z = np.zeros(301)
+    two = np.full(301, 2.0)
+    nl = nonlinearity(z, two, g.spacing, spec(p=2.5, a=1.0, b=0.0))
+    assert np.allclose(nl, 2.0**2.5)
+    nl0 = nonlinearity(z, two, g.spacing, spec(p=2.5, a=0.0, b=0.0))
+    assert not np.any(nl0)
 
 
 def test_nonlinearity_pointwise_bound():
@@ -128,13 +152,12 @@ def test_nonlinearity_pointwise_bound():
     for _ in range(20):
         u = gl.RadialField(g, rng.normal(size=401) * np.exp(-g.nodes))
         v = gl.RadialField(g, rng.normal(size=401) * np.exp(-g.nodes))
-        st = gl.WaveState(0.0, u, v)
-        nl = gl.nonlinearity(st, sp)
+        nl = nonlinearity(u.values, v.values, g.spacing, sp)
         du = gl.radial_derivative(u)
         cap = (abs(sp.a) + abs(sp.b)) * np.maximum(
             np.abs(v.values), np.abs(du.values)
         ) ** sp.p
-        assert np.all(np.abs(nl.values) <= cap + 1e-12)
+        assert np.all(np.abs(nl) <= cap + 1e-12)
 
 
 TINY = np.finfo(float).tiny
@@ -174,12 +197,12 @@ def test_nonlinearity_gradient_term_flushes_the_same_way():
     g = gl.RadialGrid(r_max=30.0, num_cells=600)
     u = 2.0 * np.exp(-g.nodes**2)  # spans normal, subnormal and 0 values
     sp = spec(p=1.5, a=0.0, b=-1.3)
-    nl = gl.nonlinearity(gl.WaveState(0.0, gl.RadialField(g, u), gl.RadialField.zeros(g)), sp)
+    nl = nonlinearity(u, np.zeros_like(u), g.spacing, sp)
     plain = np.abs(_derivative_values(u, g.spacing)) ** sp.p
     normal = plain >= TINY
     assert np.any(~normal & (plain > 0.0))
-    assert np.array_equal(nl.values[normal], plain[normal] * sp.b)
-    assert np.all(nl.values[~normal] == 0.0)
+    assert np.array_equal(nl[normal], plain[normal] * sp.b)
+    assert np.all(nl[~normal] == 0.0)
 
 
 def test_evolve_reports_nonfinite_and_huge_values_as_blowup():
