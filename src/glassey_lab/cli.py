@@ -124,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pic.add_argument("--t-end", type=float, default=10.0)
     p_pic.add_argument("--max-iters", type=int, default=12)
     p_pic.add_argument("--tol", type=float, default=1e-8)
-    p_pic.add_argument("--stride", type=int, default=10)
+    p_pic.add_argument("--stride", type=int, default=picard.DEFAULT_STRIDE)
+    p_pic.set_defaults(cfl=picard.DEFAULT_CFL)
 
     p_life = add_parser("lifespan", help="epsilon sweep and scaling-law fit")
     _add_common(p_life, "n p a b rmax cells cfl jobs")

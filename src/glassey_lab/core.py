@@ -492,8 +492,8 @@ class EnergyNorms:
 
 
 def _energy_integral(v: np.ndarray, du: np.ndarray, grid: RadialGrid, n: int) -> float:
-    """int (v^2 + u_r^2) over R^n, given nodal v and u_r (e_norms also passes
-    v_r and lap u, for the second-order energy)."""
+    """int (v^2 + u_r^2) over R^n, given nodal v and u_r (_state_energies
+    also passes v_r and lap u, for the second-order energy)."""
     return _weighted_square_integral(v, grid, n, 0.0, 0.0) + _weighted_square_integral(
         du, grid, n, 0.0, 0.0
     )
@@ -507,18 +507,31 @@ def _slopes(u: np.ndarray, v: np.ndarray, grid: RadialGrid, n: int):
     return du, dv, lap
 
 
+def _state_energies(v, du, dv, lap, grid, n):
+    """One state's first- and second-order energies, square-rooted, from its
+    v and its _slopes."""
+    return (math.sqrt(_energy_integral(v, du, grid, n)),
+            math.sqrt(_energy_integral(dv, lap, grid, n)))
+
+
+def _samples_through(times: np.ndarray, t_max: float = None) -> int:
+    """How many of the increasing sample times lie at or before t_max (all
+    when t_max is None)."""
+    if t_max is None:
+        return times.size
+    return int(np.count_nonzero(times <= t_max + 1e-9 * max(1.0, t_max)))
+
+
 def e_norms(traj: Trajectory, t_max: float = None) -> EnergyNorms:
     """Sup-in-time energy norms of first and second order."""
     n = traj.problem.n_dim
     grid = traj.grid
+    kept = _samples_through(traj.times, t_max)
     e1 = 0.0
     e2 = 0.0
-    for t, u, v in zip(traj.times, traj.u, traj.v):
-        if t_max is not None and t > t_max + 1e-9 * max(1.0, t_max):
-            break
-        du, dv, lap = _slopes(u, v, grid, n)
-        e1 = max(e1, math.sqrt(_energy_integral(v, du, grid, n)))
-        e2 = max(e2, math.sqrt(_energy_integral(dv, lap, grid, n)))
+    for u, v in zip(traj.u[:kept], traj.v[:kept]):
+        s1, s2 = _state_energies(v, *_slopes(u, v, grid, n), grid, n)
+        e1, e2 = max(e1, s1), max(e2, s2)
     return EnergyNorms(e1=e1, e2=e2)
 
 
@@ -549,9 +562,13 @@ class LocalEnergyNorm:
     components: dict
 
 
-def _le_squares(du_abs, u_abs, grid, n, w):
+def _le_squares(time_slot, grad_slot, field_slot, grid, n, w):
     """One state's squared local-energy terms: deriv, field (n >= 3 only), log
-    and horizon, from the gradient magnitude du_abs and the field |u|."""
+    and horizon, from the gradient magnitude |(time_slot, grad_slot)| and the
+    field |field_slot|: (v, u_r, u) for the first order, (v_r, lap u, u_r)
+    for the second."""
+    du_abs = np.sqrt(time_slot**2 + grad_slot**2)
+    u_abs = np.abs(field_slot)
     d, dp = w.delta, w.delta_prime
     terms = [_weighted_square_integral(du_abs, grid, n, -d, -0.5 + dp)]
     comp, alpha = du_abs, 0.0
@@ -568,7 +585,28 @@ def _le_squares(du_abs, u_abs, grid, n, w):
 def _time_norms(times, rows, horizon):
     """sqrt(int_0^horizon) of each column, where rows[k] holds the terms at times[k]."""
     return [math.sqrt(_integrate_to_horizon(times, col, horizon))
-            for col in np.array(rows).T]
+            for col in np.asarray(rows).T]
+
+
+def _le_term_names(n: int) -> tuple:
+    """The terms of _le_squares, in its order: the field term needs n >= 3."""
+    return ("deriv", "field", "log", "horizon") if n >= 3 else ("deriv", "log", "horizon")
+
+
+def _le_rows(traj: Trajectory) -> np.ndarray:
+    """An empty (samples, terms) array for the _le_squares of each state;
+    filled in place, it keeps no Python float per term."""
+    return np.empty((traj.times.size, len(_le_term_names(traj.problem.n_dim))))
+
+
+def _le_total(times, rows, w, n) -> LocalEnergyNorm:
+    """The local energy norm from rows[k], the _le_squares of the state at
+    times[k]."""
+    names = _le_term_names(n)
+    scale = {"log": math.log(2.0 + w.horizon) ** -0.5, "horizon": w.horizon ** (w.delta - 0.5)}
+    comps = {name: scale.get(name, 1.0) * norm
+             for name, norm in zip(names, _time_norms(times, rows, w.horizon))}
+    return LocalEnergyNorm(total=sum(comps.values()), components=comps)
 
 
 def le_norm(traj: Trajectory, w: WeightParams, second_order: bool = False) -> LocalEnergyNorm:
@@ -580,19 +618,15 @@ def le_norm(traj: Trajectory, w: WeightParams, second_order: bool = False) -> Lo
     """
     n = traj.problem.n_dim
     grid = traj.grid
-    rows = []
-    for u, v in zip(traj.u, traj.v):
+    rows = _le_rows(traj)
+    for k, (u, v) in enumerate(zip(traj.u, traj.v)):
         if second_order:
             du, dv, lap = _slopes(u, v, grid, n)
-            rows.append(_le_squares(np.sqrt(dv**2 + lap**2), np.abs(du), grid, n, w))
+            rows[k] = _le_squares(dv, lap, du, grid, n, w)
         else:
             du = _derivative_values(u, grid.spacing)
-            rows.append(_le_squares(np.sqrt(v**2 + du**2), np.abs(u), grid, n, w))
-    names = ("deriv", "field", "log", "horizon") if n >= 3 else ("deriv", "log", "horizon")
-    scale = {"log": math.log(2.0 + w.horizon) ** -0.5, "horizon": w.horizon ** (w.delta - 0.5)}
-    comps = {name: scale.get(name, 1.0) * norm
-             for name, norm in zip(names, _time_norms(traj.times, rows, w.horizon))}
-    return LocalEnergyNorm(total=sum(comps.values()), components=comps)
+            rows[k] = _le_squares(v, du, u, grid, n, w)
+    return _le_total(traj.times, rows, w, n)
 
 
 @dataclass(frozen=True)
@@ -607,12 +641,25 @@ class NormReport:
 
 
 def norm_report(traj: Trajectory, w: WeightParams) -> NormReport:
-    e = e_norms(traj, t_max=w.horizon)
-    first = le_norm(traj, w)
-    second = le_norm(traj, w, second_order=True)
-    return NormReport(
-        e1=e.e1, e2=e.e2, le1=first.total, le2=second.total, components=first.components
-    )
+    """e_norms up to w.horizon and both orders of le_norm, from one _slopes
+    per state."""
+    n = traj.problem.n_dim
+    grid = traj.grid
+    kept = _samples_through(traj.times, w.horizon)
+    e1 = 0.0
+    e2 = 0.0
+    first, second = _le_rows(traj), _le_rows(traj)
+    for k, (u, v) in enumerate(zip(traj.u, traj.v)):
+        du, dv, lap = _slopes(u, v, grid, n)
+        if k < kept:
+            s1, s2 = _state_energies(v, du, dv, lap, grid, n)
+            e1, e2 = max(e1, s1), max(e2, s2)
+        first[k] = _le_squares(v, du, u, grid, n, w)
+        second[k] = _le_squares(dv, lap, du, grid, n, w)
+    le1 = _le_total(traj.times, first, w, n)
+    le2 = _le_total(traj.times, second, w, n)
+    return NormReport(e1=e1, e2=e2, le1=le1.total, le2=le2.total,
+                      components=le1.components)
 
 
 def lestar_upper(forcing_traj: Trajectory, w: WeightParams) -> float:

@@ -13,13 +13,17 @@ import numpy as np
 
 from .core import ProblemSpec, RadialGrid
 from .errors import GlasseyLabError, InsufficientData, PreconditionViolation
-from .solver import DataProfile, evolve, make_profile, require_stable_step, step_count
+from .solver import (
+    DEFAULT_CFL,
+    DataProfile,
+    evolve,
+    make_profile,
+    require_stable_step,
+    step_count,
+)
 
 AGREEMENT_CUTOFF = 0.10
 SLOPE_TOLERANCE = 0.20
-# a rung reads only when it blew up, and RK4's time error at this step is far
-# below the spatial gap between the two rungs (README, "Lifespan step")
-DEFAULT_CFL = 0.5
 
 SWEEP_COLUMNS = ("epsilon", "t_observed", "censored", "num_cells", "agreement")
 FIT_COLUMNS = (

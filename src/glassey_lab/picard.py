@@ -21,10 +21,15 @@ from .core import (
     weight_exponents,
 )
 from .errors import Divergence, PreconditionViolation
-from .solver import evolve, sampled_nonlinearity
+from .solver import DEFAULT_CFL, evolve, sampled_nonlinearity
 
 DEFAULT_S1 = 0.5
 DEFAULT_S2 = 1.0
+# a sample every DEFAULT_STRIDE * DEFAULT_CFL * dr = 2.5 dr of time, the
+# spacing of cfl 0.25 with stride 10: the forcing N[u] is interpolated
+# between samples, and their spacing, not the RK4 step, sets the time error
+# (README, "Picard step")
+DEFAULT_STRIDE = 5
 
 
 @dataclass(frozen=True)
@@ -57,8 +62,8 @@ def phi_map(
     u1: RadialField,
     grid: RadialGrid,
     t_end: float,
-    cfl: float = 0.25,
-    sample_stride: int = 10,
+    cfl: float = DEFAULT_CFL,
+    sample_stride: int = DEFAULT_STRIDE,
 ) -> Trajectory:
     """One application of the iteration map: linear solve forced by N[u].
 
@@ -113,8 +118,8 @@ def picard_run(
     t_end: float,
     max_iters: int = 12,
     tol: float = 1e-8,
-    cfl: float = 0.25,
-    sample_stride: int = 10,
+    cfl: float = DEFAULT_CFL,
+    sample_stride: int = DEFAULT_STRIDE,
 ) -> PicardResult:
     """Iterate the map from the free solution until the step metric,
     measured with default_weights(spec, t_end), is small.

@@ -33,6 +33,12 @@ from .errors import (
 )
 
 BLOWUP_THRESHOLD = 1e6
+# the step of the lifespan and picard runs: there RK4's time error is far
+# below the gap between a lifespan ladder's two rungs and the error of a
+# Picard solve's sampled forcing (README, "Lifespan step" and "Picard step"),
+# and the step is inside the stencil's bound for n <= 15; evolve itself and
+# the other subcommands keep cfl 0.25
+DEFAULT_CFL = 0.5
 CAUSALITY_MARGIN = 2.0
 VANISH_FACTOR = 1e-14
 
@@ -350,7 +356,9 @@ def evolve(
     silenced while stepping, so that detector is the one report.  A cfl that
     RK4 cannot take on this stencil is refused (require_stable_step), so a
     reported blow-up is not RK4's own instability.
-    `forcing(t)` is called once per distinct stage time: t, t + dt/2, t + dt.
+    `forcing(t)` is called once per distinct stage time: t, t + dt/2, t + dt,
+    where a step's t that equals the previous step's t + dt bit for bit
+    reuses that row.
     """
     if u0.grid != grid or u1.grid != grid:
         raise PreconditionViolation("data must live on the target grid")
@@ -452,12 +460,13 @@ def evolve(
     builds = list(zip((0.5 * dt, 0.5 * dt, dt), slopes, (Z[i, :2] for i in (1, 2, 3))))
     sixth = dt / 6.0
     t = 0.0
-    source = None
+    # `source` is the forcing row at time t_source
+    source, t_source = None, None
     with np.errstate(over="ignore", invalid="ignore"):
         # data near the double range overflows the one-sided origin row
         peak = size()
         for k in range(nsteps):
-            if forcing is not None:
+            if forcing is not None and t != t_source:
                 source = forcing(t)
             np.copyto(k1[0], v)
             rhs(0, source)
@@ -466,7 +475,8 @@ def evolve(
                 state += y
                 # k2 and k3 share the stage time t + dt/2, so its row is reused
                 if forcing is not None and i != 2:
-                    source = forcing(t + h)
+                    t_source = t + h
+                    source = forcing(t_source)
                 rhs(i, source)
             # k2 and k3 doubled in one call; the sum keeps its written order
             k23 *= 2.0

@@ -358,3 +358,58 @@ def test_picard_subcommand(tmp_path):
     rows = read(os.path.join(out, "picard_trace.csv")).decode().splitlines()
     assert rows[1] == "iteration,rho_step,e1,e2,le1,le2"
     assert len(rows) >= 3
+
+
+def test_picard_dimension_past_its_step_bound_exits_2(tmp_path, capsys):
+    # the n = 16 stencil bounds the step at 0.49999999, below picard's
+    # default cfl 0.5; the message names the flag that takes a smaller one
+    out = str(tmp_path / "run")
+    code = main(["picard", "--n", "16", "--p", "1.05", "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "stability bound" in err and "--cfl" in err and "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "picard_trace.csv"))
+
+
+# a picard run's config.txt and trace as the CLI wrote them at cfl 0.25 with
+# stride 10, picard's default step before it moved to cfl 0.5 with stride 5
+OLD_STEP_PICARD_CONFIG = """\
+# glassey-lab v1 config
+a = 1.0
+assigns = split
+b = 0.0
+cells = 160
+center = 0.0
+cfl = 0.25
+data_file = 
+eps = 0.05
+max_iters = 12
+n = 3
+p = 2.5
+profile = gaussian
+rmax = 10.0
+stride = 10
+subcommand = picard
+t_end = 2.0
+tol = 1e-08
+width = 1.0
+"""
+OLD_STEP_PICARD_TRACE = """\
+# glassey-lab v1 picard
+iteration,rho_step,e1,e2,le1,le2
+1,0.005049166724335083,0.1402666696029404,0.29691895063163154,1.089316033646899,1.4351869936800368
+2,4.046544685528326e-05,0.14026667111105803,0.29691895063163154,1.0893244096227128,1.435217242430526
+3,3.11491847823698e-07,0.14026667111137198,0.29691895063163154,1.08932434299492,1.4352170215652842
+4,2.166359718120591e-09,0.1402666711113721,0.29691895063163154,1.08932434346158,1.4352170230126975
+5,1.3689251815450407e-11,0.1402666711113721,0.29691895063163154,1.089324343458645,1.4352170230040475
+"""
+
+
+def test_picard_config_at_the_old_step_replays_its_trace(tmp_path):
+    config = tmp_path / "config.txt"
+    config.write_text(OLD_STEP_PICARD_CONFIG)
+    out = str(tmp_path / "run")
+    assert main(["--config", str(config), "--out", out]) == 0
+    assert read(os.path.join(out, "picard_trace.csv")).decode() == OLD_STEP_PICARD_TRACE
+    echoed = read_config(os.path.join(out, "config.txt"))
+    assert (echoed["cfl"], echoed["stride"]) == ("0.25", "10")

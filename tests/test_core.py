@@ -611,6 +611,25 @@ def test_norm_report_component_sum():
     assert rep.e1 > 0 and rep.e2 > 0 and rep.le2 > 0
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_norm_report_is_e_norms_and_both_le_norms(n):
+    # one pass over the states gives the bits of the three norms taken apart,
+    # on a nonlinear run that goes on past the weights' horizon
+    g = gl.RadialGrid(r_max=12.0, num_cells=600)
+    prof = gl.DataProfile(family="gaussian", epsilon=0.5, assigns="split")
+    data = gl.make_profile(prof, g)
+    traj = gl.evolve(spec(n=n), data.u0, data.u1, g, 3.0).trajectory
+    w = gl.WeightParams(delta=0.25, delta_prime=0.1, horizon=2.0)
+    rep = gl.norm_report(traj, w)
+    e = gl.e_norms(traj, t_max=w.horizon)
+    first, second = gl.le_norm(traj, w), gl.le_norm(traj, w, second_order=True)
+    assert (rep.e1, rep.e2, rep.le1, rep.le2) == (e.e1, e.e2, first.total, second.total)
+    assert rep.components == first.components
+    # at n = 2 the energy still grows after the horizon, so the cut shows
+    if n == 2:
+        assert gl.e_norms(traj).e1 > rep.e1
+
+
 def test_lestar_upper_min_property():
     g = gl.RadialGrid(r_max=8.0, num_cells=400)
     f = gl.ForcingSpec(amplitude=1.0, space_center=0.0, space_width=1.0,

@@ -3,6 +3,9 @@ import pytest
 
 import glassey_lab as gl
 
+# phi_map's default step, for the solves it is compared with
+PICARD_STEP = dict(cfl=gl.picard.DEFAULT_CFL, sample_stride=gl.picard.DEFAULT_STRIDE)
+
 
 def make_setup(eps=0.05, p=2.5, cells=800, rmax=16.0, a=1.0, b=0.0):
     spec = gl.ProblemSpec(n_dim=3, p=p, a=a, b=b)
@@ -15,7 +18,8 @@ def make_setup(eps=0.05, p=2.5, cells=800, rmax=16.0, a=1.0, b=0.0):
 
 def test_phi_map_free_when_nonlinearity_off():
     spec, g, data = make_setup(a=0.0, b=0.0)
-    free = gl.evolve(spec, data.u0, data.u1, g, 4.0, linear_only=True).trajectory
+    free = gl.evolve(spec, data.u0, data.u1, g, 4.0, linear_only=True,
+                     **PICARD_STEP).trajectory
     mapped = gl.phi_map(free, data.u0, data.u1, g, 4.0)
     for ua, va, ub, vb in zip(free.u, free.v, mapped.u, mapped.v):
         assert np.array_equal(ua, ub)
@@ -33,17 +37,37 @@ def test_phi_map_zero_everything():
 def test_phi_map_superposition():
     # phi[u] - free solve equals the zero-data source solve driven by N[u]
     spec, g, data = make_setup(eps=0.2)
-    free = gl.evolve(spec, data.u0, data.u1, g, 4.0, linear_only=True).trajectory
+    free = gl.evolve(spec, data.u0, data.u1, g, 4.0, linear_only=True,
+                     **PICARD_STEP).trajectory
     mapped = gl.phi_map(free, data.u0, data.u1, g, 4.0)
     from glassey_lab.picard import sampled_nonlinearity
 
     z = gl.RadialField.zeros(g)
     forced = gl.evolve(spec, z, z, g, 4.0, forcing=sampled_nonlinearity(free),
-                       linear_only=True).trajectory
+                       linear_only=True, **PICARD_STEP).trajectory
     scale = max(np.max(np.abs(u)) for u in mapped.u)
     for um, uf, ufr in zip(mapped.u, forced.u, free.u):
         resid = um - (ufr + uf)
         assert np.max(np.abs(resid)) <= 1e-10 * scale
+
+
+def test_default_step_keeps_the_sample_times():
+    # cfl 0.5 with stride 5 samples at the times of cfl 0.25 with stride 10,
+    # so the trace moves only by RK4's time error
+    spec, g, data = make_setup(eps=0.05, cells=400)
+    new = gl.picard_run(spec, data.u0, data.u1, g, 4.0, max_iters=4, tol=1e-10)
+    old = gl.picard_run(spec, data.u0, data.u1, g, 4.0, max_iters=4, tol=1e-10,
+                        cfl=0.25, sample_stride=10)
+    assert np.array_equal(new.final.times, old.final.times)
+    assert len(new.trace) == len(old.trace) == 4
+    for a, b in zip(new.trace, old.trace):
+        for name in ("e1", "e2", "le1", "le2"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-6, abs=0.0)
+
+    def ratios(res):
+        return [b.rho_step / a.rho_step for a, b in zip(res.trace, res.trace[1:])]
+
+    assert ratios(new) == pytest.approx(ratios(old), rel=1e-3, abs=0.0)
 
 
 def test_picard_trivial_linear_case():
