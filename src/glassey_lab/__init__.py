@@ -4,7 +4,6 @@ suites, contraction-map runs, and lifespan-scaling experiments.
 """
 
 from .core import (
-    EnergyNorms,
     LambdaNorms,
     LocalEnergyNorm,
     NormReport,

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import traceback
@@ -28,9 +29,6 @@ from .core import (
 from .errors import Divergence, GlasseyLabError, PreconditionViolation
 from .report import fmt_value, read_config, write_config, write_csv, write_series
 from .solver import DataProfile, energy, evolve, make_profile
-
-SUBCOMMANDS = ("solve", "ineq", "kss", "picard", "lifespan", "norms")
-
 
 class InvariantFailure(Exception):
     """An asserted bound or band was breached by the measured data."""
@@ -169,8 +167,17 @@ def _echo_config(args, parser_keys):
     write_config(os.path.join(args.out, "config.txt"), values)
 
 
-def _parse_list(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text, flag):
+    """The numbers of a comma list given to flag; empty tokens are skipped."""
+    values = []
+    for tok in filter(None, (t.strip() for t in text.split(","))):
+        try:
+            values.append(float(tok))
+        except ValueError:
+            values.append(math.nan)
+        if not math.isfinite(values[-1]):
+            raise PreconditionViolation(f"{flag}: {tok!r} is not a finite number")
+    return values
 
 
 def _problem(args):
@@ -234,7 +241,7 @@ def _run_ineq(args):
 
 
 def _run_kss(args):
-    t_list = _parse_list(args.t_list)
+    t_list = _parse_list(args.t_list, "--t-list")
     rows = []
     if args.variant == "hom":
         grid = RadialGrid(r_max=args.rmax, num_cells=args.cells)
@@ -302,9 +309,9 @@ def _run_picard(args):
 
 def _run_lifespan(args):
     spec = ProblemSpec(n_dim=args.n, p=args.p, a=args.a, b=args.b)
-    eps = _parse_list(args.eps_list)
+    eps = _parse_list(args.eps_list, "--eps-list")
     if args.ladder:
-        ladder = [int(c) for c in _parse_list(args.ladder)]
+        ladder = [int(c) for c in _parse_list(args.ladder, "--ladder")]
     else:
         ladder = [args.cells // 2, args.cells]
     profile = _profile_from(args)

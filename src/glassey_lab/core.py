@@ -485,15 +485,9 @@ def lambda_norms(u0: RadialField, u1: RadialField, n: int) -> LambdaNorms:
     return LambdaNorms(lambda1=du0 + n_u1, lambda2=lap_u0 + du1)
 
 
-@dataclass(frozen=True)
-class EnergyNorms:
-    e1: float
-    e2: float
-
-
 def _energy_integral(v: np.ndarray, du: np.ndarray, grid: RadialGrid, n: int) -> float:
-    """int (v^2 + u_r^2) over R^n, given nodal v and u_r (_state_energies
-    also passes v_r and lap u, for the second-order energy)."""
+    """int (v^2 + u_r^2) over R^n, given nodal v and u_r (norm_report also
+    passes v_r and lap u, for the second-order energy)."""
     return _weighted_square_integral(v, grid, n, 0.0, 0.0) + _weighted_square_integral(
         du, grid, n, 0.0, 0.0
     )
@@ -507,13 +501,6 @@ def _slopes(u: np.ndarray, v: np.ndarray, grid: RadialGrid, n: int):
     return du, dv, lap
 
 
-def _state_energies(v, du, dv, lap, grid, n):
-    """One state's first- and second-order energies, square-rooted, from its
-    v and its _slopes."""
-    return (math.sqrt(_energy_integral(v, du, grid, n)),
-            math.sqrt(_energy_integral(dv, lap, grid, n)))
-
-
 def _samples_through(times: np.ndarray, t_max: float = None) -> int:
     """How many of the increasing sample times lie at or before t_max (all
     when t_max is None)."""
@@ -522,17 +509,17 @@ def _samples_through(times: np.ndarray, t_max: float = None) -> int:
     return int(np.count_nonzero(times <= t_max + 1e-9 * max(1.0, t_max)))
 
 
-def e_norms(traj: Trajectory, t_max: float = None) -> EnergyNorms:
-    """Sup-in-time energy norms of first and second order."""
+def e_norms(traj: Trajectory, t_max: float = None) -> float:
+    """Sup-in-time first-order energy norm E1 over the samples at or before
+    t_max (norm_report adds the second order)."""
     n = traj.problem.n_dim
     grid = traj.grid
     kept = _samples_through(traj.times, t_max)
     e1 = 0.0
-    e2 = 0.0
     for u, v in zip(traj.u[:kept], traj.v[:kept]):
-        s1, s2 = _state_energies(v, *_slopes(u, v, grid, n), grid, n)
-        e1, e2 = max(e1, s1), max(e2, s2)
-    return EnergyNorms(e1=e1, e2=e2)
+        du = _derivative_values(u, grid.spacing)
+        e1 = max(e1, math.sqrt(_energy_integral(v, du, grid, n)))
+    return e1
 
 
 # ---------------------------------------------------------------------------
@@ -609,23 +596,16 @@ def _le_total(times, rows, w, n) -> LocalEnergyNorm:
     return LocalEnergyNorm(total=sum(comps.values()), components=comps)
 
 
-def le_norm(traj: Trajectory, w: WeightParams, second_order: bool = False) -> LocalEnergyNorm:
-    """Local energy norm over [0, T]: weighted derivative term, weighted field
-    term, log-in-T term and T-power term (only derivative terms when n <= 2).
-
-    With second_order the norm is applied to the spatial gradient: time slot
-    d_r v, gradient slot lap u, field slot d_r u.
-    """
+def le_norm(traj: Trajectory, w: WeightParams) -> LocalEnergyNorm:
+    """First-order local energy norm over [0, T]: weighted derivative term,
+    weighted field term, log-in-T term and T-power term (only derivative
+    terms when n <= 2); norm_report adds the second order."""
     n = traj.problem.n_dim
     grid = traj.grid
     rows = _le_rows(traj)
     for k, (u, v) in enumerate(zip(traj.u, traj.v)):
-        if second_order:
-            du, dv, lap = _slopes(u, v, grid, n)
-            rows[k] = _le_squares(dv, lap, du, grid, n, w)
-        else:
-            du = _derivative_values(u, grid.spacing)
-            rows[k] = _le_squares(v, du, u, grid, n, w)
+        du = _derivative_values(u, grid.spacing)
+        rows[k] = _le_squares(v, du, u, grid, n, w)
     return _le_total(traj.times, rows, w, n)
 
 
@@ -641,8 +621,9 @@ class NormReport:
 
 
 def norm_report(traj: Trajectory, w: WeightParams) -> NormReport:
-    """e_norms up to w.horizon and both orders of le_norm, from one _slopes
-    per state."""
+    """e_norms up to w.horizon and le_norm, each with its second order (the
+    same norms of (v_r, lap u, u_r) in place of (v, u_r, u)), from one
+    _slopes per state."""
     n = traj.problem.n_dim
     grid = traj.grid
     kept = _samples_through(traj.times, w.horizon)
@@ -652,8 +633,8 @@ def norm_report(traj: Trajectory, w: WeightParams) -> NormReport:
     for k, (u, v) in enumerate(zip(traj.u, traj.v)):
         du, dv, lap = _slopes(u, v, grid, n)
         if k < kept:
-            s1, s2 = _state_energies(v, du, dv, lap, grid, n)
-            e1, e2 = max(e1, s1), max(e2, s2)
+            e1 = max(e1, math.sqrt(_energy_integral(v, du, grid, n)))
+            e2 = max(e2, math.sqrt(_energy_integral(dv, lap, grid, n)))
         first[k] = _le_squares(v, du, u, grid, n, w)
         second[k] = _le_squares(dv, lap, du, grid, n, w)
     le1 = _le_total(traj.times, first, w, n)

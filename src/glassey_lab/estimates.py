@@ -70,6 +70,8 @@ class IneqSample:
     def __post_init__(self):
         if not (math.isfinite(self.ratio) and self.ratio >= 0.0):
             raise PreconditionViolation(f"ratio must be finite and >= 0, got {self.ratio}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise PreconditionViolation(f"tol must be finite and >= 0, got {self.tol}")
 
     @property
     def violation(self) -> bool:
@@ -219,8 +221,8 @@ def kss_hom_check(
     for w in weights:
         T = w.horizon
         le = le_norm(traj, w)
-        e = e_norms(traj, t_max=T)
-        ratio = (e.e1 + le.total) / denom
+        e1 = e_norms(traj, t_max=T)
+        ratio = (e1 + le.total) / denom
         samples.append(
             IneqSample(
                 "kss_hom",
@@ -229,7 +231,7 @@ def kss_hom_check(
                 bound=None,
             )
         )
-        details[T] = {"e1": e.e1, "le1": le.total, **le.components}
+        details[T] = {"e1": e1, "le1": le.total, **le.components}
     return samples, details
 
 
@@ -296,7 +298,7 @@ def kss_inhom_check(
     zero = RadialField.zeros(grid)
     traj = _free_solve(zero, zero, n, horizon, cfl, sample_stride, forcing=forcing)
     le = le_norm(traj, w)
-    e = e_norms(traj, t_max=horizon)
+    e1 = e_norms(traj, t_max=horizon)
     f_traj = forcing.sampled(grid, traj.times, traj.problem)
     denom = lestar_upper(f_traj, w)
     if denom == 0.0:
@@ -304,7 +306,7 @@ def kss_inhom_check(
     return IneqSample(
         "kss_inhom",
         {"n": n, "delta": delta, "delta_prime": delta_prime, "T": horizon},
-        (e.e1 + le.total) / denom,
+        (e1 + le.total) / denom,
         bound=None,
     )
 

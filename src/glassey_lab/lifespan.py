@@ -150,7 +150,8 @@ def sweep(
 ):
     """One record per epsilon, in epsilon order; a failed run is skipped with
     a warning rather than aborting the sweep.  A parameter that would fail
-    every run (the horizon, cfl, stride or grid) is refused before any starts."""
+    every run (the horizon, cfl, stride, grid or data profile) is refused
+    before any starts."""
     eps = [float(e) for e in epsilons]
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise PreconditionViolation("epsilons must be strictly increasing")
@@ -161,6 +162,8 @@ def sweep(
         grid = RadialGrid(r_max=r_max, num_cells=cells)
         step_count(horizon, grid, cfl, sample_stride)
         require_stable_step(grid, spec.n_dim, cfl)
+        # whether the data fits the grid does not depend on epsilon
+        make_profile(profile, grid)
     tasks = [(spec, profile, e, ladder, horizon, r_max, cfl, sample_stride) for e in eps]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -107,7 +107,7 @@ def default_weights(spec: ProblemSpec, horizon: float) -> WeightParams:
 def rho_metric(a: Trajectory, b: Trajectory, w: WeightParams) -> float:
     """E1 + LE1 distance between two trajectories on one grid."""
     diff = trajectory_difference(a, b)
-    return e_norms(diff, t_max=w.horizon).e1 + le_norm(diff, w).total
+    return e_norms(diff, t_max=w.horizon) + le_norm(diff, w).total
 
 
 def picard_run(
@@ -129,8 +129,8 @@ def picard_run(
     """
     if not 2 <= max_iters <= 50:
         raise PreconditionViolation(f"max_iters must lie in [2, 50], got {max_iters}")
-    if tol <= 0.0:
-        raise PreconditionViolation("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise PreconditionViolation(f"tol must be finite and positive, got {tol}")
     w = default_weights(spec, t_end)
 
     lam = lambda_norms(u0, u1, spec.n_dim).lambda1

@@ -86,8 +86,11 @@ def _load_field_file(path: str, grid: RadialGrid) -> np.ndarray:
     # most of the package's import time and memory, and no other path needs it
     from scipy.interpolate import PchipInterpolator
 
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionViolation(f"{path}: cannot read the data file: {exc}") from None
     if not lines or lines[0] != FILE_HEADER:
         raise PreconditionViolation(f"{path}: first line must be {FILE_HEADER!r}")
     rs, vals = [], []

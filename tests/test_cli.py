@@ -213,6 +213,71 @@ def test_from_file_non_finite_radius_exits_2(tmp_path, capsys, radius):
     assert f"{path} radii contains NaN or infinite entries" in err and "Traceback" not in err
 
 
+def _unreadable_data_file(tmp_path, kind):
+    if kind == "missing":
+        return tmp_path / "absent.txt"
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / "field.txt"
+    path.write_bytes(b"# radial-field v1\n0.0 \xff\xfe\n")
+    return path
+
+
+# a data file that cannot be read is refused once, before any solve; a
+# lifespan sweep does not warn once per epsilon first
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--t-end", "1", "--cells", "240"],
+    ["lifespan", "--p", "1.5", "--eps-list", "1,2,3,4", "--horizon", "4",
+     "--ladder", "120,240"],
+], ids=["solve", "lifespan"])
+def test_unreadable_data_file_exits_2(tmp_path, monkeypatch, capsys, argv, kind):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("evolve was called")
+
+    monkeypatch.setattr(lifespan, "evolve", no_solve)
+    path = _unreadable_data_file(tmp_path, kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["--profile", "from_file", "--data-file", str(path),
+                            "--rmax", "12", "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count(f"precondition: {path}: cannot read the data file") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag, token", [
+    (["kss", "--t-list", "1,abc"], "--t-list", "abc"),
+    (["lifespan", "--eps-list", "1,x"], "--eps-list", "x"),
+    (["lifespan", "--ladder", "100,x"], "--ladder", "x"),
+    (["lifespan", "--ladder", "100,inf"], "--ladder", "inf"),
+], ids=["t-list", "eps-list", "ladder", "ladder-inf"])
+def test_non_numeric_list_token_exits_2(tmp_path, capsys, argv, flag, token):
+    code = main(argv + ["--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"precondition: {flag}: {token!r} is not a finite number" in err
+    assert "Traceback" not in err
+
+
+# a NaN tolerance would turn the violation gate off, an infinite one would
+# stop the iteration after one step as converged
+@pytest.mark.parametrize("argv, message", [
+    (["ineq", "--lemma", "hardy", "--s", "1.0", "--samples", "3", "--cells", "400",
+      "--tol", "nan"], "tol must be finite and >= 0, got nan"),
+    (["ineq", "--lemma", "hardy", "--s", "1.0", "--samples", "3", "--cells", "400",
+      "--tol", "-0.9"], "tol must be finite and >= 0, got -0.9"),
+    (["picard", "--rmax", "12", "--cells", "200", "--t-end", "2", "--tol", "inf"],
+     "tol must be finite and positive, got inf"),
+], ids=["ineq-nan", "ineq-negative", "picard-inf"])
+def test_non_finite_tolerance_exits_2(tmp_path, capsys, argv, message):
+    code = main(argv + ["--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"precondition: {message}" in err and "Traceback" not in err
+
+
 # a data-file token: any double's repr (nan, inf, 1.7976931348623157e+308,
 # subnormals), a few spelled-out edge values, or junk
 _TOKENS = st.one_of(

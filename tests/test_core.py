@@ -7,6 +7,7 @@ import pytest
 import glassey_lab as gl
 from glassey_lab.core import (
     _derivative_values,
+    _energy_integral,
     _flux_stencil,
     _flux_weights,
     _integrate_to_horizon,
@@ -479,13 +480,11 @@ def test_e_norms_zero_and_single_state():
     g = gl.RadialGrid(r_max=12.0, num_cells=600)
     z = gl.RadialField.zeros(g)
     traj = gl.Trajectory(spec(), g, np.zeros(1), z.values[None], z.values[None])
-    en = gl.e_norms(traj)
-    assert en.e1 == 0.0 and en.e2 == 0.0
+    assert gl.e_norms(traj) == 0.0
 
     f = gl.RadialField.from_function(g, lambda r: np.exp(-(r**2)))
     traj1 = gl.Trajectory(spec(), g, np.zeros(1), f.values[None], z.values[None])
-    en1 = gl.e_norms(traj1)
-    assert en1.e1 == pytest.approx(
+    assert gl.e_norms(traj1) == pytest.approx(
         gl.weighted_l2(gl.radial_derivative(f), 3, 0.0, 0.0), rel=1e-12
     )
 
@@ -496,7 +495,7 @@ def test_e1_conserved_for_free_wave():
     for k in range(traj.times.size):
         sub = gl.Trajectory(traj.problem, traj.grid, traj.times[k:k + 1],
                             traj.u[k:k + 1], traj.v[k:k + 1])
-        per_state.append(gl.e_norms(sub).e1)
+        per_state.append(gl.e_norms(sub))
     per_state = np.array(per_state)
     assert np.max(np.abs(per_state / per_state[0] - 1.0)) <= 1e-5
 
@@ -543,8 +542,8 @@ def test_le_norm_horizon_mismatch():
 
 def _le1_reference(traj, w, second_order=False):
     """le_norm components with u_r taken from _slopes, which also computes
-    v_r and lap u; second order puts (v_r, lap u) in the gradient slot and
-    u_r in the field slot."""
+    v_r and lap u; second order (norm_report's le2) puts (v_r, lap u) in the
+    gradient slot and u_r in the field slot."""
     n, grid = traj.problem.n_dim, traj.grid
     d, dp, horizon = w.delta, w.delta_prime, w.horizon
     sums = {"deriv": [], "field": [], "log": [], "horizon": []}
@@ -585,10 +584,10 @@ def test_le_norm_first_order_matches_slopes_reference(n):
     out = gl.evolve(gl.ProblemSpec(n_dim=n, p=4.0, a=0.0, b=0.0), data.u0, data.u1, g,
                     2.0, linear_only=True)
     w = gl.WeightParams(delta=0.25, delta_prime=0.1, horizon=2.0)
-    # the same bits at second order too
-    for second_order in (False, True):
-        assert (gl.le_norm(out.trajectory, w, second_order).components
-                == _le1_reference(out.trajectory, w, second_order))
+    assert gl.le_norm(out.trajectory, w).components == _le1_reference(out.trajectory, w)
+    # the same bits at second order, which norm_report alone takes
+    second = _le1_reference(out.trajectory, w, second_order=True)
+    assert gl.norm_report(out.trajectory, w).le2 == sum(second.values())
 
 
 def test_le_golden_self_convergence(goldens):
@@ -621,13 +620,20 @@ def test_norm_report_is_e_norms_and_both_le_norms(n):
     traj = gl.evolve(spec(n=n), data.u0, data.u1, g, 3.0).trajectory
     w = gl.WeightParams(delta=0.25, delta_prime=0.1, horizon=2.0)
     rep = gl.norm_report(traj, w)
-    e = gl.e_norms(traj, t_max=w.horizon)
-    first, second = gl.le_norm(traj, w), gl.le_norm(traj, w, second_order=True)
-    assert (rep.e1, rep.e2, rep.le1, rep.le2) == (e.e1, e.e2, first.total, second.total)
+    first = gl.le_norm(traj, w)
+    assert (rep.e1, rep.le1) == (gl.e_norms(traj, t_max=w.horizon), first.total)
     assert rep.components == first.components
+    # the second order: E2 from _slopes up to the horizon, LE2 as the reference
+    e2 = 0.0
+    for t, u, v in zip(traj.times, traj.u, traj.v):
+        if t <= w.horizon:
+            du, dv, lap = _slopes(u, v, g, n)
+            e2 = max(e2, math.sqrt(_energy_integral(dv, lap, g, n)))
+    second = _le1_reference(traj, w, second_order=True)
+    assert (rep.e2, rep.le2) == (e2, sum(second.values()))
     # at n = 2 the energy still grows after the horizon, so the cut shows
     if n == 2:
-        assert gl.e_norms(traj).e1 > rep.e1
+        assert gl.e_norms(traj) > rep.e1
 
 
 def test_lestar_upper_min_property():
@@ -683,6 +689,6 @@ def test_trajectory_difference():
     traj1, _ = _free_trajectory(t_end=2.0, eps=1.0)
     traj2, _ = _free_trajectory(t_end=2.0, eps=2.0)
     diff = gl.trajectory_difference(traj2, traj1)
-    en_d = gl.e_norms(diff).e1
-    en_1 = gl.e_norms(traj1).e1
+    en_d = gl.e_norms(diff)
+    en_1 = gl.e_norms(traj1)
     assert en_d == pytest.approx(en_1, rel=1e-9)
