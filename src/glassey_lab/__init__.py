@@ -11,9 +11,9 @@ from .core import (
     RadialField,
     RadialGrid,
     Trajectory,
-    WaveState,
     WeightParams,
     e_norms,
+    energy,
     lambda_norms,
     le_norm,
     lestar_upper,
@@ -73,7 +73,6 @@ from .solver import (
     DataProfile,
     ProfileData,
     SolveOutcome,
-    energy,
     evolve,
     exact_free_n3,
     make_profile,

@@ -18,17 +18,16 @@ import numpy as np
 from . import estimates, lifespan, picard
 from .core import (
     ProblemSpec,
-    RadialField,
     RadialGrid,
-    WaveState,
     WeightParams,
     _quadrature_weight,
+    energy,
     lambda_norms,
     norm_report,
 )
 from .errors import Divergence, GlasseyLabError, PreconditionViolation
 from .report import fmt_value, read_config, write_config, write_csv, write_series
-from .solver import DataProfile, energy, evolve, make_profile
+from .solver import DataProfile, evolve, make_profile
 
 class InvariantFailure(Exception):
     """An asserted bound or band was breached by the measured data."""
@@ -134,10 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_life.add_argument("--horizon", type=float, default=40.0)
     p_life.add_argument("--ladder", type=str, default=None,
                         help="comma list of two cell counts; default cells/2,cells")
-    p_life.add_argument("--stride", type=int, default=10)
     # defaults sized for the stock subcritical battery
-    p_life.set_defaults(rmax=48.0, cells=3840, assigns="split", stride=20,
-                        cfl=lifespan.DEFAULT_CFL)
+    p_life.set_defaults(rmax=48.0, cells=3840, assigns="split", cfl=lifespan.DEFAULT_CFL)
 
     p_norms = add_parser("norms", help="norm report for a linear evolution")
     _add_common(p_norms, "n p rmax cells cfl")
@@ -199,17 +196,12 @@ def _run_solve(args):
         linear_only=args.linear, cfl=args.cfl, sample_stride=args.stride,
     )
     traj = outcome.trajectory
-    rows = []
     # an energy past the double range is reported as inf, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, u, v in zip(traj.times, traj.u, traj.v):
-            state = WaveState(float(t), RadialField(grid, u), RadialField(grid, v))
-            rows.append({
-                "t": float(t),
-                "energy": energy(state, args.n),
-                "max_v": float(np.max(np.abs(v))),
-                "max_u": float(np.max(np.abs(u))),
-            })
+        energies = energy(traj)
+    rows = [{"t": t, "energy": e, "max_v": float(np.max(np.abs(v))),
+             "max_u": float(np.max(np.abs(u)))}
+            for t, e, u, v in zip(traj.times.tolist(), energies.tolist(), traj.u, traj.v)]
     write_csv(os.path.join(args.out, "series.csv"), "solve",
               ("t", "energy", "max_v", "max_u"), rows)
     write_series(os.path.join(args.out, "energy_series.txt"), "t energy",
@@ -242,6 +234,8 @@ def _run_ineq(args):
 
 def _run_kss(args):
     t_list = _parse_list(args.t_list, "--t-list")
+    if not (math.isfinite(args.band) and args.band >= 0.0):
+        raise PreconditionViolation(f"--band must be finite and >= 0, got {args.band}")
     rows = []
     if args.variant == "hom":
         grid = RadialGrid(r_max=args.rmax, num_cells=args.cells)
@@ -311,13 +305,13 @@ def _run_lifespan(args):
     spec = ProblemSpec(n_dim=args.n, p=args.p, a=args.a, b=args.b)
     eps = _parse_list(args.eps_list, "--eps-list")
     if args.ladder:
-        ladder = [int(c) for c in _parse_list(args.ladder, "--ladder")]
+        ladder = _parse_list(args.ladder, "--ladder")
     else:
         ladder = [args.cells // 2, args.cells]
     profile = _profile_from(args)
     records = lifespan.sweep(
         spec, profile, eps, ladder, args.horizon, args.rmax,
-        cfl=args.cfl, sample_stride=args.stride, jobs=args.jobs,
+        cfl=args.cfl, jobs=args.jobs,
     )
     write_csv(os.path.join(args.out, "sweep.csv"), "lifespan",
               lifespan.SWEEP_COLUMNS, [asdict(r) for r in records])

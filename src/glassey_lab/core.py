@@ -138,25 +138,6 @@ class RadialField:
         return RadialField(self.grid, c * self.values)
 
 
-@dataclass(frozen=True)
-class WaveState:
-    """A (u, u_t) snapshot at one time."""
-
-    time: float
-    u: RadialField
-    v: RadialField
-
-    def __post_init__(self):
-        if not (math.isfinite(self.time) and self.time >= 0.0):
-            raise PreconditionViolation(f"state time must be finite and >= 0, got {self.time}")
-        if self.u.grid != self.v.grid:
-            raise PreconditionViolation("u and v must share one grid")
-
-    @property
-    def grid(self) -> RadialGrid:
-        return self.u.grid
-
-
 def _read_only(values) -> np.ndarray:
     view = np.asarray(values, dtype=float).view()
     view.flags.writeable = False
@@ -509,17 +490,27 @@ def _samples_through(times: np.ndarray, t_max: float = None) -> int:
     return int(np.count_nonzero(times <= t_max + 1e-9 * max(1.0, t_max)))
 
 
-def e_norms(traj: Trajectory, t_max: float = None) -> float:
-    """Sup-in-time first-order energy norm E1 over the samples at or before
-    t_max (norm_report adds the second order)."""
+def _energy_integrals(traj: Trajectory, kept: int) -> np.ndarray:
+    """_energy_integral of each of the first `kept` samples, shape (kept,)."""
     n = traj.problem.n_dim
     grid = traj.grid
+    out = np.empty(kept)
+    for k, (u, v) in enumerate(zip(traj.u[:kept], traj.v[:kept])):
+        out[k] = _energy_integral(v, _derivative_values(u, grid.spacing), grid, n)
+    return out
+
+
+def energy(traj: Trajectory) -> np.ndarray:
+    """(1/2) * int (v^2 + u_r^2) over R^n of each sample, shape (K,)."""
+    return 0.5 * _energy_integrals(traj, traj.times.size)
+
+
+def e_norms(traj: Trajectory, t_max: float = None) -> float:
+    """Sup-in-time first-order energy norm E1 over the samples at or before
+    t_max (norm_report adds the second order); 0 when none is kept.  sqrt is
+    monotone, so the root of the max is the max of the roots."""
     kept = _samples_through(traj.times, t_max)
-    e1 = 0.0
-    for u, v in zip(traj.u[:kept], traj.v[:kept]):
-        du = _derivative_values(u, grid.spacing)
-        e1 = max(e1, math.sqrt(_energy_integral(v, du, grid, n)))
-    return e1
+    return math.sqrt(_energy_integrals(traj, kept).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,8 @@ def run_ineq_suite(
         raise PreconditionViolation(f"unknown lemma {lemma!r}")
     if samples < 1:
         raise PreconditionViolation("samples must be >= 1")
+    if seed < 0:
+        raise PreconditionViolation(f"seed must be >= 0, got {seed}")
     grid = RadialGrid(r_max=r_max, num_cells=num_cells)
     tasks = [(lemma, n, s, seed + i, grid, tol) for i in range(samples)]
     if jobs > 1:

@@ -75,7 +75,11 @@ def predicted_exponent(spec: ProblemSpec) -> float:
 
 
 def _two_rungs(ladder) -> list:
-    """The ladder's two distinct cell counts, coarse first."""
+    """The ladder's two distinct cell counts, coarse first; a count that is
+    not a whole number is refused, not truncated."""
+    for c in ladder:
+        if not float(c).is_integer():
+            raise PreconditionViolation(f"ladder cell count {c!r} is not a whole number")
     rungs = sorted(set(int(c) for c in ladder))
     if len(rungs) != 2:
         raise PreconditionViolation("ladder needs exactly 2 distinct resolutions")
@@ -90,7 +94,6 @@ def measure_lifespan(
     horizon: float,
     r_max: float,
     cfl: float = DEFAULT_CFL,
-    sample_stride: int = 10,
 ) -> LifespanRecord:
     """Blow-up time (or censoring horizon) on a two-rung resolution ladder.
 
@@ -103,9 +106,9 @@ def measure_lifespan(
     for cells in ladder:
         grid = RadialGrid(r_max=r_max, num_cells=cells)
         data = make_profile(scaled, grid)
-        # the whole run as one stride: the same steps at the same dt, and
-        # only the t = 0 and t = horizon samples are stored
-        steps = step_count(horizon, grid, cfl, sample_stride)
+        # the whole run as one stride: only the t = 0 and t = horizon
+        # samples are stored
+        steps = step_count(horizon, grid, cfl, 1)
         outcome = evolve(spec, data.u0, data.u1, grid, horizon, cfl=cfl, sample_stride=steps)
         blew = outcome.status == "blew_up"
         results.append((blew, outcome.t_blowup if blew else horizon))
@@ -128,11 +131,8 @@ def measure_lifespan(
 
 def _sweep_one(args):
     """One sweep point: its LifespanRecord, or the GlasseyLabError it raised."""
-    spec, profile, eps, ladder, horizon, r_max, cfl, stride = args
     try:
-        return measure_lifespan(
-            spec, profile, eps, ladder, horizon, r_max, cfl=cfl, sample_stride=stride
-        )
+        return measure_lifespan(*args)
     except GlasseyLabError as exc:
         return exc
 
@@ -145,12 +145,11 @@ def sweep(
     horizon: float,
     r_max: float,
     cfl: float = DEFAULT_CFL,
-    sample_stride: int = 10,
     jobs: int = 1,
 ):
     """One record per epsilon, in epsilon order; a failed run is skipped with
     a warning rather than aborting the sweep.  A parameter that would fail
-    every run (the horizon, cfl, stride, grid or data profile) is refused
+    every run (the horizon, cfl, grid or data profile) is refused
     before any starts."""
     eps = [float(e) for e in epsilons]
     if any(b <= a for a, b in zip(eps, eps[1:])):
@@ -160,11 +159,11 @@ def sweep(
         raise PreconditionViolation(f"horizon must be finite and > 0, got {horizon}")
     for cells in ladder:
         grid = RadialGrid(r_max=r_max, num_cells=cells)
-        step_count(horizon, grid, cfl, sample_stride)
+        step_count(horizon, grid, cfl, 1)
         require_stable_step(grid, spec.n_dim, cfl)
         # whether the data fits the grid does not depend on epsilon
         make_profile(profile, grid)
-    tasks = [(spec, profile, e, ladder, horizon, r_max, cfl, sample_stride) for e in eps]
+    tasks = [(spec, profile, e, ladder, horizon, r_max, cfl) for e in eps]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -17,9 +17,7 @@ from .core import (
     RadialField,
     RadialGrid,
     Trajectory,
-    WaveState,
     _derivative_values,
-    _energy_integral,
     _flux_stencil,
     _flux_weights,
     _read_only,
@@ -504,16 +502,11 @@ def evolve(
     return SolveOutcome(status, traj, t_blow, peak)
 
 
-def energy(state: WaveState, n: int) -> float:
-    """(1/2) * int (v^2 + u_r^2) over R^n."""
-    du = _derivative_values(state.u.values, state.grid.spacing)
-    return 0.5 * _energy_integral(state.v.values, du, state.grid, n)
-
-
 def exact_free_n3(
     u0: RadialField, u1: RadialField, t: float, grid: RadialGrid
-) -> WaveState:
-    """Exact n=3 free radial wave via the reduction of r*u to a line wave.
+) -> tuple:
+    """The pair (u, v) of RadialFields of the exact n=3 free radial wave at
+    time t, via the reduction of r*u to a line wave.
 
     With PHI(s) = s*phi(s) and PSI(s) = s*psi(s) extended oddly,
     r u(t,r) = [PHI(r+t) + PHI(r-t)]/2 + (1/2) int_{r-t}^{r+t} PSI, and
@@ -591,4 +584,4 @@ def exact_free_n3(
         u_vals[0] = 0.0
         v_vals[0] = 0.0
 
-    return WaveState(t, RadialField(grid, u_vals), RadialField(grid, v_vals))
+    return RadialField(grid, u_vals), RadialField(grid, v_vals)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import glassey_lab
-from glassey_lab import lifespan
+from glassey_lab import estimates, lifespan
 from glassey_lab.cli import main
 from glassey_lab.report import read_config
 
@@ -21,6 +21,10 @@ from glassey_lab.report import read_config
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("evolve was called")
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -149,10 +153,7 @@ def test_lifespan_supercritical_writes_sweep_and_no_fit(tmp_path, capsys):
 
 
 def test_lifespan_three_rung_ladder_exits_2(tmp_path, monkeypatch, capsys):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("evolve was called")
-
-    monkeypatch.setattr(lifespan, "evolve", no_solve)
+    monkeypatch.setattr(lifespan, "evolve", _no_solve)
     out = str(tmp_path / "run")
     code = main(["lifespan", "--n", "3", "--p", "1.5", "--eps", "1.4,2.0,2.8,4.0",
                  "--horizon", "4", "--rmax", "16", "--ladder", "160,240,320",
@@ -163,21 +164,19 @@ def test_lifespan_three_rung_ladder_exits_2(tmp_path, monkeypatch, capsys):
 
 # a parameter that every rung would fail is refused once, before the first
 # epsilon, with its own message (not one warning per epsilon and then
-# "no records"); --n 20 is past the default lifespan step's bound
+# "no records"); --n 20 is past the default lifespan step's bound, and a
+# fractional cell count is refused, not truncated to a 120-cell rung
 @pytest.mark.parametrize("flag, value, message", [
-    ("--stride", "0", "sample_stride must be >= 1"),
+    ("--ladder", "120.9,240", "ladder cell count 120.9 is not a whole number"),
     ("--horizon", "nan", "horizon must be finite and > 0, got nan"),
     ("--horizon", "0", "horizon must be finite and > 0, got 0.0"),
     ("--horizon", "-1", "horizon must be finite and > 0, got -1.0"),
     ("--cfl", "0.9", "cfl must lie in (0, 0.75], got 0.9"),
     ("--n", "20", "cfl 0.5 is at or past the RK4 stability bound 0.447214"),
-], ids=["stride", "horizon", "horizon-0", "horizon-negative", "cfl", "n"])
+], ids=["ladder-fraction", "horizon", "horizon-0", "horizon-negative", "cfl", "n"])
 def test_lifespan_run_wide_bad_parameter_exits_2_before_any_epsilon(
         tmp_path, monkeypatch, capsys, flag, value, message):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("evolve was called")
-
-    monkeypatch.setattr(lifespan, "evolve", no_solve)
+    monkeypatch.setattr(lifespan, "evolve", _no_solve)
     out = str(tmp_path / "run")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -232,10 +231,7 @@ def _unreadable_data_file(tmp_path, kind):
      "--ladder", "120,240"],
 ], ids=["solve", "lifespan"])
 def test_unreadable_data_file_exits_2(tmp_path, monkeypatch, capsys, argv, kind):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("evolve was called")
-
-    monkeypatch.setattr(lifespan, "evolve", no_solve)
+    monkeypatch.setattr(lifespan, "evolve", _no_solve)
     path = _unreadable_data_file(tmp_path, kind)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -278,6 +274,30 @@ def test_non_finite_tolerance_exits_2(tmp_path, capsys, argv, message):
     assert f"precondition: {message}" in err and "Traceback" not in err
 
 
+def test_ineq_negative_seed_exits_2(tmp_path, monkeypatch, capsys):
+    def no_sample(args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(estimates, "_one_sample", no_sample)
+    code = main(["ineq", "--lemma", "hardy", "--n", "3", "--s", "0.5", "--seed", "-1",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "precondition: seed must be >= 0, got -1" in err and "Traceback" not in err
+
+
+# an infinite band turns the uniformity gate off, a NaN one fails every run
+@pytest.mark.parametrize("band", ["inf", "nan", "-0.5"])
+def test_kss_bad_band_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, band):
+    monkeypatch.setattr(estimates, "evolve", _no_solve)
+    code = main(["kss", "--variant", "hom", "--n", "3", "--t-list", "1,4", "--rmax", "24",
+                 "--cells", "480", "--band", band, "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"precondition: --band must be finite and >= 0, got {float(band)}" in err
+    assert "Traceback" not in err
+
+
 # a data-file token: any double's repr (nan, inf, 1.7976931348623157e+308,
 # subnormals), a few spelled-out edge values, or junk
 _TOKENS = st.one_of(
@@ -316,6 +336,30 @@ def test_from_file_contents_never_exit_1(rows):
                          "--rmax", "4", "--cells", "16", "--t-end", "0.05",
                          "--out", os.path.join(tmp, "run")])
     assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+# ineq flags as a user might type them: any lemma, small or bad dimensions,
+# powers in and out of range, negative seeds and non-finite values
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(lemma=st.sampled_from(["hardy", "trace", "trace_variant"]),
+       n=st.integers(1, 6),
+       s=st.one_of(st.floats(0.5, 0.95),
+                   st.sampled_from([0.0, 1.0, -0.5, 1.5, math.nan, math.inf])),
+       seed=st.integers(-3, 2**40),
+       tol=st.one_of(st.floats(0.0, 0.1), st.sampled_from([-0.5, math.nan, math.inf])),
+       samples=st.integers(1, 3),
+       cells=st.integers(16, 128))
+@example(lemma="hardy", n=3, s=0.5, seed=-1, tol=1e-9, samples=3, cells=64)
+def test_ineq_flags_never_exit_1(lemma, n, s, seed, tol, samples, cells):
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["ineq", "--lemma", lemma, "--n", str(n), "--s", repr(s),
+                         "--seed", str(seed), "--tol", repr(tol), "--samples", str(samples),
+                         "--cells", str(cells), "--rmax", "12",
+                         "--out", os.path.join(tmp, "run")])
+    assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
 
 
@@ -371,19 +415,27 @@ def test_dimension_past_the_double_range_exits_2(tmp_path, capsys, argv):
       "--rmax", "10", "--cells", "160", "--t-end", "2", "--seed", "9"], "--seed"),
     (["lifespan", "--n", "3", "--p", "1.5", "--eps", "2.8,4.0", "--horizon", "6",
       "--rmax", "12", "--ladder", "120,240", "--seed", "1"], "--seed"),
+    (["lifespan", "--n", "3", "--p", "1.5", "--eps", "2.8,4.0", "--horizon", "6",
+      "--rmax", "12", "--ladder", "120,240", "--stride", "20"], "--stride"),
     (["norms", "--n", "3", "--eps", "1.0", "--rmax", "18", "--cells", "450",
       "--t-end", "4", "--a", "1"], "--a"),
     (["norms", "--n", "3", "--eps", "1.0", "--rmax", "18", "--cells", "450",
       "--t-end", "4", "--b", "1"], "--b"),
     # a config.txt written before the flag was dropped names it as a key
     (["--config", "{config}"], "--seed"),
-], ids=["solve-seed", "ineq-p", "kss-jobs", "kss-b", "picard-seed", "lifespan-seed", "norms-a",
-        "norms-b", "solve-config-seed"])
+    (["--config", "{lifespan_config}"], "--stride"),
+], ids=["solve-seed", "ineq-p", "kss-jobs", "kss-b", "picard-seed", "lifespan-seed",
+        "lifespan-stride", "norms-a", "norms-b", "solve-config-seed", "lifespan-config-stride"])
 def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv, flag):
-    config = tmp_path / "config.txt"
-    config.write_text("# glassey-lab v1 config\nsubcommand = solve\nrmax = 12.0\n"
-                      "cells = 240\nt_end = 0.5\nseed = 7\n")
-    argv = [str(config) if arg == "{config}" else arg for arg in argv]
+    configs = {
+        "{config}": "subcommand = solve\nrmax = 12.0\ncells = 240\nt_end = 0.5\nseed = 7\n",
+        "{lifespan_config}": "subcommand = lifespan\neps_list = 2.8,4.0\nhorizon = 6.0\n"
+                             "rmax = 12.0\nladder = 120,240\nstride = 20\n",
+    }
+    for key, text in configs.items():
+        path = tmp_path / (key.strip("{}") + ".txt")
+        path.write_text("# glassey-lab v1 config\n" + text)
+        argv = [str(path) if arg == key else arg for arg in argv]
     out = str(tmp_path / "run")
     assert main(argv + ["--out", out]) == 2
     err = capsys.readouterr().err

@@ -138,13 +138,12 @@ def test_measure_lifespan_blowup_record():
     assert rec.num_cells == 640
 
 
-def _rung_by_hand(sp, prof, eps, cells, horizon, r_max, stride):
-    """(blew, t) of one rung solved at the sample stride the caller asked for,
-    at the lifespan step."""
+def _rung_by_hand(sp, prof, eps, cells, horizon, r_max):
+    """(blew, t) of one rung solved at the lifespan step, storing every step."""
     grid = gl.RadialGrid(r_max=r_max, num_cells=cells)
     data = gl.make_profile(replace(prof, epsilon=eps), grid)
     out = gl.evolve(sp, data.u0, data.u1, grid, horizon, cfl=gl.lifespan.DEFAULT_CFL,
-                    sample_stride=stride)
+                    sample_stride=1)
     blew = out.status == "blew_up"
     return blew, out.t_blowup if blew else horizon
 
@@ -153,11 +152,10 @@ def _rung_by_hand(sp, prof, eps, cells, horizon, r_max, stride):
 def test_measure_lifespan_rungs_store_at_most_two_samples(monkeypatch, eps, censored):
     # a rung reads only the status and the blow-up time, so it keeps the t = 0
     # sample and at most the t = horizon one; the record is the one built
-    # from the same rungs solved with the caller's stride, whose step count
-    # (7 does not divide 320) sets dt
+    # from the same rungs solved at the same step count, storing every step
     prof = gl.DataProfile(family="gaussian", epsilon=1.0, width=1.0, center=0.0,
                           assigns="to_u1")
-    sp, ladder, horizon, r_max, stride = spec(3, 1.5), (320, 640), 4.0, 16.0, 7
+    sp, ladder, horizon, r_max = spec(3, 1.5), (320, 640), 4.0, 16.0
     stored = []
 
     def recording_evolve(*args, **kwargs):
@@ -166,11 +164,11 @@ def test_measure_lifespan_rungs_store_at_most_two_samples(monkeypatch, eps, cens
         return outcome
 
     monkeypatch.setattr(gl.lifespan, "evolve", recording_evolve)
-    rec = gl.measure_lifespan(sp, prof, eps, ladder, horizon, r_max, sample_stride=stride)
+    rec = gl.measure_lifespan(sp, prof, eps, ladder, horizon, r_max)
     assert stored == [1 if not censored else 2] * 2
 
     (blew_c, t_c), (blew_f, t_f) = [
-        _rung_by_hand(sp, prof, eps, cells, horizon, r_max, stride) for cells in ladder]
+        _rung_by_hand(sp, prof, eps, cells, horizon, r_max) for cells in ladder]
     assert blew_c == blew_f == (not censored)
     expected = LifespanRecord(
         epsilon=eps, t_observed=t_f, censored=censored, num_cells=640,
@@ -188,8 +186,7 @@ def test_lifespan_rung_memory_stays_within_a_few_rows():
                           assigns="split")
     tracemalloc.start()
     try:
-        rec = gl.measure_lifespan(spec(3, 1.5), prof, 2.8, (480, 1920), 40.0, 48.0,
-                                  sample_stride=20)
+        rec = gl.measure_lifespan(spec(3, 1.5), prof, 2.8, (480, 1920), 40.0, 48.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -236,6 +233,21 @@ def test_ladder_of_three_rungs_rejected(monkeypatch):
         gl.measure_lifespan(spec(3, 1.5), prof, 1.0, (160, 240, 320), 4.0, 16.0)
     with pytest.raises(gl.PreconditionViolation):
         gl.sweep(spec(3, 1.5), prof, (1.0, 2.0), (160, 240, 320), 4.0, 16.0)
+
+
+@pytest.mark.parametrize("ladder, bad", [
+    ((120.9, 240), "120.9"), ((240.5, 240), "240.5"), ((160, math.nan), "nan"),
+])
+def test_ladder_fractional_count_rejected_not_truncated(monkeypatch, ladder, bad):
+    # 120.9 would otherwise run a 120-cell rung, and 240.5 would read as a
+    # duplicate of 240
+    monkeypatch.setattr(gl.lifespan, "evolve", _no_solve)
+    prof = gl.DataProfile(family="gaussian", epsilon=1.0, width=1.0, center=0.0,
+                          assigns="to_u1")
+    with pytest.raises(gl.PreconditionViolation, match=f"ladder cell count {bad} is not a whole"):
+        gl.measure_lifespan(spec(3, 1.5), prof, 1.0, ladder, 12.0, 24.0)
+    with pytest.raises(gl.PreconditionViolation, match="is not a whole number"):
+        gl.sweep(spec(3, 1.5), prof, (1.0, 2.0), ladder, 12.0, 24.0)
 
 
 def _user_warnings(record):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import glassey_lab as gl
-from glassey_lab.core import _derivative_values, _laplacian_values
+from glassey_lab.core import _derivative_values, _energy_integral, _laplacian_values
 from glassey_lab.solver import (
     BLOWUP_THRESHOLD,
     LinearSeries,
@@ -311,24 +311,30 @@ def test_evolve_causality_gate():
         gl.evolve(spec(), data.u0, data.u1, g, 5.0)
 
 
+def state_energy(g, u, v, n=3):
+    """gl.energy of the one-sample trajectory (u, v) at t = 0."""
+    traj = gl.Trajectory(spec(n=n), g, np.zeros(1), u.values[None], v.values[None])
+    return gl.energy(traj)[0]
+
+
 def test_exact_free_n3_identity_and_zero():
     g = gl.RadialGrid(r_max=12.0, num_cells=800)
     data = gl.make_profile(gaussian_profile(), g)
-    st = gl.exact_free_n3(data.u0, data.u1, 0.0, g)
-    assert np.max(np.abs(st.u.values - data.u0.values)) <= 1e-10
-    assert np.max(np.abs(st.v.values - data.u1.values)) <= 1e-10
+    u, v = gl.exact_free_n3(data.u0, data.u1, 0.0, g)
+    assert np.max(np.abs(u.values - data.u0.values)) <= 1e-10
+    assert np.max(np.abs(v.values - data.u1.values)) <= 1e-10
     z = gl.RadialField.zeros(g)
-    st0 = gl.exact_free_n3(z, z, 3.0, g)
-    assert not np.any(st0.u.values) and not np.any(st0.v.values)
+    u0, v0 = gl.exact_free_n3(z, z, 3.0, g)
+    assert not np.any(u0.values) and not np.any(v0.values)
 
 
 def test_exact_free_n3_energy_conserved():
     g = gl.RadialGrid(r_max=12.0, num_cells=16000)
     data = gl.make_profile(gaussian_profile(), g)
-    e0 = gl.energy(gl.WaveState(0.0, data.u0, data.u1), 3)
+    e0 = state_energy(g, data.u0, data.u1)
     for t in (0.5, 1.0, 2.0):
-        st = gl.exact_free_n3(data.u0, data.u1, t, g)
-        assert gl.energy(st, 3) == pytest.approx(e0, rel=1e-6)
+        u, v = gl.exact_free_n3(data.u0, data.u1, t, g)
+        assert state_energy(g, u, v) == pytest.approx(e0, rel=1e-6)
 
 
 def test_exact_free_n3_range_gate():
@@ -343,10 +349,10 @@ def test_evolve_matches_exact_oracle():
     g = gl.RadialGrid(r_max=20.0, num_cells=1000)
     data = gl.make_profile(gaussian_profile(), g)
     out = gl.evolve(spec(a=0.0, b=0.0), data.u0, data.u1, g, 1.0, linear_only=True)
-    exact = gl.exact_free_n3(data.u0, data.u1, 1.0, g)
+    exact_u, _ = gl.exact_free_n3(data.u0, data.u1, 1.0, g)
     fin_u = out.trajectory.u[-1]
-    err = gl.weighted_l2(gl.RadialField(g, fin_u - exact.u.values), 3, 0, 0)
-    ref = gl.weighted_l2(exact.u, 3, 0, 0)
+    err = gl.weighted_l2(gl.RadialField(g, fin_u - exact_u.values), 3, 0, 0)
+    ref = gl.weighted_l2(exact_u, 3, 0, 0)
     assert err / ref <= 1e-3
 
 
@@ -463,12 +469,21 @@ def test_evolve_linear_energy_drift():
     g = gl.RadialGrid(r_max=12.0, num_cells=3600)
     data = gl.make_profile(gaussian_profile(), g)
     out = gl.evolve(spec(a=0.0, b=0.0), data.u0, data.u1, g, 4.0, linear_only=True)
-    traj = out.trajectory
-    energies = [gl.energy(gl.WaveState(t, gl.RadialField(g, u), gl.RadialField(g, v)), 3)
-                for t, u, v in zip(traj.times, traj.u, traj.v)]
-    e0 = energies[0]
-    drift = max(abs(e / e0 - 1.0) for e in energies)
+    energies = gl.energy(out.trajectory)
+    drift = np.max(np.abs(energies / energies[0] - 1.0))
     assert drift <= 1e-5
+
+
+def test_energy_is_the_energy_integral_of_each_sample():
+    # bit for bit the (1/2) int (v^2 + u_r^2) of each row, on a nonlinear run
+    g = gl.RadialGrid(r_max=12.0, num_cells=240)
+    data = gl.make_profile(gaussian_profile(assigns="split"), g)
+    traj = gl.evolve(spec(p=1.5), data.u0, data.u1, g, 2.0).trajectory
+    energies = gl.energy(traj)
+    assert energies.shape == traj.times.shape
+    assert energies[-1] != energies[0]
+    for e, u, v in zip(energies, traj.u, traj.v):
+        assert e == 0.5 * _energy_integral(v, _derivative_values(u, g.spacing), g, 3)
 
 
 def _sbp_energy(g, n, u, v):
@@ -535,11 +550,10 @@ def test_manufactured_solution_converges_at_second_order(n):
 def test_energy_scaling():
     g = gl.RadialGrid(r_max=12.0, num_cells=300)
     data = gl.make_profile(gaussian_profile(), g)
-    st = gl.WaveState(0.0, data.u0, data.u1)
-    st2 = gl.WaveState(0.0, data.u0.scaled(2.0), data.u1.scaled(2.0))
-    assert gl.energy(st2, 3) == pytest.approx(4.0 * gl.energy(st, 3), rel=1e-12)
+    e2 = state_energy(g, data.u0.scaled(2.0), data.u1.scaled(2.0))
+    assert e2 == pytest.approx(4.0 * state_energy(g, data.u0, data.u1), rel=1e-12)
     z = gl.RadialField.zeros(g)
-    assert gl.energy(gl.WaveState(0.0, z, z), 3) == 0.0
+    assert state_energy(g, z, z) == 0.0
 
 
 # ---------------------------------------------------------------------------
