@@ -27,7 +27,7 @@ from .core import (
 )
 from .errors import Divergence, GlasseyLabError, PreconditionViolation
 from .report import fmt_value, read_config, write_config, write_csv, write_series
-from .solver import DataProfile, evolve, make_profile
+from .solver import DEFAULT_CFL, DEFAULT_STRIDE, DataProfile, evolve, make_profile
 
 class InvariantFailure(Exception):
     """An asserted bound or band was breached by the measured data."""
@@ -56,7 +56,8 @@ _COMMON = {
     "b": dict(type=float, default=0.0, help="|grad u|^p coefficient"),
     "rmax": dict(type=float, default=20.0, help="domain radius"),
     "cells": dict(type=int, default=2000, help="grid cells"),
-    "cfl": dict(type=float, default=0.25, help="dt / dr ratio"),
+    "cfl": dict(type=float, default=DEFAULT_CFL, help="dt / dr ratio"),
+    "stride": dict(type=int, default=DEFAULT_STRIDE, help="RK4 steps per stored sample"),
     "seed": dict(type=int, default=7, help="base seed"),
     "jobs": dict(type=_jobs, default=1, help="parallel tasks, at most the CPU count"),
 }
@@ -92,11 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     p_solve = add_parser("solve", help="evolve one data profile")
-    _add_common(p_solve, "n p a b rmax cells cfl")
+    _add_common(p_solve, "n p a b rmax cells cfl stride")
     _add_profile(p_solve)
     p_solve.add_argument("--t-end", type=float, default=1.0)
     p_solve.add_argument("--linear", action="store_true", help="drop the nonlinearity")
-    p_solve.add_argument("--stride", type=int, default=10)
 
     p_ineq = add_parser("ineq", help="seeded inequality suite")
     _add_common(p_ineq, "n rmax cells seed jobs")
@@ -106,23 +106,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_ineq.add_argument("--tol", type=float, default=estimates.DEFAULT_TOL)
 
     p_kss = add_parser("kss", help="uniform-in-T space-time bounds")
-    _add_common(p_kss, "n rmax cells cfl")
+    _add_common(p_kss, "n rmax cells cfl stride")
     _add_profile(p_kss)
     p_kss.add_argument("--variant", choices=("hom", "inhom"), default="hom")
     p_kss.add_argument("--delta", type=float, default=0.3)
     p_kss.add_argument("--delta-prime", type=float, default=0.2)
     p_kss.add_argument("--t-list", type=str, default="1,10,100")
     p_kss.add_argument("--band", type=float, default=estimates.KSS_BAND)
-    p_kss.add_argument("--stride", type=int, default=10)
 
     p_pic = add_parser("picard", help="contraction-map iteration")
-    _add_common(p_pic, "n p a b rmax cells cfl")
+    _add_common(p_pic, "n p a b rmax cells cfl stride")
     _add_profile(p_pic)
     p_pic.add_argument("--t-end", type=float, default=10.0)
     p_pic.add_argument("--max-iters", type=int, default=12)
     p_pic.add_argument("--tol", type=float, default=1e-8)
-    p_pic.add_argument("--stride", type=int, default=picard.DEFAULT_STRIDE)
-    p_pic.set_defaults(cfl=picard.DEFAULT_CFL)
 
     p_life = add_parser("lifespan", help="epsilon sweep and scaling-law fit")
     _add_common(p_life, "n p a b rmax cells cfl jobs")
@@ -134,15 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_life.add_argument("--ladder", type=str, default=None,
                         help="comma list of two cell counts; default cells/2,cells")
     # defaults sized for the stock subcritical battery
-    p_life.set_defaults(rmax=48.0, cells=3840, assigns="split", cfl=lifespan.DEFAULT_CFL)
+    p_life.set_defaults(rmax=48.0, cells=3840, assigns="split")
 
     p_norms = add_parser("norms", help="norm report for a linear evolution")
-    _add_common(p_norms, "n p rmax cells cfl")
+    _add_common(p_norms, "n p rmax cells cfl stride")
     _add_profile(p_norms)
     p_norms.add_argument("--t-end", type=float, default=10.0)
     p_norms.add_argument("--delta", type=float, default=0.3)
     p_norms.add_argument("--delta-prime", type=float, default=0.2)
-    p_norms.add_argument("--stride", type=int, default=10)
 
     return parser
 
@@ -234,9 +230,9 @@ def _run_ineq(args):
 
 def _run_kss(args):
     t_list = _parse_list(args.t_list, "--t-list")
-    if not (math.isfinite(args.band) and args.band >= 0.0):
-        raise PreconditionViolation(f"--band must be finite and >= 0, got {args.band}")
-    rows = []
+    if not t_list:
+        raise PreconditionViolation("--t-list names no horizon")
+    estimates.require_band(args.band, "--band")
     if args.variant == "hom":
         grid = RadialGrid(r_max=args.rmax, num_cells=args.cells)
         data = make_profile(_profile_from(args), grid)
@@ -244,10 +240,7 @@ def _run_kss(args):
             data.u0, data.u1, args.n, args.delta, args.delta_prime, t_list,
             cfl=args.cfl, sample_stride=args.stride,
         )
-        for s in samples:
-            row = s.row()
-            row.update(details[s.params["T"]])
-            rows.append(row)
+        rows = [{**s.row(), **details[s.params["T"]]} for s in samples]
         columns = estimates.SUITE_COLUMNS + ("e1", "le1", "deriv", "field", "log", "horizon")
     else:
         forcing = estimates.ForcingSpec(
@@ -387,7 +380,8 @@ def _apply_config(argv):
         elif val == "false":
             continue
         else:
-            folded.extend([flag, val])
+            # one token, so that a value such as -1e-05 is not read as a flag
+            folded.append(f"{flag}={val}")
     folded.extend(rest)
     return folded
 

@@ -31,7 +31,7 @@ from .core import (
     weighted_sup,
 )
 from .errors import DegenerateInput, PreconditionViolation
-from .solver import _bump_shape, evolve
+from .solver import DEFAULT_CFL, DEFAULT_STRIDE, _bump_shape, evolve
 
 DEFAULT_TOL = 1e-3
 KSS_BAND = 0.25
@@ -177,9 +177,10 @@ def trace_variant_check(
     )
 
 
-def _free_solve(u0, u1, n, horizon, cfl, sample_stride, forcing=None) -> Trajectory:
+def _free_solve(u0, u1, n, horizon, forcing=None, **step) -> Trajectory:
     """Samples of the free wave (a = b = 0) from (u0, u1) up to `horizon`,
-    driven by the ForcingSpec `forcing` when one is given."""
+    driven by the ForcingSpec `forcing` when one is given; `step` holds
+    evolve's cfl and sample_stride, if given."""
     grid = u0.grid
     source = None
     if forcing is not None and forcing.amplitude != 0.0:
@@ -188,8 +189,7 @@ def _free_solve(u0, u1, n, horizon, cfl, sample_stride, forcing=None) -> Traject
     # a placeholder exponent: with a = b = 0 the solve is linear
     spec = ProblemSpec(n_dim=n, p=2.0, a=0.0, b=0.0)
     return evolve(
-        spec, u0, u1, grid, horizon, forcing=source, cfl=cfl,
-        sample_stride=sample_stride, forcing_support=reach,
+        spec, u0, u1, grid, horizon, forcing=source, forcing_support=reach, **step
     ).trajectory
 
 
@@ -200,8 +200,8 @@ def kss_hom_check(
     delta: float,
     delta_prime: float,
     t_list,
-    cfl: float = 0.25,
-    sample_stride: int = 10,
+    cfl: float = DEFAULT_CFL,
+    sample_stride: int = DEFAULT_STRIDE,
 ):
     """Uniform-in-T ratios (E1 + LE1(T)) / data size for the free wave.
 
@@ -216,7 +216,7 @@ def kss_hom_check(
     if denom == 0.0:
         raise DegenerateInput("kss_hom_check: zero data")
 
-    traj = _free_solve(u0, u1, n, t_list[-1], cfl, sample_stride)
+    traj = _free_solve(u0, u1, n, t_list[-1], cfl=cfl, sample_stride=sample_stride)
     samples, details = [], {}
     for w in weights:
         T = w.horizon
@@ -281,8 +281,8 @@ def kss_inhom_check(
     delta: float,
     delta_prime: float,
     horizon: float,
-    cfl: float = 0.25,
-    sample_stride: int = 10,
+    cfl: float = DEFAULT_CFL,
+    sample_stride: int = DEFAULT_STRIDE,
 ) -> IneqSample:
     """Zero-data source solve: (E1 + LE1) against the source-norm upper bound."""
     if n < 3:
@@ -296,7 +296,7 @@ def kss_inhom_check(
     cells = max(int(side / 0.05), 200)
     grid = RadialGrid(r_max=side, num_cells=cells)
     zero = RadialField.zeros(grid)
-    traj = _free_solve(zero, zero, n, horizon, cfl, sample_stride, forcing=forcing)
+    traj = _free_solve(zero, zero, n, horizon, forcing, cfl=cfl, sample_stride=sample_stride)
     le = le_norm(traj, w)
     e1 = e_norms(traj, t_max=horizon)
     f_traj = forcing.sampled(grid, traj.times, traj.problem)
@@ -311,8 +311,16 @@ def kss_inhom_check(
     )
 
 
+def require_band(band: float, name: str = "band") -> None:
+    """Refuse a band that is not finite and >= 0: kss_band_ok would fail every
+    run at a NaN band and pass every run at an infinite one."""
+    if not (math.isfinite(band) and band >= 0.0):
+        raise PreconditionViolation(f"{name} must be finite and >= 0, got {band}")
+
+
 def kss_band_ok(samples, band: float = KSS_BAND) -> bool:
     """T-uniformity gate: every ratio within `band` of the smallest-T ratio."""
+    require_band(band)
     ordered = sorted(samples, key=lambda s: s.params["T"])
     ref = ordered[0].ratio
     return all(s.ratio <= (1.0 + band) * ref for s in ordered)
@@ -324,12 +332,10 @@ def energy_ineq_check(
     forcing: ForcingSpec,
     n: int,
     horizon: float,
-    cfl: float = 0.25,
-    sample_stride: int = 10,
 ) -> IneqSample:
     """sup-in-time energy against data energy plus the |du||F| work integral."""
     grid = u0.grid
-    traj = _free_solve(u0, u1, n, horizon, cfl, sample_stride, forcing=forcing)
+    traj = _free_solve(u0, u1, n, horizon, forcing)
     shape = forcing.shape(grid)
     energies, work_series = [], []
     for t, u, v in zip(traj.times, traj.u, traj.v):

@@ -21,15 +21,10 @@ from .core import (
     weight_exponents,
 )
 from .errors import Divergence, PreconditionViolation
-from .solver import DEFAULT_CFL, evolve, sampled_nonlinearity
+from .solver import DEFAULT_CFL, DEFAULT_STRIDE, evolve, sampled_nonlinearity
 
 DEFAULT_S1 = 0.5
 DEFAULT_S2 = 1.0
-# a sample every DEFAULT_STRIDE * DEFAULT_CFL * dr = 2.5 dr of time, the
-# spacing of cfl 0.25 with stride 10: the forcing N[u] is interpolated
-# between samples, and their spacing, not the RK4 step, sets the time error
-# (README, "Picard step")
-DEFAULT_STRIDE = 5
 
 
 @dataclass(frozen=True)

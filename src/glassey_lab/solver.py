@@ -31,12 +31,15 @@ from .errors import (
 )
 
 BLOWUP_THRESHOLD = 1e6
-# the step of the lifespan and picard runs: there RK4's time error is far
-# below the gap between a lifespan ladder's two rungs and the error of a
-# Picard solve's sampled forcing (README, "Lifespan step" and "Picard step"),
-# and the step is inside the stencil's bound for n <= 15; evolve itself and
-# the other subcommands keep cfl 0.25
+# the one step of evolve and of every subcommand.  RK4's time error there is
+# far below the grid's error and the gap between a lifespan ladder's two
+# rungs, and the step is inside the stencil's bound for n <= 15.  A sample
+# every DEFAULT_STRIDE * DEFAULT_CFL * dr = 2.5 dr keeps the sample times of
+# cfl 0.25 with stride 10: a Picard solve interpolates its forcing N[u]
+# between them, and their spacing, not the RK4 step, sets its time error
+# (README, "Time step")
 DEFAULT_CFL = 0.5
+DEFAULT_STRIDE = 5
 CAUSALITY_MARGIN = 2.0
 VANISH_FACTOR = 1e-14
 
@@ -344,8 +347,8 @@ def evolve(
     t_end: float,
     forcing=None,
     linear_only: bool = False,
-    cfl: float = 0.25,
-    sample_stride: int = 10,
+    cfl: float = DEFAULT_CFL,
+    sample_stride: int = DEFAULT_STRIDE,
     forcing_support: float = 0.0,
 ) -> SolveOutcome:
     """March (u, v) with classical RK4 at dt = t_end / step_count(...) <= cfl*dr.

@@ -298,6 +298,19 @@ def test_kss_bad_band_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, ba
     assert "Traceback" not in err
 
 
+# an empty list ended --variant inhom in kss_band_ok's IndexError (exit 1)
+@pytest.mark.parametrize("variant", ["hom", "inhom"])
+@pytest.mark.parametrize("t_list", ["", ","])
+def test_kss_empty_t_list_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, variant,
+                                                   t_list):
+    monkeypatch.setattr(estimates, "evolve", _no_solve)
+    code = main(["kss", "--variant", variant, "--t-list", t_list, "--rmax", "24",
+                 "--cells", "480", "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "precondition: --t-list names no horizon" in err and "Traceback" not in err
+
+
 # a data-file token: any double's repr (nan, inf, 1.7976931348623157e+308,
 # subnormals), a few spelled-out edge values, or junk
 _TOKENS = st.one_of(
@@ -339,6 +352,16 @@ def test_from_file_contents_never_exit_1(rows):
     assert "Traceback" not in err.getvalue()
 
 
+def _exit_code(argv):
+    """main(argv) with its output captured into a temporary --out; the exit
+    code and stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", os.path.join(tmp, "run")])
+    return code, err.getvalue()
+
+
 # ineq flags as a user might type them: any lemma, small or bad dimensions,
 # powers in and out of range, negative seeds and non-finite values
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
@@ -352,15 +375,11 @@ def test_from_file_contents_never_exit_1(rows):
        cells=st.integers(16, 128))
 @example(lemma="hardy", n=3, s=0.5, seed=-1, tol=1e-9, samples=3, cells=64)
 def test_ineq_flags_never_exit_1(lemma, n, s, seed, tol, samples, cells):
-    with tempfile.TemporaryDirectory() as tmp:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["ineq", "--lemma", lemma, "--n", str(n), "--s", repr(s),
-                         "--seed", str(seed), "--tol", repr(tol), "--samples", str(samples),
-                         "--cells", str(cells), "--rmax", "12",
-                         "--out", os.path.join(tmp, "run")])
-    assert code in (0, 2, 3), err.getvalue()
-    assert "Traceback" not in err.getvalue()
+    code, err = _exit_code(["ineq", "--lemma", lemma, "--n", str(n), "--s", repr(s),
+                            "--seed", str(seed), "--tol", repr(tol), "--samples", str(samples),
+                            "--cells", str(cells), "--rmax", "12"])
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
 
 
 def test_solve_huge_data_reports_inf_energy_without_warnings(tmp_path, capsys):
@@ -530,3 +549,159 @@ def test_picard_config_at_the_old_step_replays_its_trace(tmp_path):
     assert read(os.path.join(out, "picard_trace.csv")).decode() == OLD_STEP_PICARD_TRACE
     echoed = read_config(os.path.join(out, "config.txt"))
     assert (echoed["cfl"], echoed["stride"]) == ("0.25", "10")
+
+
+def test_config_with_a_negative_value_replays(tmp_path):
+    # a value that starts with '-' is folded as --a=-1e-05, one token, and
+    # not taken for a flag of its own
+    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["solve", "--a", "-0.00001", "--rmax", "12", "--cells", "240",
+                 "--t-end", "0.5", "--out", out1]) == 0
+    assert read_config(os.path.join(out1, "config.txt"))["a"] == "-1e-05"
+    assert main(["--config", os.path.join(out1, "config.txt"), "--out", out2]) == 0
+    for name in ("series.csv", "outcome.csv"):
+        assert read(os.path.join(out1, name)) == read(os.path.join(out2, name))
+
+
+# config.txt files and CSVs as the CLI wrote them when norms and kss stepped
+# at cfl 0.25 with stride 10 by default
+OLD_STEP_NORMS_CONFIG = """\
+# glassey-lab v1 config
+assigns = to_u0
+cells = 160
+center = 0.0
+cfl = 0.25
+data_file = 
+delta = 0.3
+delta_prime = 0.2
+eps = 1.0
+n = 3
+p = 2.0
+profile = gaussian
+rmax = 12.0
+stride = 10
+subcommand = norms
+t_end = 2.0
+width = 1.0
+"""
+OLD_STEP_NORMS_CSV = """\
+# glassey-lab v1 norms
+quantity,value
+p_c,2.0
+s_c,1.5
+lambda1,2.4279767700518593
+lambda2,5.412387587975736
+e1,2.4279767700518593
+e2,5.413956144983235
+le1,16.43543803202971
+le2,25.6688158657701
+le1_deriv,3.0427349910654002
+le1_field,3.482559926340602
+le1_log,4.791792420719965
+le1_horizon,5.1183506939037455
+"""
+OLD_STEP_KSS_CONFIG = """\
+# glassey-lab v1 config
+assigns = to_u0
+band = 0.25
+cells = 160
+center = 0.0
+cfl = 0.25
+data_file = 
+delta = 0.3
+delta_prime = 0.2
+eps = 1.0
+n = 3
+profile = gaussian
+rmax = 12.0
+stride = 10
+subcommand = kss
+t_list = 1,2
+variant = hom
+width = 1.0
+"""
+OLD_STEP_KSS_CSV = """\
+# glassey-lab v1 kss
+lemma_id,n,s,s1,s2,delta,delta_prime,T,seed,ratio,bound,violation,e1,le1,deriv,field,log,horizon
+kss_hom,3,,,,0.3,0.2,1.0,,7.076017031072651,,false,2.4279767700518593,14.752428205883863,\
+2.400486668312471,2.990744494985275,4.499002450527585,4.862194592058533
+kss_hom,3,,,,0.3,0.2,2.0,,7.769190807240988,,false,2.4279767700518593,16.43543803202971,\
+3.0427349910654002,3.482559926340602,4.791792420719965,5.1183506939037455
+"""
+
+
+@pytest.mark.parametrize("config, csv_name, csv", [
+    (OLD_STEP_NORMS_CONFIG, "norms.csv", OLD_STEP_NORMS_CSV),
+    (OLD_STEP_KSS_CONFIG, "kss.csv", OLD_STEP_KSS_CSV),
+], ids=["norms", "kss-hom"])
+def test_config_at_the_old_step_replays_its_csv(tmp_path, config, csv_name, csv):
+    path = tmp_path / "config.txt"
+    path.write_text(config)
+    out = str(tmp_path / "run")
+    assert main(["--config", str(path), "--out", out]) == 0
+    assert read(os.path.join(out, csv_name)).decode() == csv
+
+
+# the n = 20 stencil bounds the step at 0.447, below the default cfl 0.5
+@pytest.mark.parametrize("argv", [
+    ["solve", "--t-end", "1"],
+    ["kss", "--t-list", "1"],
+    ["norms", "--t-end", "1"],
+], ids=["solve", "kss", "norms"])
+def test_dimension_past_the_default_step_bound_exits_2(tmp_path, capsys, argv):
+    out = str(tmp_path / "run")
+    assert main(argv + ["--n", "20", "--rmax", "12", "--cells", "240", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "stability bound 0.447214" in err and "--cfl" in err and "Traceback" not in err
+    assert not [name for name in os.listdir(out) if name.endswith(".csv")]
+
+
+# bad values for any flag: not finite, negative, zero, or past the double range
+_BAD = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "-0.25", "1e308", "0.9", "junk"])
+
+
+@st.composite
+def _solve_flags(draw, **extra):
+    """Flags of a small solve that norms and kss share, plus `extra` (flag ->
+    strategy), with at most two of their values replaced by bad ones."""
+    flags = {
+        "--n": draw(st.one_of(st.integers(2, 9), st.sampled_from([1, 16, 20, 400]))),
+        "--cfl": draw(st.floats(0.1, 0.75)),
+        "--stride": draw(st.integers(1, 12)),
+        "--delta": draw(st.floats(0.05, 0.45)),
+        "--delta-prime": draw(st.floats(-0.5, 0.04)),
+        "--profile": draw(st.sampled_from(["gaussian", "smooth_bump"])),
+        "--eps": draw(st.floats(0.0, 4.0)),
+        "--width": draw(st.floats(0.2, 1.5)),
+        "--center": draw(st.floats(0.0, 1.0)),
+        "--assigns": draw(st.sampled_from(["to_u0", "to_u1", "split"])),
+        "--rmax": draw(st.floats(6.0, 20.0)),
+        "--cells": draw(st.integers(16, 128)),
+    }
+    flags.update({flag: draw(strategy) for flag, strategy in extra.items()})
+    numeric = [f for f in flags if f not in ("--profile", "--assigns", "--variant")]
+    for flag in draw(st.lists(st.sampled_from(numeric), max_size=2, unique=True)):
+        flags[flag] = draw(_BAD)
+    # --flag=value, so that a negative value is not read as a flag
+    return [f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}"
+            for flag, value in flags.items()]
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(flags=_solve_flags(**{"--p": st.floats(1.05, 4.0), "--t-end": st.floats(0.0, 2.0)}))
+def test_norms_flags_never_exit_1(flags):
+    code, err = _exit_code(["norms"] + flags)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+
+
+_HORIZONS = st.lists(st.floats(0.05, 2.0).map(repr), min_size=1, max_size=2).map(",".join)
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(flags=_solve_flags(**{"--variant": st.sampled_from(["hom", "inhom"]),
+                             "--t-list": _HORIZONS, "--band": st.floats(0.0, 1.0)}))
+def test_kss_flags_never_exit_1(flags):
+    code, err = _exit_code(["kss"] + flags)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err

@@ -184,6 +184,14 @@ def test_kss_hom_band_n2_reduced():
     assert "field" not in details[1.0]
 
 
+# at a NaN band every ratio would fail the gate, at an infinite one pass it
+@pytest.mark.parametrize("band", [math.nan, math.inf, -0.5])
+def test_kss_band_ok_refuses_a_band_not_finite_and_non_negative(band):
+    samples = [gl.IneqSample("kss_hom", {"T": T}, 1.0) for T in (1.0, 2.0)]
+    with pytest.raises(gl.PreconditionViolation, match="band must be finite and >= 0"):
+        gl.kss_band_ok(samples, band=band)
+
+
 def test_kss_inhom_n2_gate():
     f = gl.ForcingSpec(amplitude=1.0, space_center=0.0, space_width=1.0,
                        t_on=0.0, t_off=0.5)
@@ -251,10 +259,11 @@ def test_free_solve_is_the_forced_linear_evolve():
                                           assigns="split"), g)
     f = gl.ForcingSpec(amplitude=0.5, space_center=1.0, space_width=1.0,
                        t_on=0.0, t_off=1.0)
-    traj = estimates._free_solve(data.u0, data.u1, 3, 5.0, 0.25, 10, forcing=f)
+    step = dict(cfl=0.25, sample_stride=10)
+    traj = estimates._free_solve(data.u0, data.u1, 3, 5.0, f, **step)
     direct = gl.evolve(gl.ProblemSpec(n_dim=3, p=2.0, a=0.0, b=0.0), data.u0, data.u1,
                        g, 5.0, forcing=f.callable_on(g), linear_only=True,
-                       forcing_support=f.support_radius).trajectory
+                       forcing_support=f.support_radius, **step).trajectory
     for name in ("times", "u", "v"):
         assert np.array_equal(getattr(traj, name), getattr(direct, name))
 

@@ -86,3 +86,40 @@ def test_dead_name_is_caught():
            "def _gone():\n    return LIMIT\nclass Kept:\n    pass\n")
     other = "from .mod import _helper\nx = _helper + mod.LIMIT\n"
     assert dead_names(mod, [mod, other]) == ["UNUSED", "_gone"]
+
+
+def test_every_step_default_is_the_solvers():
+    # the step policy lives in solver alone: every --cfl and --stride default
+    # and every default of a cfl or sample_stride parameter is one of its two
+    # constants, so no subcommand or function steps by a policy of its own
+    import argparse
+    import importlib
+    import inspect
+
+    from glassey_lab import cli, solver
+
+    policy = {"cfl": solver.DEFAULT_CFL, "stride": solver.DEFAULT_STRIDE,
+              "sample_stride": solver.DEFAULT_STRIDE}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {(name, a.dest) for name, parser in subparsers.choices.items()
+             for a in parser._actions if a.dest in policy}
+    assert {name for name, dest in flags if dest == "cfl"} == set(subparsers.choices) - {"ineq"}
+    for name, dest in flags:
+        assert subparsers.choices[name].get_default(dest) == policy[dest], (name, dest)
+
+    checked = 0
+    # __main__ runs the CLI on import
+    for module in set(MODULES) - {"__main__.py"}:
+        mod = importlib.import_module("glassey_lab." + module[:-3])
+        functions = [f for _, f in inspect.getmembers(mod, inspect.isfunction)]
+        for _, cls in inspect.getmembers(mod, inspect.isclass):
+            functions += [f for _, f in inspect.getmembers(cls, inspect.isfunction)]
+        for fn in functions:
+            if fn.__module__ != mod.__name__:
+                continue
+            for param in inspect.signature(fn).parameters.values():
+                if param.name in policy and param.default is not param.empty:
+                    assert param.default == policy[param.name], (fn.__qualname__, param.name)
+                    checked += 1
+    assert checked >= 8

@@ -3,10 +3,6 @@ import pytest
 
 import glassey_lab as gl
 
-# phi_map's default step, for the solves it is compared with
-PICARD_STEP = dict(cfl=gl.picard.DEFAULT_CFL, sample_stride=gl.picard.DEFAULT_STRIDE)
-
-
 def make_setup(eps=0.05, p=2.5, cells=800, rmax=16.0, a=1.0, b=0.0):
     spec = gl.ProblemSpec(n_dim=3, p=p, a=a, b=b)
     g = gl.RadialGrid(r_max=rmax, num_cells=cells)
@@ -18,8 +14,7 @@ def make_setup(eps=0.05, p=2.5, cells=800, rmax=16.0, a=1.0, b=0.0):
 
 def test_phi_map_free_when_nonlinearity_off():
     spec, g, data = make_setup(a=0.0, b=0.0)
-    free = gl.evolve(spec, data.u0, data.u1, g, 4.0, linear_only=True,
-                     **PICARD_STEP).trajectory
+    free = gl.evolve(spec, data.u0, data.u1, g, 4.0, linear_only=True).trajectory
     mapped = gl.phi_map(free, data.u0, data.u1, g, 4.0)
     for ua, va, ub, vb in zip(free.u, free.v, mapped.u, mapped.v):
         assert np.array_equal(ua, ub)
@@ -37,14 +32,13 @@ def test_phi_map_zero_everything():
 def test_phi_map_superposition():
     # phi[u] - free solve equals the zero-data source solve driven by N[u]
     spec, g, data = make_setup(eps=0.2)
-    free = gl.evolve(spec, data.u0, data.u1, g, 4.0, linear_only=True,
-                     **PICARD_STEP).trajectory
+    free = gl.evolve(spec, data.u0, data.u1, g, 4.0, linear_only=True).trajectory
     mapped = gl.phi_map(free, data.u0, data.u1, g, 4.0)
     from glassey_lab.picard import sampled_nonlinearity
 
     z = gl.RadialField.zeros(g)
     forced = gl.evolve(spec, z, z, g, 4.0, forcing=sampled_nonlinearity(free),
-                       linear_only=True, **PICARD_STEP).trajectory
+                       linear_only=True).trajectory
     scale = max(np.max(np.abs(u)) for u in mapped.u)
     for um, uf, ufr in zip(mapped.u, forced.u, free.u):
         resid = um - (ufr + uf)

@@ -111,10 +111,10 @@ def test_traced_node_steps_are_the_steps_evolve_takes(tracing, monkeypatch, eps,
         family="gaussian", epsilon=eps, width=1.0, center=0.0, assigns="to_u1"), grid)
     # 7 does not divide the 320 cfl steps, so the stride rounding counts
     call = (spec, data.u0, data.u1, grid, 4.0)
-    outcome = solver.evolve(*call, sample_stride=7)
+    outcome = solver.evolve(*call, cfl=0.25, sample_stride=7)
     assert outcome.status == status
 
-    bound = inspect.signature(solver.evolve).bind(*call, sample_stride=7)
+    bound = inspect.signature(solver.evolve).bind(*call, cfl=0.25, sample_stride=7)
     bound.apply_defaults()
     attrs = tracing._evolve_attrs(bound.arguments, outcome)
     steps = len(stages) // 4
