@@ -122,16 +122,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_pic.add_argument("--tol", type=float, default=1e-8)
 
     p_life = add_parser("lifespan", help="epsilon sweep and scaling-law fit")
-    _add_common(p_life, "n p a b rmax cells cfl jobs")
+    _add_common(p_life, "n p a b rmax cfl jobs")
     _add_profile(p_life, include_eps=False)
     p_life.add_argument("--eps-list", "--eps", dest="eps_list", type=str,
                         default="0.7,1.0,1.4,2.0,2.8",
                         help="comma list of sweep amplitudes")
     p_life.add_argument("--horizon", type=float, default=40.0)
-    p_life.add_argument("--ladder", type=str, default=None,
-                        help="comma list of two cell counts; default cells/2,cells")
+    p_life.add_argument("--ladder", type=str, default="1920,3840",
+                        help="comma list of two cell counts")
     # defaults sized for the stock subcritical battery
-    p_life.set_defaults(rmax=48.0, cells=3840, assigns="split")
+    p_life.set_defaults(rmax=48.0, assigns="split")
 
     p_norms = add_parser("norms", help="norm report for a linear evolution")
     _add_common(p_norms, "n p rmax cells cfl stride")
@@ -297,13 +297,9 @@ def _run_picard(args):
 def _run_lifespan(args):
     spec = ProblemSpec(n_dim=args.n, p=args.p, a=args.a, b=args.b)
     eps = _parse_list(args.eps_list, "--eps-list")
-    if args.ladder:
-        ladder = _parse_list(args.ladder, "--ladder")
-    else:
-        ladder = [args.cells // 2, args.cells]
-    profile = _profile_from(args)
+    ladder = _parse_list(args.ladder, "--ladder")
     records = lifespan.sweep(
-        spec, profile, eps, ladder, args.horizon, args.rmax,
+        spec, _profile_from(args), eps, ladder, args.horizon, args.rmax,
         cfl=args.cfl, jobs=args.jobs,
     )
     write_csv(os.path.join(args.out, "sweep.csv"), "lifespan",

@@ -95,6 +95,9 @@ class RadialGrid:
             raise PreconditionViolation(f"r_max must be positive, got {self.r_max}")
         if self.num_cells < 16:
             raise PreconditionViolation(f"num_cells must be >= 16, got {self.num_cells}")
+        if self.spacing > 1e150:  # the stencils' dr^2 must stay a finite double
+            raise PreconditionViolation(
+                f"grid spacing r_max / num_cells = {self.spacing:.3g} is past 1e150")
 
     @property
     def spacing(self) -> float:

@@ -23,6 +23,7 @@ from .core import (
     _derivative_values,
     _energy_integral,
     e_norms,
+    lambda_norms,
     le_norm,
     lestar_upper,
     radial_derivative,
@@ -212,7 +213,7 @@ def kss_hom_check(
     if not t_list:
         raise PreconditionViolation("t_list must contain positive horizons")
     weights = [WeightParams(delta=delta, delta_prime=delta_prime, horizon=T) for T in t_list]
-    denom = weighted_l2(radial_derivative(u0), n, 0.0, 0.0) + weighted_l2(u1, n, 0.0, 0.0)
+    denom = lambda_norms(u0, u1, n).lambda1
     if denom == 0.0:
         raise DegenerateInput("kss_hom_check: zero data")
 
@@ -322,6 +323,8 @@ def kss_band_ok(samples, band: float = KSS_BAND) -> bool:
     """T-uniformity gate: every ratio within `band` of the smallest-T ratio."""
     require_band(band)
     ordered = sorted(samples, key=lambda s: s.params["T"])
+    if not ordered:
+        raise PreconditionViolation("kss_band_ok: the sample list is empty")
     ref = ordered[0].ratio
     return all(s.ratio <= (1.0 + band) * ref for s in ordered)
 

@@ -6,19 +6,18 @@ threshold, global survival above).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import ProblemSpec, RadialGrid
-from .errors import GlasseyLabError, InsufficientData, PreconditionViolation
+from .errors import InsufficientData, PreconditionViolation
 from .solver import (
     DEFAULT_CFL,
     DataProfile,
     evolve,
     make_profile,
-    require_stable_step,
+    require_runnable,
     step_count,
 )
 
@@ -129,14 +128,6 @@ def measure_lifespan(
     )
 
 
-def _sweep_one(args):
-    """One sweep point: its LifespanRecord, or the GlasseyLabError it raised."""
-    try:
-        return measure_lifespan(*args)
-    except GlasseyLabError as exc:
-        return exc
-
-
 def sweep(
     spec: ProblemSpec,
     profile: DataProfile,
@@ -147,34 +138,29 @@ def sweep(
     cfl: float = DEFAULT_CFL,
     jobs: int = 1,
 ):
-    """One record per epsilon, in epsilon order; a failed run is skipped with
-    a warning rather than aborting the sweep.  A parameter that would fail
-    every run (the horizon, cfl, grid or data profile) is refused
-    before any starts."""
+    """One record per epsilon, in epsilon order.  Every check a rung makes
+    before it steps (require_runnable) is made for each epsilon on each rung
+    before the first solve, so a sweep that starts measures every epsilon,
+    and an error in any run ends the sweep."""
     eps = [float(e) for e in epsilons]
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise PreconditionViolation("epsilons must be strictly increasing")
+    scaled = [replace(profile, epsilon=e) for e in eps]
     ladder = tuple(_two_rungs(ladder))
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise PreconditionViolation(f"horizon must be finite and > 0, got {horizon}")
     for cells in ladder:
         grid = RadialGrid(r_max=r_max, num_cells=cells)
-        step_count(horizon, grid, cfl, 1)
-        require_stable_step(grid, spec.n_dim, cfl)
-        # whether the data fits the grid does not depend on epsilon
-        make_profile(profile, grid)
+        for point in scaled:
+            data = make_profile(point, grid)
+            require_runnable(spec, data.u0, data.u1, grid, horizon, cfl, 1)
     tasks = [(spec, profile, e, ladder, horizon, r_max, cfl) for e in eps]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_one, tasks))
-    else:
-        results = [_sweep_one(t) for t in tasks]
-    for e, result in zip(eps, results):
-        if isinstance(result, GlasseyLabError):
-            warnings.warn(f"epsilon={e}: {result}")
-    return [r for r in results if not isinstance(r, GlasseyLabError)]
+            return list(pool.map(measure_lifespan, *zip(*tasks)))
+    return [measure_lifespan(*t) for t in tasks]
 
 
 def _usable(records):

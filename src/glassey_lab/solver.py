@@ -75,7 +75,9 @@ class DataProfile:
 
 
 def _bump_shape(r: np.ndarray, center: float, width: float) -> np.ndarray:
-    xi = (r - center) / width
+    # |xi| past the double range is inf, outside the bump
+    with np.errstate(over="ignore"):
+        xi = (r - center) / width
     out = np.zeros_like(r)
     inside = np.abs(xi) < 1.0
     out[inside] = np.exp(-1.0 / (1.0 - xi[inside] ** 2))
@@ -142,8 +144,10 @@ def make_profile(profile: DataProfile, grid: RadialGrid) -> ProfileData:
     """Realize a data template on a grid; rejects data reaching the boundary."""
     r = grid.nodes
     if profile.family == "gaussian":
-        shape = np.exp(-(((r - profile.center) / profile.width) ** 2))
-        edge = math.exp(-(((grid.r_max - profile.center) / profile.width) ** 2))
+        # an exponent past the double range is -inf, where the shape is 0
+        with np.errstate(over="ignore"):
+            shape = np.exp(-(((r - profile.center) / profile.width) ** 2))
+            edge = np.exp(-np.square((grid.r_max - profile.center) / profile.width))
         if edge > 1e-16:
             raise SupportOverflow(
                 f"gaussian tail {edge:.3g} at r_max exceeds 1e-16 of peak"
@@ -339,6 +343,26 @@ def require_stable_step(grid: RadialGrid, n: int, cfl: float) -> None:
         )
 
 
+def require_runnable(spec: ProblemSpec, u0: RadialField, u1: RadialField, grid: RadialGrid,
+                     t_end: float, cfl: float, sample_stride: int,
+                     forcing_support: float = 0.0) -> int:
+    """Every check `evolve` makes before it steps, in its order, and the RK4 steps
+    it takes (step_count); past them a run ends completed or blown up."""
+    if u0.grid != grid or u1.grid != grid:
+        raise PreconditionViolation("data must live on the target grid")
+    nsteps = step_count(t_end, grid, cfl, sample_stride)
+    require_stable_step(grid, spec.n_dim, cfl)
+    reach = max(support_radius(u0, u1), forcing_support)
+    if reach + t_end + CAUSALITY_MARGIN > grid.r_max:
+        raise PreconditionViolation(
+            f"causality: support {reach:.3g} + t_end {t_end:.3g} + "
+            f"{CAUSALITY_MARGIN} exceeds r_max {grid.r_max:.3g}"
+        )
+    if t_end > 0.0 and t_end / nsteps < 1e-12:
+        raise StepUnderflow(f"dt = {t_end / nsteps:.3g} below 1e-12")
+    return nsteps
+
+
 def evolve(
     spec: ProblemSpec,
     u0: RadialField,
@@ -364,26 +388,13 @@ def evolve(
     where a step's t that equals the previous step's t + dt bit for bit
     reuses that row.
     """
-    if u0.grid != grid or u1.grid != grid:
-        raise PreconditionViolation("data must live on the target grid")
-    nsteps = step_count(t_end, grid, cfl, sample_stride)
-    require_stable_step(grid, spec.n_dim, cfl)
-
-    reach = max(support_radius(u0, u1), forcing_support)
-    if reach + t_end + CAUSALITY_MARGIN > grid.r_max:
-        raise PreconditionViolation(
-            f"causality: support {reach:.3g} + t_end {t_end:.3g} + "
-            f"{CAUSALITY_MARGIN} exceeds r_max {grid.r_max:.3g}"
-        )
-
+    nsteps = require_runnable(spec, u0, u1, grid, t_end, cfl, sample_stride, forcing_support)
     if t_end == 0.0:
         traj = Trajectory(spec, grid, np.zeros(1), u0.values[None], u1.values[None])
         return SolveOutcome("completed", traj, None, 0.0)
 
     dr = grid.spacing
     dt = t_end / nsteps
-    if dt < 1e-12:
-        raise StepUnderflow(f"dt = {dt:.3g} below 1e-12")
 
     nonlinear = not linear_only and (spec.a != 0.0 or spec.b != 0.0)
     nodes = grid.num_cells + 1

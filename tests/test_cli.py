@@ -131,7 +131,7 @@ def test_lifespan_subcommand_small(tmp_path):
     # unambiguous long form
     code = main(["lifespan", "--n", "3", "--p", "1.5", "--a", "1", "--b", "0",
                  "--eps", "1.4,2.0,2.8,4.0", "--horizon", "15",
-                 "--rmax", "23", "--cells", "920", "--ladder", "460,920",
+                 "--rmax", "23", "--ladder", "460,920",
                  "--assigns", "split", "--out", out])
     assert code == 0
     fit = read(os.path.join(out, "fit.csv")).decode().splitlines()
@@ -162,30 +162,36 @@ def test_lifespan_three_rung_ladder_exits_2(tmp_path, monkeypatch, capsys):
     assert "ladder needs exactly 2" in capsys.readouterr().err
 
 
-# a parameter that every rung would fail is refused once, before the first
+# a parameter that a run would fail is refused once, before the first
 # epsilon, with its own message (not one warning per epsilon and then
-# "no records"); --n 20 is past the default lifespan step's bound, and a
-# fractional cell count is refused, not truncated to a 120-cell rung
-@pytest.mark.parametrize("flag, value, message", [
-    ("--ladder", "120.9,240", "ladder cell count 120.9 is not a whole number"),
-    ("--horizon", "nan", "horizon must be finite and > 0, got nan"),
-    ("--horizon", "0", "horizon must be finite and > 0, got 0.0"),
-    ("--horizon", "-1", "horizon must be finite and > 0, got -1.0"),
-    ("--cfl", "0.9", "cfl must lie in (0, 0.75], got 0.9"),
-    ("--n", "20", "cfl 0.5 is at or past the RK4 stability bound 0.447214"),
-], ids=["ladder-fraction", "horizon", "horizon-0", "horizon-negative", "cfl", "n"])
+# "no records"); --n 20 is past the default lifespan step's bound, a
+# fractional cell count is refused, not truncated to a 120-cell rung, and
+# data whose support plus the horizon reaches past --rmax fails causality
+@pytest.mark.parametrize("flags, message", [
+    (["--ladder", "120.9,240"], "ladder cell count 120.9 is not a whole number"),
+    (["--horizon", "nan"], "horizon must be finite and > 0, got nan"),
+    (["--horizon", "0"], "horizon must be finite and > 0, got 0.0"),
+    (["--horizon", "-1"], "horizon must be finite and > 0, got -1.0"),
+    (["--cfl", "0.9"], "cfl must lie in (0, 0.75], got 0.9"),
+    (["--n", "20"], "cfl 0.5 is at or past the RK4 stability bound 0.447214"),
+    (["--horizon", "10", "--rmax", "12"],
+     "causality: support 5.62 + t_end 10 + 2.0 exceeds r_max 12"),
+    (["--eps-list=-1,2,3,4"], "epsilon must be >= 0, got -1.0"),
+], ids=["ladder-fraction", "horizon", "horizon-0", "horizon-negative", "cfl", "n",
+        "causality", "epsilon-negative"])
 def test_lifespan_run_wide_bad_parameter_exits_2_before_any_epsilon(
-        tmp_path, monkeypatch, capsys, flag, value, message):
+        tmp_path, monkeypatch, capsys, flags, message):
     monkeypatch.setattr(lifespan, "evolve", _no_solve)
     out = str(tmp_path / "run")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["lifespan", "--n", "3", "--p", "1.5", "--eps-list", "1,2,3,4",
                      "--horizon", "4", "--rmax", "16", "--ladder", "160,320",
-                     flag, value, "--out", out])
+                     *flags, "--out", out])
     assert code == 2
     err = capsys.readouterr().err
     assert f"precondition: {message}" in err and "Traceback" not in err
+    assert os.listdir(out) == ["config.txt"]
 
 
 def test_from_file_non_numeric_token_exits_2(tmp_path, capsys):
@@ -420,6 +426,18 @@ def test_dimension_past_the_double_range_exits_2(tmp_path, capsys, argv):
     assert not [name for name in os.listdir(out) if name.endswith(".csv")]
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "2", "--cells", "16", "--t-end", "1"],
+    ["lifespan", "--n", "2", "--ladder", "16,32", "--horizon", "1", "--eps-list", "1"],
+], ids=["solve", "lifespan"])
+def test_grid_spacing_past_the_double_range_exits_2(tmp_path, capsys, argv):
+    # the stencil weights' dr^2 overflowed: an OverflowError, exit 1
+    assert main(argv + ["--rmax", "1e200", "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "precondition: grid spacing r_max / num_cells = 6.25e+198 is past 1e150" in err
+    assert "Traceback" not in err
+
+
 # at least one flag per subcommand that its runner never reads; kss --b and
 # norms --a must not be taken as prefixes of --band and --assigns
 @pytest.mark.parametrize("argv, flag", [
@@ -436,6 +454,8 @@ def test_dimension_past_the_double_range_exits_2(tmp_path, capsys, argv):
       "--rmax", "12", "--ladder", "120,240", "--seed", "1"], "--seed"),
     (["lifespan", "--n", "3", "--p", "1.5", "--eps", "2.8,4.0", "--horizon", "6",
       "--rmax", "12", "--ladder", "120,240", "--stride", "20"], "--stride"),
+    (["lifespan", "--n", "3", "--p", "1.5", "--eps", "2.8,4.0", "--horizon", "6",
+      "--rmax", "12", "--cells", "3840"], "--cells"),
     (["norms", "--n", "3", "--eps", "1.0", "--rmax", "18", "--cells", "450",
       "--t-end", "4", "--a", "1"], "--a"),
     (["norms", "--n", "3", "--eps", "1.0", "--rmax", "18", "--cells", "450",
@@ -443,13 +463,17 @@ def test_dimension_past_the_double_range_exits_2(tmp_path, capsys, argv):
     # a config.txt written before the flag was dropped names it as a key
     (["--config", "{config}"], "--seed"),
     (["--config", "{lifespan_config}"], "--stride"),
+    (["--config", "{lifespan_cells_config}"], "--cells"),
 ], ids=["solve-seed", "ineq-p", "kss-jobs", "kss-b", "picard-seed", "lifespan-seed",
-        "lifespan-stride", "norms-a", "norms-b", "solve-config-seed", "lifespan-config-stride"])
+        "lifespan-stride", "lifespan-cells", "norms-a", "norms-b", "solve-config-seed",
+        "lifespan-config-stride", "lifespan-config-cells"])
 def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv, flag):
     configs = {
         "{config}": "subcommand = solve\nrmax = 12.0\ncells = 240\nt_end = 0.5\nseed = 7\n",
         "{lifespan_config}": "subcommand = lifespan\neps_list = 2.8,4.0\nhorizon = 6.0\n"
                              "rmax = 12.0\nladder = 120,240\nstride = 20\n",
+        # the default ladder was cells/2,cells, so an old config has an empty one
+        "{lifespan_cells_config}": "subcommand = lifespan\ncells = 3840\nladder = \n",
     }
     for key, text in configs.items():
         path = tmp_path / (key.strip("{}") + ".txt")
@@ -661,9 +685,10 @@ _BAD = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "-0.25", "1e308", "0.9"
 
 
 @st.composite
-def _solve_flags(draw, **extra):
-    """Flags of a small solve that norms and kss share, plus `extra` (flag ->
-    strategy), with at most two of their values replaced by bad ones."""
+def _solve_flags(draw, drop=(), **extra):
+    """Flags of a small solve that norms and kss share, less those in `drop`,
+    plus `extra` (flag -> strategy), with at most two of their values
+    replaced by bad ones."""
     flags = {
         "--n": draw(st.one_of(st.integers(2, 9), st.sampled_from([1, 16, 20, 400]))),
         "--cfl": draw(st.floats(0.1, 0.75)),
@@ -678,7 +703,16 @@ def _solve_flags(draw, **extra):
         "--rmax": draw(st.floats(6.0, 20.0)),
         "--cells": draw(st.integers(16, 128)),
     }
+    for flag in drop:
+        del flags[flag]
     flags.update({flag: draw(strategy) for flag, strategy in extra.items()})
+    return draw(_with_bad_values(flags))
+
+
+@st.composite
+def _with_bad_values(draw, flags):
+    """`flags` as --flag=value tokens, with at most two of the values that
+    are not choices replaced by bad ones."""
     numeric = [f for f in flags if f not in ("--profile", "--assigns", "--variant")]
     for flag in draw(st.lists(st.sampled_from(numeric), max_size=2, unique=True)):
         flags[flag] = draw(_BAD)
@@ -705,3 +739,71 @@ def test_kss_flags_never_exit_1(flags):
     code, err = _exit_code(["kss"] + flags)
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
+
+
+# mostly dimensions that picard's weights admit; n = 20 is past the step bound
+_DIMENSIONS = st.sampled_from([3, 2, 4, 5, 20])
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(flags=_solve_flags(drop=("--delta", "--delta-prime"), **{
+    "--n": _DIMENSIONS, "--p": st.floats(1.5, 4.0), "--a": st.floats(-1.0, 1.0),
+    "--b": st.floats(-1.0, 1.0), "--eps": st.floats(0.0, 0.2), "--t-end": st.floats(0.0, 2.0),
+    "--max-iters": st.integers(2, 3), "--tol": st.floats(1e-10, 1e-2)}))
+def test_picard_flags_never_exit_1(flags):
+    code, err = _exit_code(["picard"] + flags)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+
+
+def _ascending(values):
+    return ",".join(repr(v) for v in sorted(set(values)))
+
+
+@st.composite
+def _lifespan_flags(draw):
+    """Flags of a small sweep (two rungs of at most 240 cells, a horizon of
+    at most 4, at most three epsilons), with at most two values replaced by
+    bad ones."""
+    coarse = draw(st.integers(16, 120))
+    flags = {
+        "--n": draw(_DIMENSIONS),
+        "--p": draw(st.floats(1.05, 4.0)),
+        "--a": draw(st.floats(-1.0, 1.0)),
+        "--b": draw(st.floats(-1.0, 1.0)),
+        "--cfl": draw(st.floats(0.1, 0.75)),
+        "--profile": draw(st.sampled_from(["gaussian", "smooth_bump"])),
+        "--width": draw(st.floats(0.2, 1.5)),
+        "--center": draw(st.floats(0.0, 1.0)),
+        "--assigns": draw(st.sampled_from(["to_u0", "to_u1", "split"])),
+        "--rmax": draw(st.floats(4.0, 16.0)),
+        "--horizon": draw(st.floats(0.05, 4.0)),
+        "--ladder": f"{coarse},{draw(st.integers(coarse + 1, 240))}",
+        "--eps-list": draw(st.lists(st.floats(0.0, 6.0), min_size=1, max_size=3)
+                           .map(_ascending)),
+    }
+    return draw(_with_bad_values(flags))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(flags=_lifespan_flags())
+def test_lifespan_flags_never_exit_1(flags):
+    # the sweep refuses up front or measures every epsilon: an exit 2 leaves
+    # no sweep.csv, or one with a row per epsilon when the fit refuses the
+    # records (a fit needs 4, and at most 3 are swept here); nothing warns
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "run")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["lifespan"] + flags + ["--out", out])
+        sweep = os.path.join(out, "sweep.csv")
+        rows = len(read(sweep).decode().splitlines()) - 2 if os.path.exists(sweep) else None
+    err = err.getvalue()
+    assert code in (0, 2), err
+    assert "Traceback" not in err and [str(w.message) for w in caught] == []
+    if code == 2 and rows is not None:
+        eps = next(f for f in flags if f.startswith("--eps-list="))
+        assert "usable records" in err or "records censored" in err, err
+        assert rows == len(eps.split("=", 1)[1].split(",")), err

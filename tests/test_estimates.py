@@ -170,6 +170,10 @@ def test_kss_hom_band_n3():
                                         [1.0, 4.0, 16.0])
     assert gl.kss_band_ok(samples)
     assert set(details[1.0]) >= {"e1", "le1", "deriv", "field", "log", "horizon"}
+    # the data size is lambda_norms' lambda1, bit for bit
+    lam = gl.lambda_norms(data.u0, data.u1, 3).lambda1
+    assert [s.ratio for s in samples] == [(details[T]["e1"] + details[T]["le1"]) / lam
+                                          for T in (1.0, 4.0, 16.0)]
 
 
 def test_kss_hom_band_n2_reduced():
@@ -190,6 +194,12 @@ def test_kss_band_ok_refuses_a_band_not_finite_and_non_negative(band):
     samples = [gl.IneqSample("kss_hom", {"T": T}, 1.0) for T in (1.0, 2.0)]
     with pytest.raises(gl.PreconditionViolation, match="band must be finite and >= 0"):
         gl.kss_band_ok(samples, band=band)
+
+
+def test_kss_band_ok_refuses_an_empty_sample_list():
+    # it read the smallest-T ratio as ordered[0], an IndexError
+    with pytest.raises(gl.PreconditionViolation, match="the sample list is empty"):
+        gl.kss_band_ok([])
 
 
 def test_kss_inhom_n2_gate():

@@ -88,6 +88,73 @@ def test_dead_name_is_caught():
     assert dead_names(mod, [mod, other]) == ["UNUSED", "_gone"]
 
 
+def _catches_package_errors() -> set:
+    """The names a handler can give to catch a GlasseyLabError: the class, its
+    subclasses and its bases."""
+    from glassey_lab import errors
+
+    subclasses = {name for name, obj in vars(errors).items()
+                  if isinstance(obj, type) and issubclass(obj, errors.GlasseyLabError)}
+    return subclasses | {"Exception", "BaseException"}
+
+
+def swallowed_errors(source: str, allowed=()) -> list:
+    """'function:line' of each except handler that catches a GlasseyLabError
+    (bare, or naming it, a subclass or a base) and does not end in `raise`,
+    outside the functions named in `allowed`."""
+    names = _catches_package_errors()
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and function not in allowed:
+                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                named = {getattr(c, "id", getattr(c, "attr", None)) for c in caught}
+                catches = child.type is None or bool(named & names)
+                if catches and not isinstance(child.body[-1], ast.Raise):
+                    found.append(f"{function}:{child.lineno}")
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+# a package error is refused or reported, never turned into a value: only
+# cli.main, which maps errors to exit codes, may end a handler without raise
+@pytest.mark.parametrize("module", MODULES)
+def test_no_handler_swallows_a_package_error(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert swallowed_errors(fh.read(), {"main"} if module == "cli.py" else ()) == []
+
+
+def test_swallowed_error_is_caught():
+    # the sweep point wrapper that once made a failed epsilon a skipped point
+    sweep_one = (
+        "def _sweep_one(args):\n"
+        "    try:\n"
+        "        return measure_lifespan(*args)\n"
+        "    except GlasseyLabError as exc:\n"
+        "        return exc\n"
+    )
+    others = (
+        "def rethrows():\n"
+        "    try:\n        pass\n"
+        "    except (OSError, errors.Divergence) as exc:\n"
+        "        note(exc)\n        raise\n"
+        "def bare():\n"
+        "    try:\n        pass\n"
+        "    except:\n        pass\n"
+        "def unrelated():\n"
+        "    try:\n        pass\n"
+        "    except ValueError:\n        return None\n"
+        "def main():\n"
+        "    try:\n        pass\n"
+        "    except Exception:\n        return 1\n"
+    )
+    assert swallowed_errors(sweep_one + others, {"main"}) == ["_sweep_one:4", "bare:15"]
+    assert swallowed_errors(others) == ["bare:10", "main:20"]
+
+
 def test_every_step_default_is_the_solvers():
     # the step policy lives in solver alone: every --cfl and --stride default
     # and every default of a cfl or sample_stride parameter is one of its two

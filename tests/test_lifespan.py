@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -199,17 +200,55 @@ def test_sweep_requires_increasing_epsilons():
                           assigns="to_u1")
     with pytest.raises(gl.PreconditionViolation):
         gl.sweep(spec(3, 1.5), prof, (1.0, 1.0, 2.0), (160, 320), 4.0, 16.0)
-    assert gl.sweep(spec(3, 1.5), prof, (), (160, 320), 4.0, 16.0) == []
+    for jobs in (1, 2):
+        assert gl.sweep(spec(3, 1.5), prof, (), (160, 320), 4.0, 16.0, jobs=jobs) == []
 
 
-def test_sweep_skips_failing_epsilon():
-    # second epsilon large enough that its data has not vanished by r_max
+def _no_solve(*args, **kwargs):
+    raise AssertionError("evolve was called")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_refuses_causality_before_any_solve(monkeypatch, jobs):
+    # the data's support plus the horizon reaches past r_max for every
+    # epsilon: the sweep is refused once, before any solve, at any jobs
+    # (it used to warn once per epsilon and return no records)
+    monkeypatch.setattr(gl.lifespan, "evolve", _no_solve)
     prof = gl.DataProfile(family="gaussian", epsilon=1.0, width=1.0, center=0.0,
                           assigns="to_u1")
-    spec15 = spec(3, 1.5)
-    with pytest.warns(UserWarning):
-        recs = gl.sweep(spec15, prof, (4.0, 5.0), (160, 320), 20.0, 16.0)
-    assert recs == []  # causality fails for every epsilon at this horizon
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(gl.PreconditionViolation, match="causality: support"):
+            gl.sweep(spec(3, 1.5), prof, (4.0, 5.0), (160, 320), 20.0, 16.0, jobs=jobs)
+
+
+@pytest.mark.parametrize("eps", [(-1.0, 2.0), (0.0, 2.0)])
+def test_sweep_checks_each_epsilon_before_any_solve(monkeypatch, eps):
+    # a negative epsilon is refused by DataProfile's own rule.  Each point's
+    # own data is checked, not the template's: at the template's epsilon 0
+    # the data has no support, and only epsilon 2's reach fails causality
+    monkeypatch.setattr(gl.lifespan, "evolve", _no_solve)
+    prof = gl.DataProfile(family="gaussian", epsilon=0.0, width=1.0, center=0.0,
+                          assigns="to_u1")
+    message = "epsilon must be >= 0" if eps[0] < 0 else "causality: support"
+    with pytest.raises(gl.PreconditionViolation, match=message):
+        gl.sweep(spec(3, 1.5), prof, eps, (160, 320), 12.0, 16.0)
+
+
+def test_sweep_error_in_a_run_ends_the_sweep(monkeypatch):
+    # nothing is skipped: an error raised by a point reaches the caller
+    calls = []
+
+    def failing_evolve(*args, **kwargs):
+        calls.append(args)
+        raise gl.PreconditionViolation("injected")
+
+    monkeypatch.setattr(gl.lifespan, "evolve", failing_evolve)
+    prof = gl.DataProfile(family="gaussian", epsilon=1.0, width=1.0, center=0.0,
+                          assigns="to_u1")
+    with pytest.raises(gl.PreconditionViolation, match="injected"):
+        gl.sweep(spec(3, 1.5), prof, (4.0, 5.0), (160, 320), 4.0, 16.0)
+    assert len(calls) == 1
 
 
 def test_ladder_duplicate_resolutions_rejected():
@@ -217,10 +256,6 @@ def test_ladder_duplicate_resolutions_rejected():
                           assigns="to_u1")
     with pytest.raises(gl.PreconditionViolation):
         gl.measure_lifespan(spec(3, 1.5), prof, 1.0, (320, 320), 4.0, 16.0)
-
-
-def _no_solve(*args, **kwargs):
-    raise AssertionError("evolve was called")
 
 
 def test_ladder_of_three_rungs_rejected(monkeypatch):
@@ -250,10 +285,6 @@ def test_ladder_fractional_count_rejected_not_truncated(monkeypatch, ladder, bad
         gl.sweep(spec(3, 1.5), prof, (1.0, 2.0), ladder, 12.0, 24.0)
 
 
-def _user_warnings(record):
-    return [str(w.message) for w in record if issubclass(w.category, UserWarning)]
-
-
 def test_sweep_pool_matches_serial():
     prof = gl.DataProfile(family="gaussian", epsilon=1.0, width=1.0, center=0.0,
                           assigns="to_u1")
@@ -261,18 +292,3 @@ def test_sweep_pool_matches_serial():
     serial = gl.sweep(*args, jobs=1)
     assert len(serial) == 2 and not any(r.censored for r in serial)
     assert gl.sweep(*args, jobs=2) == serial
-
-
-def test_sweep_pool_skips_failing_epsilon_like_serial():
-    # the all-failing case of test_sweep_skips_failing_epsilon
-    prof = gl.DataProfile(family="gaussian", epsilon=1.0, width=1.0, center=0.0,
-                          assigns="to_u1")
-    args = (spec(3, 1.5), prof, (4.0, 5.0), (160, 320), 20.0, 16.0)
-    with pytest.warns(UserWarning) as serial_warnings:
-        serial = gl.sweep(*args, jobs=1)
-    with pytest.warns(UserWarning) as pool_warnings:
-        pooled = gl.sweep(*args, jobs=2)
-    assert serial == pooled == []
-    messages = _user_warnings(serial_warnings)
-    assert [m.split(":")[0] for m in messages] == ["epsilon=4.0", "epsilon=5.0"]
-    assert _user_warnings(pool_warnings) == messages

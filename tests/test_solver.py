@@ -70,6 +70,19 @@ def test_support_overflow_gate():
         )
 
 
+def test_shape_exponent_past_the_double_range_is_zero_without_warnings():
+    # a gaussian centered at 1e308 used to end in an OverflowError (exit 1),
+    # and a bump of width 1e-308 in a RuntimeWarning
+    g = gl.RadialGrid(r_max=4.0, num_cells=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = gl.make_profile(gaussian_profile(center=1e308), g)
+        narrow = gl.make_profile(
+            gl.DataProfile(family="smooth_bump", epsilon=1.0, width=1e-308, center=0.0), g)
+    assert not np.any(far.u0.values)
+    assert narrow.u0.values.tolist() == [math.exp(-1.0)] + [0.0] * 16
+
+
 def test_from_file_round_trip(tmp_path):
     g = gl.RadialGrid(r_max=10.0, num_cells=500)
     rs = np.linspace(0.0, 10.0, 201)
@@ -848,6 +861,47 @@ def test_step_underflow():
     z = gl.RadialField.zeros(g)
     with pytest.raises(gl.StepUnderflow):
         gl.evolve(spec(), z, z, g, 1e-12, sample_stride=10)
+
+
+# (n, t_end, cfl, stride, other grid, the error): one case per check, in the
+# order require_runnable makes them
+_UNRUNNABLE = [
+    (3, 1.0, 0.5, 5, True, "data must live on the target grid"),
+    (3, -1.0, 0.5, 5, False, "t_end must be >= 0"),
+    (3, 1.0, 0.9, 5, False, r"cfl must lie in \(0, 0.75\]"),
+    (3, 1.0, 0.5, 0, False, "sample_stride must be >= 1"),
+    (20, 1.0, 0.5, 5, False, "stability bound"),
+    (3, 5.0, 0.5, 5, False, "causality: support"),
+    (3, 1e-12, 0.5, 10, False, "dt = 1e-13 below 1e-12"),
+]
+
+
+@pytest.mark.parametrize("n, t_end, cfl, stride, other, message", _UNRUNNABLE,
+                         ids=["grid", "t_end", "cfl", "stride", "stable", "causality", "dt"])
+def test_require_runnable_is_every_check_of_evolve(n, t_end, cfl, stride, other, message):
+    # evolve makes its checks through require_runnable alone: the same error
+    # from both, and with no check failing, the steps evolve takes
+    g = gl.RadialGrid(r_max=8.0, num_cells=200)
+    data = gl.make_profile(gaussian_profile(), g)
+    u0 = gl.RadialField.zeros(gl.RadialGrid(r_max=8.0, num_cells=100)) if other else data.u0
+    errors = []
+    for check in (gl.solver.require_runnable, gl.evolve):
+        with pytest.raises(gl.GlasseyLabError, match=message) as info:
+            check(spec(n=n), u0, data.u1, g, t_end, cfl=cfl, sample_stride=stride)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+
+
+def test_require_runnable_returns_the_steps_evolve_takes():
+    g = gl.RadialGrid(r_max=8.0, num_cells=200)
+    data = gl.make_profile(gaussian_profile(), g)
+    steps = gl.solver.require_runnable(spec(), data.u0, data.u1, g, 0.2, 0.5, 5)
+    assert steps == step_count(0.2, g, 0.5, 5) == 10
+    times = gl.evolve(spec(), data.u0, data.u1, g, 0.2, cfl=0.5, sample_stride=5).trajectory.times
+    assert times.size == steps // 5 + 1
+    z = gl.RadialField.zeros(g)
+    # t_end = 0 takes no step, so no step is too small
+    assert gl.solver.require_runnable(spec(), z, z, g, 0.0, 0.5, 5) == 5
 
 
 # ---------------------------------------------------------------------------
