@@ -96,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_solve, "n p a b rmax cells cfl stride")
     _add_profile(p_solve)
     p_solve.add_argument("--t-end", type=float, default=1.0)
-    p_solve.add_argument("--linear", action="store_true", help="drop the nonlinearity")
 
     p_ineq = add_parser("ineq", help="seeded inequality suite")
     _add_common(p_ineq, "n rmax cells seed jobs")
@@ -187,10 +186,8 @@ def _problem(args):
 
 def _run_solve(args):
     spec, grid, data = _problem(args)
-    outcome = evolve(
-        spec, data.u0, data.u1, grid, args.t_end,
-        linear_only=args.linear, cfl=args.cfl, sample_stride=args.stride,
-    )
+    outcome = evolve(spec, data.u0, data.u1, grid, args.t_end,
+                     cfl=args.cfl, sample_stride=args.stride)
     traj = outcome.trajectory
     # an energy past the double range is reported as inf, without a warning
     with np.errstate(over="ignore", invalid="ignore"):

@@ -95,6 +95,10 @@ class RadialGrid:
             raise PreconditionViolation(f"r_max must be positive, got {self.r_max}")
         if self.num_cells < 16:
             raise PreconditionViolation(f"num_cells must be >= 16, got {self.num_cells}")
+        # numpy indexes the bytes of the float64 nodes with an intp
+        if self.num_cells >= np.iinfo(np.intp).max // 8:
+            raise PreconditionViolation(
+                f"num_cells {self.num_cells:.3g} is past the node arrays numpy can index")
         if self.spacing > 1e150:  # the stencils' dr^2 must stay a finite double
             raise PreconditionViolation(
                 f"grid spacing r_max / num_cells = {self.spacing:.3g} is past 1e150")
@@ -149,7 +153,8 @@ def _read_only(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Samples u[k], v[k] = (u, u_t) at uniformly spaced times[k].
+    """Samples u[k], v[k] = (u, u_t) at uniformly spaced times[k] of a solve
+    of the equation `problem`.
 
     times has shape (K,) and u, v have shape (K, nodes).  The trajectory
     keeps read-only views of the arrays it is given; they are not copied.
@@ -637,16 +642,15 @@ def norm_report(traj: Trajectory, w: WeightParams) -> NormReport:
                       components=le1.components)
 
 
-def lestar_upper(forcing_traj: Trajectory, w: WeightParams) -> float:
-    """Upper bound on the dual-space source norm: minimum over the three
-    single-term decompositions of the forcing (held in the u slot)."""
-    n = forcing_traj.problem.n_dim
+def lestar_upper(times, source, grid: RadialGrid, n: int, w: WeightParams) -> float:
+    """Upper bound on the dual-space norm of the source whose nodal values at
+    times[k] are the row source[k]: minimum over the three single-term
+    decompositions."""
     d, dp, horizon = w.delta, w.delta_prime, w.horizon
-    grid = forcing_traj.grid
     rows = []
-    for u in forcing_traj.u:
-        vals = np.abs(u)
+    for f in source:
+        vals = np.abs(f)
         rows.append([_weighted_square_integral(vals, grid, n, d, nu)
                      for nu in (0.5 - dp, 0.5 - d, 0.0)])
-    a, b, c = _time_norms(forcing_traj.times, rows, horizon)
+    a, b, c = _time_norms(times, rows, horizon)
     return min(a, math.sqrt(math.log(2.0 + horizon)) * b, horizon ** (0.5 - d) * c)

@@ -269,12 +269,6 @@ class ForcingSpec:
         shape = self.shape(grid)
         return lambda t: self.envelope(t) * shape
 
-    def sampled(self, grid: RadialGrid, times, spec: ProblemSpec) -> Trajectory:
-        """The source at the given times, held in the u slot."""
-        envelopes = np.array([self.envelope(t) for t in times])
-        u = envelopes[:, None] * self.shape(grid)
-        return Trajectory(spec, grid, times, u, np.zeros_like(u))
-
 
 def kss_inhom_check(
     forcing: ForcingSpec,
@@ -294,14 +288,17 @@ def kss_inhom_check(
     if forcing.amplitude == 0.0:
         raise DegenerateInput("kss_inhom_check: zero forcing")
     side = max(1.0, forcing.support_radius + horizon + 2.5)
-    cells = max(int(side / 0.05), 200)
-    grid = RadialGrid(r_max=side, num_cells=cells)
+    cells = side / 0.05
+    if not math.isfinite(cells):
+        raise PreconditionViolation(
+            f"horizon {horizon:.3g}: a grid of dr 0.05 out to r = {side:.3g} has {cells} cells")
+    grid = RadialGrid(r_max=side, num_cells=max(int(cells), 200))
     zero = RadialField.zeros(grid)
     traj = _free_solve(zero, zero, n, horizon, forcing, cfl=cfl, sample_stride=sample_stride)
     le = le_norm(traj, w)
     e1 = e_norms(traj, t_max=horizon)
-    f_traj = forcing.sampled(grid, traj.times, traj.problem)
-    denom = lestar_upper(f_traj, w)
+    envelopes = np.array([forcing.envelope(t) for t in traj.times])
+    denom = lestar_upper(traj.times, envelopes[:, None] * forcing.shape(grid), grid, n, w)
     if denom == 0.0:
         raise DegenerateInput("kss_inhom_check: zero source norm")
     return IneqSample(

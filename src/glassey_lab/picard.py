@@ -5,7 +5,7 @@ original data, and measure contraction in the energy + local-energy metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     ProblemSpec,
@@ -52,6 +52,7 @@ class PicardResult:
 
 
 def phi_map(
+    spec: ProblemSpec,
     u_traj: Trajectory,
     u0: RadialField,
     u1: RadialField,
@@ -60,26 +61,17 @@ def phi_map(
     cfl: float = DEFAULT_CFL,
     sample_stride: int = DEFAULT_STRIDE,
 ) -> Trajectory:
-    """One application of the iteration map: linear solve forced by N[u].
+    """One application of the iteration map: the free wave of spec (a = b = 0)
+    from (u0, u1), forced by spec's N[u] on u_traj.
 
     Raises Divergence when the forced solve trips the blow-up detector (the
     iterate has left any reasonable ball before a step metric can be taken).
     """
-    spec = u_traj.problem
     forcing = None
     if spec.a != 0.0 or spec.b != 0.0:
-        forcing = sampled_nonlinearity(u_traj)
-    outcome = evolve(
-        spec,
-        u0,
-        u1,
-        grid,
-        t_end,
-        forcing=forcing,
-        linear_only=True,
-        cfl=cfl,
-        sample_stride=sample_stride,
-    )
+        forcing = sampled_nonlinearity(spec, u_traj)
+    outcome = evolve(replace(spec, a=0.0, b=0.0), u0, u1, grid, t_end, forcing=forcing,
+                     cfl=cfl, sample_stride=sample_stride)
     if outcome.status != "completed":
         raise Divergence(
             f"iterate exploded during the forced linear solve at t={outcome.t_blowup}"
@@ -117,7 +109,8 @@ def picard_run(
     sample_stride: int = DEFAULT_STRIDE,
 ) -> PicardResult:
     """Iterate the map from the free solution until the step metric,
-    measured with default_weights(spec, t_end), is small.
+    measured with default_weights(spec, t_end), is small.  Every iterate,
+    `final` too, is a solve of the free spec (a = b = 0).
 
     Raises Divergence (with the trace attached) when the step metric grows
     tenfold over two consecutive corrections.
@@ -129,15 +122,14 @@ def picard_run(
     w = default_weights(spec, t_end)
 
     lam = lambda_norms(u0, u1, spec.n_dim).lambda1
-    current = evolve(
-        spec, u0, u1, grid, t_end, linear_only=True, cfl=cfl, sample_stride=sample_stride
-    ).trajectory
+    current = evolve(replace(spec, a=0.0, b=0.0), u0, u1, grid, t_end, cfl=cfl,
+                     sample_stride=sample_stride).trajectory
 
     trace = []
     converged = False
     for k in range(1, max_iters + 1):
         try:
-            nxt = phi_map(current, u0, u1, grid, t_end, cfl=cfl,
+            nxt = phi_map(spec, current, u0, u1, grid, t_end, cfl=cfl,
                           sample_stride=sample_stride)
         except Divergence as exc:
             raise Divergence(str(exc), trace=trace) from None

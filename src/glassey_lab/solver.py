@@ -237,12 +237,13 @@ def _add_nonlinearity(out: np.ndarray, u: np.ndarray, v: np.ndarray, dr: float,
         _add_flushed_power(out, work, spec.b, spec.p, scratch)
 
 
-def sampled_nonlinearity(traj: Trajectory) -> LinearSeries:
-    """N[u] on the trajectory's sample times, linearly interpolated between."""
+def sampled_nonlinearity(spec: ProblemSpec, traj: Trajectory) -> LinearSeries:
+    """spec's N[u] on the trajectory's sample times, linearly interpolated
+    between."""
     fields = np.zeros_like(traj.u)
-    scratch = _flush_scratch(fields.shape[1], traj.problem.p)
+    scratch = _flush_scratch(fields.shape[1], spec.p)
     for row, u, v in zip(fields, traj.u, traj.v):
-        _add_nonlinearity(row, u, v, traj.grid.spacing, traj.problem, scratch)
+        _add_nonlinearity(row, u, v, traj.grid.spacing, spec, scratch)
     return LinearSeries(traj.times, fields)
 
 
@@ -297,7 +298,11 @@ def step_count(t_end: float, grid: RadialGrid, cfl: float, sample_stride: int) -
         raise PreconditionViolation(f"cfl must lie in (0, 0.75], got {cfl}")
     if sample_stride < 1:
         raise PreconditionViolation("sample_stride must be >= 1")
-    nsteps = max(1, math.ceil(t_end / (cfl * grid.spacing)))
+    steps = t_end / (cfl * grid.spacing)
+    if not math.isfinite(steps):
+        raise PreconditionViolation(
+            f"t_end {t_end:.3g} takes t_end / (cfl * dr) = {steps} steps, past the double range")
+    nsteps = max(1, math.ceil(steps))
     return sample_stride * math.ceil(nsteps / sample_stride)
 
 
@@ -370,7 +375,6 @@ def evolve(
     grid: RadialGrid,
     t_end: float,
     forcing=None,
-    linear_only: bool = False,
     cfl: float = DEFAULT_CFL,
     sample_stride: int = DEFAULT_STRIDE,
     forcing_support: float = 0.0,
@@ -380,10 +384,12 @@ def evolve(
     Neumann symmetry closes the origin, the outer node is clamped, and the
     causality precondition keeps the boundary causally inert.  The run aborts
     as blown-up the first time max(|v|, |u_r|) passes BLOWUP_THRESHOLD or any
-    value stops being finite; numpy's overflow and invalid-value warnings are
-    silenced while stepping, so that detector is the one report.  A cfl that
-    RK4 cannot take on this stencil is refused (require_stable_step), so a
-    reported blow-up is not RK4's own instability.
+    value stops being finite.  A linear run (a = b = 0) scales with its data,
+    so its threshold is BLOWUP_THRESHOLD times max(1, that size at t = 0).
+    numpy's overflow and invalid-value warnings are silenced while stepping,
+    so that detector is the one report.  A cfl that RK4 cannot take on this
+    stencil is refused (require_stable_step), so a reported blow-up is not
+    RK4's own instability.
     `forcing(t)` is called once per distinct stage time: t, t + dt/2, t + dt,
     where a step's t that equals the previous step's t + dt bit for bit
     reuses that row.
@@ -396,7 +402,7 @@ def evolve(
     dr = grid.spacing
     dt = t_end / nsteps
 
-    nonlinear = not linear_only and (spec.a != 0.0 or spec.b != 0.0)
+    nonlinear = spec.a != 0.0 or spec.b != 0.0
     nodes = grid.num_cells + 1
     # looked up once per run: each lookup hashes the grid
     c_plus, c_minus = _flux_weights(grid, spec.n_dim)
@@ -480,6 +486,7 @@ def evolve(
     with np.errstate(over="ignore", invalid="ignore"):
         # data near the double range overflows the one-sided origin row
         peak = size()
+        limit = BLOWUP_THRESHOLD if nonlinear else BLOWUP_THRESHOLD * max(1.0, peak)
         for k in range(nsteps):
             if forcing is not None and t != t_source:
                 source = forcing(t)
@@ -503,7 +510,7 @@ def evolve(
             t = (k + 1) * dt
 
             now = size()
-            if not math.isfinite(now) or now > BLOWUP_THRESHOLD:
+            if not math.isfinite(now) or now > limit:
                 status, t_blow = "blew_up", t
                 peak = max(peak, now) if math.isfinite(now) else math.inf
                 break

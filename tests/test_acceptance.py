@@ -37,7 +37,7 @@ def test_criterion_01_linear_solver_vs_exact_oracle():
     for cells in (1000, 2000, 4000):
         g = gl.RadialGrid(r_max=20.0, num_cells=cells)
         data = gl.make_profile(_gaussian(), g)
-        out = gl.evolve(spec, data.u0, data.u1, g, 1.0, linear_only=True)
+        out = gl.evolve(spec, data.u0, data.u1, g, 1.0)
         exact_u, _ = gl.exact_free_n3(data.u0, data.u1, 1.0, g)
         fin_u = out.trajectory.u[-1]
         diff = gl.RadialField(g, fin_u - exact_u.values)
@@ -56,8 +56,7 @@ def test_criterion_02_linear_energy_conservation():
     spec = gl.ProblemSpec(n_dim=3, p=2.0, a=0.0, b=0.0)
     g = gl.RadialGrid(r_max=18.0, num_cells=7200)
     data = gl.make_profile(_gaussian(), g)
-    out = gl.evolve(spec, data.u0, data.u1, g, 10.0, linear_only=True, cfl=0.25,
-                    sample_stride=40)
+    out = gl.evolve(spec, data.u0, data.u1, g, 10.0, cfl=0.25, sample_stride=40)
     energies = gl.energy(out.trajectory)
     drift = float(np.max(np.abs(energies / energies[0] - 1.0)))
     elapsed = time.time() - t0

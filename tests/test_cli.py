@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import csv
 import io
 import math
 import os
@@ -409,7 +410,7 @@ def test_solve_huge_data_reports_inf_energy_without_warnings(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["ineq", "--lemma", "hardy", "--n", "400", "--s", "0.5", "--samples", "3"],
     ["norms", "--n", "400", "--eps", "1", "--rmax", "18", "--cells", "450", "--t-end", "2"],
-    ["solve", "--n", "340", "--linear", "--eps", "1", "--rmax", "12", "--cells", "240",
+    ["solve", "--n", "340", "--a", "0", "--eps", "1", "--rmax", "12", "--cells", "240",
      "--t-end", "0.05"],
 ], ids=["ineq", "norms", "solve"])
 def test_dimension_past_the_double_range_exits_2(tmp_path, capsys, argv):
@@ -438,6 +439,45 @@ def test_grid_spacing_past_the_double_range_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+_STEPS_PAST_RANGE = "t_end 1e+308 takes t_end / (cfl * dr) = inf steps, past the double range"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--t-end", "1e308", "--rmax", "12", "--cells", "64"], _STEPS_PAST_RANGE),
+    (["norms", "--t-end", "1e308", "--rmax", "12", "--cells", "64"], _STEPS_PAST_RANGE),
+    (["picard", "--t-end", "1e308", "--rmax", "12", "--cells", "64"], _STEPS_PAST_RANGE),
+    (["kss", "--t-list", "1e308", "--rmax", "12", "--cells", "64"], _STEPS_PAST_RANGE),
+    (["lifespan", "--n", "3", "--p", "1.5", "--eps-list", "1,2,3,4", "--horizon", "1e308",
+      "--rmax", "12", "--ladder", "120,240"], _STEPS_PAST_RANGE),
+    (["kss", "--variant", "inhom", "--t-list", "1e308"],
+     "horizon 1e+308: a grid of dr 0.05 out to r = 1e+308 has inf cells"),
+], ids=["solve", "norms", "picard", "kss-hom", "lifespan", "kss-inhom"])
+def test_horizon_past_the_double_range_exits_2(tmp_path, capsys, argv, message):
+    # the step count t_end / (cfl * dr), or kss inhom's cell count, was inf,
+    # and math.ceil or int raised OverflowError: exit 1
+    out = str(tmp_path / "run")
+    assert main(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"precondition: {message}" in err and "Traceback" not in err
+    assert not [name for name in os.listdir(out) if name.endswith(".csv")]
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["solve", "--cells", "10000000000000000000000", "--rmax", "12"], "1e+22"),
+    (["ineq", "--lemma", "hardy", "--s", "1", "--cells", "10000000000000000000000"], "1e+22"),
+    (["lifespan", "--ladder", "1e22,2e22"], "1e+22"),
+    (["kss", "--variant", "inhom", "--t-list", "1e300"], "2e+301"),
+], ids=["solve", "ineq", "lifespan", "kss-inhom"])
+def test_cell_count_past_numpy_index_range_exits_2(tmp_path, capsys, argv, count):
+    # numpy refused the node array: "Maximum allowed size exceeded", exit 1
+    out = str(tmp_path / "run")
+    assert main(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"precondition: num_cells {count} is past the node arrays numpy can index" in err
+    assert "Traceback" not in err
+    assert not [name for name in os.listdir(out) if name.endswith(".csv")]
+
+
 # at least one flag per subcommand that its runner never reads; kss --b and
 # norms --a must not be taken as prefixes of --band and --assigns
 @pytest.mark.parametrize("argv, flag", [
@@ -460,16 +500,22 @@ def test_grid_spacing_past_the_double_range_exits_2(tmp_path, capsys, argv):
       "--t-end", "4", "--a", "1"], "--a"),
     (["norms", "--n", "3", "--eps", "1.0", "--rmax", "18", "--cells", "450",
       "--t-end", "4", "--b", "1"], "--b"),
+    # --a 0 --b 0 is the linear solve
+    (["solve", "--rmax", "12", "--cells", "240", "--t-end", "0.5", "--linear"], "--linear"),
     # a config.txt written before the flag was dropped names it as a key
     (["--config", "{config}"], "--seed"),
+    (["--config", "{linear_config}"], "--linear"),
     (["--config", "{lifespan_config}"], "--stride"),
     (["--config", "{lifespan_cells_config}"], "--cells"),
 ], ids=["solve-seed", "ineq-p", "kss-jobs", "kss-b", "picard-seed", "lifespan-seed",
-        "lifespan-stride", "lifespan-cells", "norms-a", "norms-b", "solve-config-seed",
-        "lifespan-config-stride", "lifespan-config-cells"])
+        "lifespan-stride", "lifespan-cells", "norms-a", "norms-b", "solve-linear",
+        "solve-config-seed", "solve-config-linear", "lifespan-config-stride",
+        "lifespan-config-cells"])
 def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv, flag):
     configs = {
         "{config}": "subcommand = solve\nrmax = 12.0\ncells = 240\nt_end = 0.5\nseed = 7\n",
+        "{linear_config}": "subcommand = solve\nrmax = 12.0\ncells = 240\nt_end = 0.5\n"
+                           "linear = true\n",
         "{lifespan_config}": "subcommand = lifespan\neps_list = 2.8,4.0\nhorizon = 6.0\n"
                              "rmax = 12.0\nladder = 120,240\nstride = 20\n",
         # the default ladder was cells/2,cells, so an old config has an empty one
@@ -587,6 +633,75 @@ def test_config_with_a_negative_value_replays(tmp_path):
         assert read(os.path.join(out1, name)) == read(os.path.join(out2, name))
 
 
+# solve's flags for the config and CSVs below, as the CLI wrote them when
+# solve took --linear: a run without it (linear = false), and one with it
+SOLVE_FLAGS = ["solve", "--p", "1.5", "--eps", "2", "--assigns", "to_u1", "--rmax", "12",
+               "--cells", "240", "--t-end", "0.5"]
+OLD_SOLVE_CONFIG = """\
+# glassey-lab v1 config
+a = 1.0
+assigns = to_u1
+b = 0.0
+cells = 240
+center = 0.0
+cfl = 0.5
+data_file = 
+eps = 2.0
+linear = false
+n = 3
+out = pa
+p = 1.5
+profile = gaussian
+rmax = 12.0
+stride = 5
+subcommand = solve
+t_end = 0.5
+width = 1.0
+"""
+OLD_SOLVE_SERIES = """\
+# glassey-lab v1 solve
+t,energy,max_v,max_u
+0.0,3.937402486430605,2.0,0.0
+0.125,5.097830783350408,2.295414473023747,0.26979603579506417
+0.25,6.543971217750593,2.4266077110832227,0.5670096492039497
+0.375,8.146064670531702,2.325666230700795,0.8667379582510114
+0.5,9.719520947141799,1.9520988346966515,1.1369809541210634
+"""
+OLD_SOLVE_OUTCOME = """\
+# glassey-lab v1 solve
+status,t_blowup,peak_gradient,t_end
+completed,,2.4268775601121195,0.5
+"""
+OLD_LINEAR_SERIES = """\
+# glassey-lab v1 solve
+t,energy,max_v,max_u
+0.0,3.937402486430605,2.0,0.0
+0.125,3.9375391732827367,1.9076682780137129,0.24613211277830696
+0.25,3.9379038887174715,1.644733791202843,0.46977197462074916
+0.375,3.9383784100893937,1.2503523523950488,0.6518135389500187
+0.5,3.9388171319267373,0.7807368878439713,0.7792161564992388
+"""
+OLD_LINEAR_OUTCOME = """\
+# glassey-lab v1 solve
+status,t_blowup,peak_gradient,t_end
+completed,,2.0,0.5
+"""
+
+
+@pytest.mark.parametrize("argv, series, outcome", [
+    (["--config", "{config}"], OLD_SOLVE_SERIES, OLD_SOLVE_OUTCOME),
+    (SOLVE_FLAGS + ["--a", "0", "--b", "0"], OLD_LINEAR_SERIES, OLD_LINEAR_OUTCOME),
+], ids=["config-linear-false", "a0-b0-as-linear"])
+def test_solve_writes_what_it_wrote_with_the_linear_flag(tmp_path, argv, series, outcome):
+    config = tmp_path / "config.txt"
+    config.write_text(OLD_SOLVE_CONFIG)
+    out = str(tmp_path / "run")
+    assert main([str(config) if arg == "{config}" else arg for arg in argv]
+                + ["--out", out]) == 0
+    assert read(os.path.join(out, "series.csv")).decode() == series
+    assert read(os.path.join(out, "outcome.csv")).decode() == outcome
+
+
 # config.txt files and CSVs as the CLI wrote them when norms and kss stepped
 # at cfl 0.25 with stride 10 by default
 OLD_STEP_NORMS_CONFIG = """\
@@ -680,6 +795,35 @@ def test_dimension_past_the_default_step_bound_exits_2(tmp_path, capsys, argv):
     assert not [name for name in os.listdir(out) if name.endswith(".csv")]
 
 
+def _csv_rows(path):
+    """The rows of a CSV the CLI wrote, as dicts, below its marker line."""
+    return list(csv.DictReader(read(path).decode().splitlines()[1:]))
+
+
+def _free_runs(tmp_path, argv, csv_name):
+    """The rows of csv_name from argv at data sizes 1 and 1e7, where a linear
+    run's threshold of 1e6 stopped the second at t = 0, an exit 2."""
+    rows = []
+    for eps in ("1", "1e7"):
+        out = str(tmp_path / eps)
+        assert main(argv + ["--n", "3", "--rmax", "12", "--cells", "120", "--eps", eps,
+                            "--out", out]) == 0
+        rows.append(_csv_rows(os.path.join(out, csv_name)))
+    return rows
+
+
+def test_kss_ratio_of_large_data_is_the_unit_ratio(tmp_path):
+    unit, large = _free_runs(tmp_path, ["kss", "--variant", "hom", "--t-list", "1"], "kss.csv")
+    assert float(large[0]["ratio"]) == pytest.approx(float(unit[0]["ratio"]), rel=1e-12)
+
+
+def test_norms_of_large_data_scale_with_it(tmp_path):
+    unit, large = _free_runs(tmp_path, ["norms", "--t-end", "1"], "norms.csv")
+    for a, b in zip(unit, large):
+        scale = 1.0 if a["quantity"] in ("p_c", "s_c") else 1e7
+        assert float(b["value"]) == pytest.approx(scale * float(a["value"]), rel=1e-12)
+
+
 # bad values for any flag: not finite, negative, zero, or past the double range
 _BAD = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "-0.25", "1e308", "0.9", "junk"])
 
@@ -725,6 +869,17 @@ def _with_bad_values(draw, flags):
 @given(flags=_solve_flags(**{"--p": st.floats(1.05, 4.0), "--t-end": st.floats(0.0, 2.0)}))
 def test_norms_flags_never_exit_1(flags):
     code, err = _exit_code(["norms"] + flags)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(flags=_solve_flags(drop=("--delta", "--delta-prime"), **{
+    "--p": st.floats(1.05, 4.0), "--a": st.floats(-1.0, 1.0), "--b": st.floats(-1.0, 1.0),
+    "--t-end": st.floats(0.0, 2.0)}))
+@example(flags=["--t-end=1e308", "--rmax=12", "--cells=64"])
+def test_solve_flags_never_exit_1(flags):
+    code, err = _exit_code(["solve"] + flags)
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
 

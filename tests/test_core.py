@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -123,6 +124,17 @@ def test_grid_nodes_uniform():
     assert np.allclose(np.diff(g.nodes), g.spacing)
     with pytest.raises(gl.PreconditionViolation):
         gl.RadialGrid(r_max=10.0, num_cells=8)
+
+
+def test_grid_refuses_a_node_array_numpy_cannot_index():
+    # the most cells whose float64 nodes numpy can index; the nodes are built
+    # on first use, so the grid is made without allocating them
+    limit = np.iinfo(np.intp).max // 8 - 1
+    assert gl.RadialGrid(r_max=1.0, num_cells=limit).num_cells == limit
+    for cells in (limit + 1, 10**22):
+        with pytest.raises(gl.PreconditionViolation,
+                           match=re.escape(f"num_cells {cells:.3g} is past the node arrays")):
+            gl.RadialGrid(r_max=1.0, num_cells=cells)
 
 
 def test_field_validation():
@@ -472,7 +484,7 @@ def _free_trajectory(cells=600, t_end=4.0, eps=1.0, rmax=12.0):
     prof = gl.DataProfile(family="gaussian", epsilon=eps, width=1.0, center=0.0,
                           assigns="to_u0")
     data = gl.make_profile(prof, g)
-    out = gl.evolve(spec(a=0.0, b=0.0), data.u0, data.u1, g, t_end, linear_only=True)
+    out = gl.evolve(spec(a=0.0, b=0.0), data.u0, data.u1, g, t_end)
     return out.trajectory, data
 
 
@@ -526,7 +538,7 @@ def test_le_norm_n2_drops_field_terms():
                           assigns="to_u0")
     data = gl.make_profile(prof, g)
     out = gl.evolve(gl.ProblemSpec(n_dim=2, p=4.0, a=0.0, b=0.0), data.u0, data.u1, g,
-                    2.0, linear_only=True)
+                    2.0)
     w = gl.WeightParams(delta=0.25, delta_prime=0.0, horizon=2.0)
     le = gl.le_norm(out.trajectory, w)
     assert set(le.components) == {"deriv", "log", "horizon"}
@@ -582,7 +594,7 @@ def test_le_norm_first_order_matches_slopes_reference(n):
                           assigns="split")
     data = gl.make_profile(prof, g)
     out = gl.evolve(gl.ProblemSpec(n_dim=n, p=4.0, a=0.0, b=0.0), data.u0, data.u1, g,
-                    2.0, linear_only=True)
+                    2.0)
     w = gl.WeightParams(delta=0.25, delta_prime=0.1, horizon=2.0)
     assert gl.le_norm(out.trajectory, w).components == _le1_reference(out.trajectory, w)
     # the same bits at second order, which norm_report alone takes
@@ -596,7 +608,7 @@ def test_le_golden_self_convergence(goldens):
     prof = gl.DataProfile(family="gaussian", epsilon=1.0, width=1.0, center=0.0,
                           assigns="to_u0")
     data = gl.make_profile(prof, g)
-    out = gl.evolve(spec(a=0.0, b=0.0), data.u0, data.u1, g, 10.0, linear_only=True)
+    out = gl.evolve(spec(a=0.0, b=0.0), data.u0, data.u1, g, 10.0)
     w = gl.WeightParams(delta=0.3, delta_prime=0.2, horizon=10.0)
     le = gl.le_norm(out.trajectory, w)
     assert le.total == pytest.approx(value, rel=tol)
@@ -641,9 +653,9 @@ def test_lestar_upper_min_property():
     f = gl.ForcingSpec(amplitude=1.0, space_center=0.0, space_width=1.0,
                        t_on=0.0, t_off=1.0)
     times = np.linspace(0.0, 1.0, 21)
-    traj = f.sampled(g, times, spec(a=0.0, b=0.0))
+    source = np.array([f.envelope(t) for t in times])[:, None] * f.shape(g)
     w = gl.WeightParams(delta=0.3, delta_prime=0.2, horizon=1.0)
-    got = gl.lestar_upper(traj, w)
+    got = gl.lestar_upper(times, source, g, 3, w)
 
     # recompute the three single-term decompositions independently
     d, dp, T = 0.3, 0.2, 1.0
@@ -661,8 +673,7 @@ def test_lestar_upper_min_property():
     assert got == pytest.approx(min(cand), rel=1e-12)
 
     zeros = np.zeros((times.size, g.num_cells + 1))
-    zero_traj = gl.Trajectory(spec(a=0.0, b=0.0), g, times, zeros, zeros)
-    assert gl.lestar_upper(zero_traj, w) == 0.0
+    assert gl.lestar_upper(times, zeros, g, 3, w) == 0.0
 
 
 @pytest.mark.parametrize("center, d, dp, T, winner", [
@@ -674,15 +685,15 @@ def test_lestar_upper_matches_quadrature_reference(center, d, dp, T, winner):
     f = gl.ForcingSpec(amplitude=1.0, space_center=center, space_width=1.5,
                        t_on=0.0, t_off=T + 1.0)
     times = np.linspace(0.0, T + 0.5, 41)
-    traj = f.sampled(g, times, spec(n=5, a=0.0, b=0.0))
+    source = np.array([f.envelope(t) for t in times])[:, None] * f.shape(g)
     cand = []
     for nu, pref in ((0.5 - dp, 1.0), (0.5 - d, math.sqrt(math.log(2.0 + T))),
                      (0.0, T ** (0.5 - d))):
-        sq = [_weighted_square_integral(np.abs(u), g, 5, d, nu) for u in traj.u]
+        sq = [_weighted_square_integral(np.abs(row), g, 5, d, nu) for row in source]
         cand.append(pref * math.sqrt(_integrate_to_horizon(times, np.array(sq), T)))
     assert cand.index(min(cand)) == winner
     w = gl.WeightParams(delta=d, delta_prime=dp, horizon=T)
-    assert gl.lestar_upper(traj, w) == min(cand)
+    assert gl.lestar_upper(times, source, g, 5, w) == min(cand)
 
 
 def test_trajectory_difference():

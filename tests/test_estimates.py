@@ -272,8 +272,8 @@ def test_free_solve_is_the_forced_linear_evolve():
     step = dict(cfl=0.25, sample_stride=10)
     traj = estimates._free_solve(data.u0, data.u1, 3, 5.0, f, **step)
     direct = gl.evolve(gl.ProblemSpec(n_dim=3, p=2.0, a=0.0, b=0.0), data.u0, data.u1,
-                       g, 5.0, forcing=f.callable_on(g), linear_only=True,
-                       forcing_support=f.support_radius, **step).trajectory
+                       g, 5.0, forcing=f.callable_on(g), forcing_support=f.support_radius,
+                       **step).trajectory
     for name in ("times", "u", "v"):
         assert np.array_equal(getattr(traj, name), getattr(direct, name))
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,15 @@ def make_setup(eps=0.05, p=2.5, cells=800, rmax=16.0, a=1.0, b=0.0):
     return spec, g, data
 
 
+def free(spec):
+    return replace(spec, a=0.0, b=0.0)
+
+
 def test_phi_map_free_when_nonlinearity_off():
     spec, g, data = make_setup(a=0.0, b=0.0)
-    free = gl.evolve(spec, data.u0, data.u1, g, 4.0, linear_only=True).trajectory
-    mapped = gl.phi_map(free, data.u0, data.u1, g, 4.0)
-    for ua, va, ub, vb in zip(free.u, free.v, mapped.u, mapped.v):
+    wave = gl.evolve(spec, data.u0, data.u1, g, 4.0).trajectory
+    mapped = gl.phi_map(spec, wave, data.u0, data.u1, g, 4.0)
+    for ua, va, ub, vb in zip(wave.u, wave.v, mapped.u, mapped.v):
         assert np.array_equal(ua, ub)
         assert np.array_equal(va, vb)
 
@@ -24,23 +30,23 @@ def test_phi_map_free_when_nonlinearity_off():
 def test_phi_map_zero_everything():
     spec, g, _ = make_setup(a=1.0)
     z = gl.RadialField.zeros(g)
-    zero_traj = gl.evolve(spec, z, z, g, 4.0, linear_only=True).trajectory
-    mapped = gl.phi_map(zero_traj, z, z, g, 4.0)
+    zero_traj = gl.evolve(free(spec), z, z, g, 4.0).trajectory
+    mapped = gl.phi_map(spec, zero_traj, z, z, g, 4.0)
     assert all(not np.any(u) for u in mapped.u)
 
 
 def test_phi_map_superposition():
     # phi[u] - free solve equals the zero-data source solve driven by N[u]
     spec, g, data = make_setup(eps=0.2)
-    free = gl.evolve(spec, data.u0, data.u1, g, 4.0, linear_only=True).trajectory
-    mapped = gl.phi_map(free, data.u0, data.u1, g, 4.0)
+    wave = gl.evolve(free(spec), data.u0, data.u1, g, 4.0).trajectory
+    mapped = gl.phi_map(spec, wave, data.u0, data.u1, g, 4.0)
     from glassey_lab.picard import sampled_nonlinearity
 
     z = gl.RadialField.zeros(g)
-    forced = gl.evolve(spec, z, z, g, 4.0, forcing=sampled_nonlinearity(free),
-                       linear_only=True).trajectory
+    forced = gl.evolve(free(spec), z, z, g, 4.0,
+                       forcing=sampled_nonlinearity(spec, wave)).trajectory
     scale = max(np.max(np.abs(u)) for u in mapped.u)
-    for um, uf, ufr in zip(mapped.u, forced.u, free.u):
+    for um, uf, ufr in zip(mapped.u, forced.u, wave.u):
         resid = um - (ufr + uf)
         assert np.max(np.abs(resid)) <= 1e-10 * scale
 
@@ -93,9 +99,17 @@ def test_picard_fixed_point_residual():
     spec, g, data = make_setup(eps=0.05)
     tol = 1e-8
     res = gl.picard_run(spec, data.u0, data.u1, g, 6.0, max_iters=10, tol=tol)
-    again = gl.phi_map(res.final, data.u0, data.u1, g, 6.0)
+    again = gl.phi_map(spec, res.final, data.u0, data.u1, g, 6.0)
     rho = gl.rho_metric(again, res.final, res.weights)
     assert rho <= 2.0 * tol * res.lambda1
+
+
+def test_picard_iterates_are_solves_of_the_free_spec():
+    # each iterate solves a = b = 0 forced by spec's N[u], and says so
+    spec, g, data = make_setup(eps=0.05, cells=400)
+    res = gl.picard_run(spec, data.u0, data.u1, g, 4.0, max_iters=2, tol=1e-10)
+    assert res.final.problem == free(spec) != spec
+    assert gl.phi_map(spec, res.final, data.u0, data.u1, g, 4.0).problem == free(spec)
 
 
 def test_picard_matches_direct_solve():

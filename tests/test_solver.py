@@ -287,8 +287,7 @@ def test_evolve_calls_forcing_once_per_stage_time():
         seen.append(t)
         return np.zeros(65)
 
-    gl.evolve(spec(a=0.0), z, z, g, 1.0, forcing=recording, linear_only=True, cfl=0.25,
-              sample_stride=10)
+    gl.evolve(spec(a=0.0), z, z, g, 1.0, forcing=recording, cfl=0.25, sample_stride=10)
     # 1 / (cfl 0.25 * dr 0.125) = 32 steps, rounded up to the sample stride 10
     nsteps = 40
     dt = 1.0 / nsteps
@@ -362,7 +361,7 @@ def test_exact_free_n3_range_gate():
 def test_evolve_matches_exact_oracle():
     g = gl.RadialGrid(r_max=20.0, num_cells=1000)
     data = gl.make_profile(gaussian_profile(), g)
-    out = gl.evolve(spec(a=0.0, b=0.0), data.u0, data.u1, g, 1.0, linear_only=True)
+    out = gl.evolve(spec(a=0.0, b=0.0), data.u0, data.u1, g, 1.0)
     exact_u, _ = gl.exact_free_n3(data.u0, data.u1, 1.0, g)
     fin_u = out.trajectory.u[-1]
     err = gl.weighted_l2(gl.RadialField(g, fin_u - exact_u.values), 3, 0, 0)
@@ -419,8 +418,8 @@ def test_free_wave_origin_matches_the_odd_n_oracle_at_both_steps(n):
     data = gl.make_profile(gaussian_profile(), g)
     u_origin = origin_oracle(n)[0]
     for cfl in (0.25, 0.5):
-        out = gl.evolve(spec(n=n, a=0.0, b=0.0), data.u0, data.u1, g, 8.0,
-                        linear_only=True, cfl=cfl, sample_stride=4)
+        out = gl.evolve(spec(n=n, a=0.0, b=0.0), data.u0, data.u1, g, 8.0, cfl=cfl,
+                        sample_stride=4)
         assert out.status == "completed"
         traj = out.trajectory
         exact = np.array([u_origin(t) for t in traj.times])
@@ -431,10 +430,10 @@ def test_evolve_time_symmetry():
     g = gl.RadialGrid(r_max=16.0, num_cells=1600)
     data = gl.make_profile(gaussian_profile(), g)
     sp = spec(a=0.0, b=0.0)
-    fw = gl.evolve(sp, data.u0, data.u1, g, 3.0, linear_only=True)
+    fw = gl.evolve(sp, data.u0, data.u1, g, 3.0)
     end = fw.trajectory
     back = gl.evolve(sp, gl.RadialField(g, end.u[-1]), gl.RadialField(g, -end.v[-1]), g,
-                     3.0, linear_only=True)
+                     3.0)
     fin = back.trajectory
     scale = np.max(np.abs(data.u0.values))
     assert np.max(np.abs(fin.u[-1] - data.u0.values)) / scale <= 1e-6
@@ -446,7 +445,7 @@ def test_evolve_causal_cone():
     prof = gl.DataProfile(family="smooth_bump", epsilon=1.0, width=2.0, center=0.0,
                           assigns="to_u0")
     data = gl.make_profile(prof, g)
-    out = gl.evolve(spec(a=0.0, b=0.0), data.u0, data.u1, g, 1.0, linear_only=True)
+    out = gl.evolve(spec(a=0.0, b=0.0), data.u0, data.u1, g, 1.0)
     traj = out.trajectory
     beyond = g.nodes > 2.0 + 1.0 + 3.0 * g.spacing
     leak = max(np.max(np.abs(traj.u[-1][beyond])),
@@ -479,10 +478,50 @@ def test_blowup_two_resolution_consistency():
     assert abs(ts[1] - ts[0]) / ts[1] <= 0.10
 
 
+def test_free_wave_of_large_data_is_the_unit_wave_scaled():
+    # a linear run stops past 1e6 times its data size, not past 1e6, so data
+    # of size 1e7 runs to the horizon (it stopped at t = 0.05 with 1e6)
+    g = gl.RadialGrid(r_max=12.0, num_cells=120)
+    outs = []
+    for eps in (1.0, 1e7):
+        data = gl.make_profile(gaussian_profile(eps=eps, assigns="split"), g)
+        outs.append(gl.evolve(spec(a=0.0, b=0.0), data.u0, data.u1, g, 4.0))
+    unit, large = outs
+    assert unit.status == large.status == "completed"
+    assert large.trajectory.t_end == 4.0
+    scale = np.max(np.abs(large.trajectory.u))
+    assert np.max(np.abs(large.trajectory.u - 1e7 * unit.trajectory.u)) <= 1e-12 * scale
+    assert large.peak_gradient == pytest.approx(1e7 * unit.peak_gradient, rel=1e-12)
+
+
+def test_nonlinear_run_stops_at_the_first_size_past_the_absolute_threshold():
+    # data of size 50: the run stops past 1e6, where 1e6 times the data size
+    # would have let it go on
+    g = gl.RadialGrid(r_max=16.0, num_cells=320)
+    data = gl.make_profile(gaussian_profile(eps=50.0, assigns="to_u1"), g)
+    out = gl.evolve(spec(p=1.5), data.u0, data.u1, g, 4.0, sample_stride=1)
+    traj = out.trajectory
+    sizes = [max(np.max(np.abs(v)), np.max(np.abs(_derivative_values(u, g.spacing))))
+             for u, v in zip(traj.u, traj.v)]
+    assert sizes[0] == 50.0
+    assert out.status == "blew_up"
+    assert max(sizes) <= BLOWUP_THRESHOLD < out.peak_gradient < 50.0 * BLOWUP_THRESHOLD
+
+
+def test_forced_run_from_zero_data_keeps_the_absolute_threshold():
+    g = gl.RadialGrid(r_max=8.0, num_cells=200)
+    z = gl.RadialField.zeros(g)
+    f = gl.ForcingSpec(amplitude=1e8, space_center=0.0, space_width=1.0, t_on=0.0, t_off=1.0)
+    out = gl.evolve(spec(a=0.0, b=0.0), z, z, g, 2.0, forcing=f.callable_on(g),
+                    forcing_support=1.0)
+    assert out.status == "blew_up" and out.t_blowup < 1.0
+    assert BLOWUP_THRESHOLD < out.peak_gradient
+
+
 def test_evolve_linear_energy_drift():
     g = gl.RadialGrid(r_max=12.0, num_cells=3600)
     data = gl.make_profile(gaussian_profile(), g)
-    out = gl.evolve(spec(a=0.0, b=0.0), data.u0, data.u1, g, 4.0, linear_only=True)
+    out = gl.evolve(spec(a=0.0, b=0.0), data.u0, data.u1, g, 4.0)
     energies = gl.energy(out.trajectory)
     drift = np.max(np.abs(energies / energies[0] - 1.0))
     assert drift <= 1e-5
@@ -521,8 +560,7 @@ def test_free_wave_is_stable_and_keeps_the_sbp_energy(n):
     data = gl.make_profile(gaussian_profile(), g)
     drifts = []
     for cfl in (0.5, 0.25):
-        out = gl.evolve(spec(n=n, a=0.0, b=0.0), data.u0, data.u1, g, 10.0,
-                        linear_only=True, cfl=cfl)
+        out = gl.evolve(spec(n=n, a=0.0, b=0.0), data.u0, data.u1, g, 10.0, cfl=cfl)
         assert out.status == "completed"
         traj = out.trajectory
         energies = np.array([_sbp_energy(g, n, u, v) for u, v in zip(traj.u, traj.v)])
@@ -574,23 +612,24 @@ def test_energy_scaling():
 # bit-identity against the plain allocating RK4
 # ---------------------------------------------------------------------------
 
-def _reference_rk4(sp, u0, u1, g, t_end, forcing=None, linear_only=False,
-                   cfl=0.25, stride=10, threshold=BLOWUP_THRESHOLD):
+def _reference_rk4(sp, u0, u1, g, t_end, forcing=None, cfl=0.25, stride=10):
     """Classical RK4 written out with a fresh array per operation and the
-    unflushed |.|^p; returns (times, u, v, status, t_blowup, peak)."""
+    unflushed |.|^p; returns (times, u, v, status, t_blowup, peak).  A linear
+    run stops past BLOWUP_THRESHOLD times max(1, its size at t = 0), a
+    nonlinear one past BLOWUP_THRESHOLD."""
     dr, n = g.spacing, sp.n_dim
     nsteps = max(1, math.ceil(t_end / (cfl * dr)))
     nsteps = stride * math.ceil(nsteps / stride)
     dt = t_end / nsteps
-    nonlinear = not linear_only and (sp.a != 0.0 or sp.b != 0.0)
+    nonlinear = sp.a != 0.0 or sp.b != 0.0
 
     def rhs(t, u, v):
         du_t = v.copy()
         du_t[-1] = 0.0
         acc = _laplacian_values(u, g, n)
-        if nonlinear and sp.a != 0.0:
+        if sp.a != 0.0:
             acc += sp.a * np.abs(v) ** sp.p
-        if nonlinear and sp.b != 0.0:
+        if sp.b != 0.0:
             acc += sp.b * np.abs(_derivative_values(u, dr)) ** sp.p
         if forcing is not None:
             acc = acc + forcing(t)
@@ -603,6 +642,7 @@ def _reference_rk4(sp, u0, u1, g, t_end, forcing=None, linear_only=False,
     u, v = u0.values.copy(), u1.values.copy()
     times, us, vs = [0.0], [u.copy()], [v.copy()]
     peak, status, t_blow = size(u, v), "completed", None
+    threshold = BLOWUP_THRESHOLD if nonlinear else BLOWUP_THRESHOLD * max(1.0, peak)
     t = 0.0
     for k in range(nsteps):
         k1u, k1v = rhs(t, u, v)
@@ -654,24 +694,26 @@ def _assert_same_run(out, ref):
 
 
 @pytest.mark.parametrize(
-    "n, p, a, b, eps, assigns, rmax, cells, t_end, linear, source, status, v_outer",
+    "n, p, a, b, eps, assigns, rmax, cells, t_end, source, status, v_outer",
     [
         # the lifespan setting; its tail holds subnormal and zero values
-        (3, 1.5, 1.0, 0.0, 2.0, "split", 30.0, 600, 12.0, False, False, "blew_up", None),
-        (3, 2.0, 1.0, 0.7, 1.5, "split", 24.0, 480, 8.0, False, False, "blew_up", None),
-        (2, 3.0, 0.5, 0.5, 0.8, "to_u0", 24.0, 400, 8.0, False, False, "completed", None),
-        (5, 2.0, 0.0, 1.0, 1.0, "to_u1", 24.0, 400, 8.0, False, False, "completed", None),
-        (3, 2.5, 1.0, 0.0, 0.3, "split", 18.0, 360, 6.0, True, "series", "completed", None),
-        (3, 2.0, 0.5, 0.5, 0.3, "split", 18.0, 360, 6.0, False, "bump", "completed", None),
+        (3, 1.5, 1.0, 0.0, 2.0, "split", 30.0, 600, 12.0, False, "blew_up", None),
+        (3, 2.0, 1.0, 0.7, 1.5, "split", 24.0, 480, 8.0, False, "blew_up", None),
+        (2, 3.0, 0.5, 0.5, 0.8, "to_u0", 24.0, 400, 8.0, False, "completed", None),
+        (5, 2.0, 0.0, 1.0, 1.0, "to_u1", 24.0, 400, 8.0, False, "completed", None),
+        (3, 2.5, 0.0, 0.0, 0.3, "split", 18.0, 360, 6.0, "series", "completed", None),
+        (3, 2.0, 0.5, 0.5, 0.3, "split", 18.0, 360, 6.0, "bump", "completed", None),
         # u1 nonzero at the outer node, below support_radius's cut: the
         # state's v[-1] keeps it while the slope's u-row is clamped there
-        (3, 2.0, 0.7, 0.4, 1.0, "split", 24.0, 400, 8.0, False, False, "completed", 1e-300),
+        (3, 2.0, 0.7, 0.4, 1.0, "split", 24.0, 400, 8.0, False, "completed", 1e-300),
+        # data of size 1e7: the free wave runs to its horizon
+        (3, 2.0, 0.0, 0.0, 1e7, "split", 24.0, 400, 8.0, False, "completed", None),
     ],
     ids=["n3-a-blowup", "n3-ab-blowup", "n2-ab", "n5-b", "n3-linear-series",
-         "n3-ab-bump", "n3-ab-outer-v"],
+         "n3-ab-bump", "n3-ab-outer-v", "n3-linear-large-data"],
 )
 def test_evolve_bit_identical_to_plain_rk4(n, p, a, b, eps, assigns, rmax, cells,
-                                           t_end, linear, source, status, v_outer):
+                                           t_end, source, status, v_outer):
     g = gl.RadialGrid(r_max=rmax, num_cells=cells)
     sp = spec(n=n, p=p, a=a, b=b)
     data = gl.make_profile(gaussian_profile(eps=eps, assigns=assigns), g)
@@ -681,7 +723,7 @@ def test_evolve_bit_identical_to_plain_rk4(n, p, a, b, eps, assigns, rmax, cells
         u1[-1] = v_outer
         u1 = gl.RadialField(g, u1)
     forcing = _FORCINGS[source](g) if source else None
-    kwargs = dict(forcing=forcing, linear_only=linear, cfl=0.25)
+    kwargs = dict(forcing=forcing, cfl=0.25)
     out = gl.evolve(sp, data.u0, u1, g, t_end, forcing_support=6.0 if source else 0.0,
                     sample_stride=10, **kwargs)
     assert out.status == status
@@ -789,8 +831,7 @@ def test_blowup_detector_matches_the_written_out_max(setup, p, a, status):
 
 def _source_solve(forcing, t_end, sp, g, **kwargs):
     z = gl.RadialField.zeros(g)
-    return gl.evolve(sp, z, z, g, t_end, forcing=forcing, linear_only=True,
-                     **kwargs).trajectory
+    return gl.evolve(sp, z, z, g, t_end, forcing=forcing, **kwargs).trajectory
 
 
 def test_duhamel_zero_forcing():
@@ -911,8 +952,7 @@ def test_require_runnable_returns_the_steps_evolve_takes():
 def _free_wave(n, cfl):
     g = gl.RadialGrid(r_max=20.0, num_cells=400)
     data = gl.make_profile(gaussian_profile(), g)
-    return gl.evolve(spec(n=n, a=0.0, b=0.0), data.u0, data.u1, g, 10.0,
-                     linear_only=True, cfl=cfl)
+    return gl.evolve(spec(n=n, a=0.0, b=0.0), data.u0, data.u1, g, 10.0, cfl=cfl)
 
 
 @pytest.mark.parametrize("n, cfl", [(8, 0.75), (64, 0.25), (16, 0.5)])
