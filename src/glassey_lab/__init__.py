@@ -26,18 +26,7 @@ from .core import (
     weighted_l2,
     weighted_sup,
 )
-from .errors import (
-    DegenerateInput,
-    Divergence,
-    GlasseyLabError,
-    HorizonMismatch,
-    InsufficientData,
-    NonIntegrable,
-    PreconditionViolation,
-    RangeViolation,
-    StepUnderflow,
-    SupportOverflow,
-)
+from .errors import Divergence, GlasseyLabError, PreconditionViolation
 from .estimates import (
     ForcingSpec,
     IneqSample,

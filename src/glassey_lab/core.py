@@ -12,11 +12,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    HorizonMismatch,
-    NonIntegrable,
-    PreconditionViolation,
-)
+from .errors import PreconditionViolation
 
 # |S^{n-1}| for the small dimensions the experiments actually use; the gamma
 # fallback covers the rest.
@@ -99,9 +95,13 @@ class RadialGrid:
         if self.num_cells >= np.iinfo(np.intp).max // 8:
             raise PreconditionViolation(
                 f"num_cells {self.num_cells:.3g} is past the node arrays numpy can index")
-        if self.spacing > 1e150:  # the stencils' dr^2 must stay a finite double
+        # the stencils' dr^2 must stay a finite, normal double
+        if self.spacing > 1e150:
             raise PreconditionViolation(
                 f"grid spacing r_max / num_cells = {self.spacing:.3g} is past 1e150")
+        if self.spacing < 1e-150:
+            raise PreconditionViolation(
+                f"grid spacing r_max / num_cells = {self.spacing:.3g} is below 1e-150")
 
     @property
     def spacing(self) -> float:
@@ -382,7 +382,7 @@ def radial_laplacian(f: RadialField, n: int) -> RadialField:
 def _power_cell(dr: float, m: float) -> float:
     # int_0^dr r^m dr for m > -1
     if m <= -1.0:
-        raise NonIntegrable(f"radial power r^{m:.4g} is not integrable at the origin")
+        raise PreconditionViolation(f"radial power r^{m:.4g} is not integrable at the origin")
     return dr ** (m + 1.0) / (m + 1.0)
 
 
@@ -409,7 +409,7 @@ def _weighted_square_integral(values, grid, n, mu, nu, inv_r_coeff=0.0):
     dr = grid.spacing
     q = 2.0 * mu + (n - 1)
     if q <= -1.0:
-        raise NonIntegrable(f"weight exponent 2mu + n - 1 = {q:.4g} <= -1")
+        raise PreconditionViolation(f"weight exponent 2mu + n - 1 = {q:.4g} <= -1")
 
     g = _quadrature_weight(grid, q, nu) * np.asarray(values)[1:] ** 2
     total = dr * (0.5 * g[0] + g[1:-1].sum() + 0.5 * g[-1])
@@ -529,7 +529,7 @@ def _integrate_to_horizon(times: np.ndarray, series: np.ndarray, horizon: float)
     """Trapezoid of series(t) over [0, horizon], interpolating the last cell."""
     tol = 1e-9 * max(1.0, horizon)
     if times[-1] < horizon - tol:
-        raise HorizonMismatch(
+        raise PreconditionViolation(
             f"trajectory ends at t={times[-1]:.6g} before horizon T={horizon:.6g}"
         )
     inside = times <= horizon + tol

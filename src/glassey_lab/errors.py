@@ -9,37 +9,9 @@ class PreconditionViolation(GlasseyLabError):
     """An operation was called outside its documented domain."""
 
 
-class DegenerateInput(GlasseyLabError):
-    """Input is identically zero or otherwise makes a ratio meaningless."""
-
-
-class NonIntegrable(GlasseyLabError):
-    """A weighted norm diverges for the given weight/field combination."""
-
-
-class HorizonMismatch(GlasseyLabError):
-    """A trajectory does not cover the requested time horizon."""
-
-
-class SupportOverflow(GlasseyLabError):
-    """Initial data fails to vanish before the outer grid boundary."""
-
-
-class StepUnderflow(GlasseyLabError):
-    """The time step collapsed below the sanity floor."""
-
-
-class RangeViolation(GlasseyLabError):
-    """Evaluation was requested outside an interpolant's domain."""
-
-
 class Divergence(GlasseyLabError):
     """Fixed-point iteration is visibly diverging."""
 
     def __init__(self, message, trace=()):
         super().__init__(message)
         self.trace = tuple(trace)
-
-
-class InsufficientData(GlasseyLabError):
-    """Not enough usable records for a fit."""

@@ -31,7 +31,7 @@ from .core import (
     weighted_l2,
     weighted_sup,
 )
-from .errors import DegenerateInput, PreconditionViolation
+from .errors import PreconditionViolation
 from .solver import DEFAULT_CFL, DEFAULT_STRIDE, _bump_shape, evolve
 
 DEFAULT_TOL = 1e-3
@@ -137,7 +137,7 @@ def _interpolation_denominator(f: RadialField, n: int, s: float, label: str) -> 
     slope = weighted_l2(radial_derivative(f), n, 0.0, 0.0)
     denom = base ** (1.0 - s) * slope**s
     if denom == 0.0:
-        raise DegenerateInput(f"{label}: zero denominator")
+        raise PreconditionViolation(f"{label}: zero denominator")
     return denom
 
 
@@ -172,7 +172,7 @@ def trace_variant_check(
     slope = weighted_l2(radial_derivative(f), n, mu, 0.0)
     denom = math.sqrt(base * slope)
     if denom == 0.0:
-        raise DegenerateInput("trace_variant_check: zero denominator")
+        raise PreconditionViolation("trace_variant_check: zero denominator")
     return IneqSample(
         "trace_variant", {"n": n, "s": s}, num / denom, bound=math.sqrt(2.0), tol=tol
     )
@@ -215,7 +215,7 @@ def kss_hom_check(
     weights = [WeightParams(delta=delta, delta_prime=delta_prime, horizon=T) for T in t_list]
     denom = lambda_norms(u0, u1, n).lambda1
     if denom == 0.0:
-        raise DegenerateInput("kss_hom_check: zero data")
+        raise PreconditionViolation("kss_hom_check: zero data")
 
     traj = _free_solve(u0, u1, n, t_list[-1], cfl=cfl, sample_stride=sample_stride)
     samples, details = [], {}
@@ -286,7 +286,7 @@ def kss_inhom_check(
         )
     w = WeightParams(delta=delta, delta_prime=delta_prime, horizon=horizon)
     if forcing.amplitude == 0.0:
-        raise DegenerateInput("kss_inhom_check: zero forcing")
+        raise PreconditionViolation("kss_inhom_check: zero forcing")
     side = max(1.0, forcing.support_radius + horizon + 2.5)
     cells = side / 0.05
     if not math.isfinite(cells):
@@ -300,7 +300,7 @@ def kss_inhom_check(
     envelopes = np.array([forcing.envelope(t) for t in traj.times])
     denom = lestar_upper(traj.times, envelopes[:, None] * forcing.shape(grid), grid, n, w)
     if denom == 0.0:
-        raise DegenerateInput("kss_inhom_check: zero source norm")
+        raise PreconditionViolation("kss_inhom_check: zero source norm")
     return IneqSample(
         "kss_inhom",
         {"n": n, "delta": delta, "delta_prime": delta_prime, "T": horizon},
@@ -349,7 +349,7 @@ def energy_ineq_check(
         )
     rhs = energies[0] + float(np.trapezoid(np.array(work_series), traj.times))
     if rhs == 0.0:
-        raise DegenerateInput("energy_ineq_check: zero data and forcing")
+        raise PreconditionViolation("energy_ineq_check: zero data and forcing")
     return IneqSample(
         "energy_ineq",
         {"n": n, "T": horizon},

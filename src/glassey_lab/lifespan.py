@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ProblemSpec, RadialGrid
-from .errors import InsufficientData, PreconditionViolation
+from .errors import PreconditionViolation
 from .solver import (
     DEFAULT_CFL,
     DataProfile,
@@ -166,13 +166,13 @@ def sweep(
 def _usable(records):
     recs = list(records)
     if not recs:
-        raise InsufficientData("no records")
+        raise PreconditionViolation("no records")
     censored = sum(1 for r in recs if r.censored)
     if censored > 0.5 * len(recs):
-        raise InsufficientData(f"{censored}/{len(recs)} records censored")
+        raise PreconditionViolation(f"{censored}/{len(recs)} records censored")
     good = [r for r in recs if not r.censored and r.agreement <= AGREEMENT_CUTOFF]
     if len(good) < 4:
-        raise InsufficientData(f"only {len(good)} usable records, need >= 4")
+        raise PreconditionViolation(f"only {len(good)} usable records, need >= 4")
     return good
 
 

@@ -23,12 +23,7 @@ from .core import (
     _read_only,
     _require_finite,
 )
-from .errors import (
-    PreconditionViolation,
-    RangeViolation,
-    StepUnderflow,
-    SupportOverflow,
-)
+from .errors import PreconditionViolation
 
 BLOWUP_THRESHOLD = 1e6
 # the one step of evolve and of every subcommand.  RK4's time error there is
@@ -149,22 +144,22 @@ def make_profile(profile: DataProfile, grid: RadialGrid) -> ProfileData:
             shape = np.exp(-(((r - profile.center) / profile.width) ** 2))
             edge = np.exp(-np.square((grid.r_max - profile.center) / profile.width))
         if edge > 1e-16:
-            raise SupportOverflow(
+            raise PreconditionViolation(
                 f"gaussian tail {edge:.3g} at r_max exceeds 1e-16 of peak"
             )
     elif profile.family == "smooth_bump":
         if profile.center + profile.width >= grid.r_max:
-            raise SupportOverflow("bump support reaches the outer boundary")
+            raise PreconditionViolation("bump support reaches the outer boundary")
         shape = _bump_shape(r, profile.center, profile.width)
     else:
         shape = _load_field_file(profile.path, grid)
         peak = np.max(np.abs(shape)) or 1.0
         if abs(shape[-1]) > VANISH_FACTOR * peak:
-            raise SupportOverflow("file data does not vanish before r_max")
+            raise PreconditionViolation("file data does not vanish before r_max")
 
     data = profile.epsilon * shape
     if abs(data[-1]) > VANISH_FACTOR * profile.epsilon:
-        raise SupportOverflow("data does not vanish before r_max")
+        raise PreconditionViolation("data does not vanish before r_max")
     zero = np.zeros_like(data)
     u0 = data if profile.assigns in ("to_u0", "split") else zero
     u1 = data if profile.assigns in ("to_u1", "split") else zero
@@ -364,7 +359,7 @@ def require_runnable(spec: ProblemSpec, u0: RadialField, u1: RadialField, grid: 
             f"{CAUSALITY_MARGIN} exceeds r_max {grid.r_max:.3g}"
         )
     if t_end > 0.0 and t_end / nsteps < 1e-12:
-        raise StepUnderflow(f"dt = {t_end / nsteps:.3g} below 1e-12")
+        raise PreconditionViolation(f"dt = {t_end / nsteps:.3g} below 1e-12")
     return nsteps
 
 
@@ -560,7 +555,7 @@ def exact_free_n3(
     tail = max(abs(float(u0.values[-1])), abs(float(u1.values[-1])))
     vanishes = tail <= 1e-12 * scale
     if t > 0.0 and not vanishes:
-        raise RangeViolation(
+        raise PreconditionViolation(
             "r + t exceeds the interpolant domain and the data has not vanished "
             "before r_max"
         )

@@ -439,6 +439,41 @@ def test_grid_spacing_past_the_double_range_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, spacing", [
+    (["solve", "--profile", "smooth_bump", "--width", "5e-324", "--rmax", "1e-323"], "0"),
+    (["ineq", "--lemma", "hardy", "--n", "3", "--s", "0.5", "--samples", "2",
+      "--rmax", "1e-323"], "0"),
+    (["ineq", "--lemma", "hardy", "--n", "3", "--s", "0.5", "--samples", "2",
+      "--rmax", "1e-170"], "6.25e-172"),
+], ids=["solve-zero", "ineq-zero", "ineq-underflow"])
+def test_grid_spacing_below_the_double_range_exits_2(tmp_path, capsys, argv, spacing):
+    # a zero dr was a ZeroDivisionError (exit 1); a dr whose square underflows
+    # ended in a NaN ratio that named neither the grid nor its spacing
+    assert main(argv + ["--cells", "16", "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"precondition: grid spacing r_max / num_cells = {spacing} is below 1e-150\n" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("solve --profile smooth_bump --center 11 --width 1.5 --rmax 12 --cells 64 --t-end 1",
+     "bump support reaches the outer boundary"),
+    ("norms --width 5 --rmax 12 --cells 64 --t-end 1",
+     "gaussian tail 0.00315 at r_max exceeds 1e-16 of peak"),
+    ("kss --eps 0 --rmax 12 --cells 64 --t-list 1", "kss_hom_check: zero data"),
+    ("kss --variant inhom --eps 0 --t-list 1", "kss_inhom_check: zero forcing"),
+    ("lifespan --n 3 --p 1.5 --eps-list 1,2 --horizon 1 --rmax 12 --ladder 64,128",
+     "2/2 records censored"),
+    ("solve --t-end 1e-13 --rmax 12 --cells 64", "dt = 2e-14 below 1e-12"),
+], ids=["bump-support", "gaussian-tail", "kss-zero-data", "kss-zero-forcing",
+        "all-censored", "step-underflow"])
+def test_refusal_is_one_precondition_line(tmp_path, capsys, argv, message):
+    assert main(argv.split() + ["--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"precondition: {message}" in err.splitlines()
+    assert "Traceback" not in err
+
+
 _STEPS_PAST_RANGE = "t_end 1e+308 takes t_end / (cfl * dr) = inf steps, past the double range"
 
 

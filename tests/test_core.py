@@ -548,7 +548,7 @@ def test_le_norm_n2_drops_field_terms():
 def test_le_norm_horizon_mismatch():
     traj, _ = _free_trajectory(t_end=2.0)
     w = gl.WeightParams(delta=0.3, delta_prime=0.2, horizon=5.0)
-    with pytest.raises(gl.HorizonMismatch):
+    with pytest.raises(gl.PreconditionViolation, match="before horizon"):
         gl.le_norm(traj, w)
 
 

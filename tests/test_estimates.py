@@ -73,7 +73,7 @@ def test_hardy_gaussian_golden(gaussian12):
 
 
 def test_hardy_zero_field_rejected(grid12):
-    with pytest.raises(gl.DegenerateInput):
+    with pytest.raises(gl.PreconditionViolation, match="zero denominator"):
         gl.hardy_check(gl.RadialField.zeros(grid12), 3, 0.5)
 
 
@@ -114,12 +114,12 @@ def test_trace_sweep_finite():
 
 
 def test_trace_zero_rejected(grid12):
-    with pytest.raises(gl.DegenerateInput):
+    with pytest.raises(gl.PreconditionViolation, match="zero denominator"):
         gl.trace_check(gl.RadialField.zeros(grid12), 3, 0.5)
 
 
 def test_trace_variant_zero_rejected(grid12):
-    with pytest.raises(gl.DegenerateInput):
+    with pytest.raises(gl.PreconditionViolation, match="zero denominator"):
         gl.trace_variant_check(gl.RadialField.zeros(grid12), 2, 0.0)
 
 
@@ -146,7 +146,7 @@ def test_trace_variant_sweep_no_violations(n, s):
 def test_kss_hom_zero_data_rejected():
     g = grid()
     z = gl.RadialField.zeros(g)
-    with pytest.raises(gl.DegenerateInput):
+    with pytest.raises(gl.PreconditionViolation, match="zero data"):
         gl.kss_hom_check(z, z, 3, 0.3, 0.2, [1.0])
 
 
@@ -220,7 +220,7 @@ def test_kss_inhom_rejects_weights_before_solving(monkeypatch):
 def test_kss_inhom_zero_forcing_rejected():
     f = gl.ForcingSpec(amplitude=0.0, space_center=0.0, space_width=1.0,
                        t_on=0.0, t_off=0.5)
-    with pytest.raises(gl.DegenerateInput):
+    with pytest.raises(gl.PreconditionViolation, match="zero forcing"):
         gl.kss_inhom_check(f, 3, 0.3, 0.2, 1.0)
 
 

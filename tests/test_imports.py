@@ -98,6 +98,19 @@ def _catches_package_errors() -> set:
     return subclasses | {"Exception", "BaseException"}
 
 
+def _name(node):
+    """The name an expression gives, bare or as a module attribute."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _caught_names(handler: ast.ExceptHandler) -> set:
+    """The names an except handler gives."""
+    if handler.type is None:
+        return set()
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {_name(c) for c in caught}
+
+
 def swallowed_errors(source: str, allowed=()) -> list:
     """'function:line' of each except handler that catches a GlasseyLabError
     (bare, or naming it, a subclass or a base) and does not end in `raise`,
@@ -108,9 +121,7 @@ def swallowed_errors(source: str, allowed=()) -> list:
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ExceptHandler) and function not in allowed:
-                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
-                named = {getattr(c, "id", getattr(c, "attr", None)) for c in caught}
-                catches = child.type is None or bool(named & names)
+                catches = child.type is None or bool(_caught_names(child) & names)
                 if catches and not isinstance(child.body[-1], ast.Raise):
                     found.append(f"{function}:{child.lineno}")
             visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
@@ -153,6 +164,57 @@ def test_swallowed_error_is_caught():
     )
     assert swallowed_errors(sweep_one + others, {"main"}) == ["_sweep_one:4", "bare:15"]
     assert swallowed_errors(others) == ["bare:10", "main:20"]
+
+
+def error_classes(source: str) -> list:
+    """The classes a module defines, at any depth."""
+    return [node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+
+
+def unnamed_errors(errors_source: str, sources) -> list:
+    """Classes errors.py defines that no source raises or catches by name."""
+    named = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                named.add(_name(exc))
+            elif isinstance(node, ast.ExceptHandler):
+                named |= _caught_names(node)
+    return [name for name in error_classes(errors_source) if name not in named]
+
+
+def error_subclasses(source: str, errors) -> list:
+    """Classes a module defines on one of the named error classes."""
+    return [node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            and {_name(b) for b in node.bases} & set(errors)]
+
+
+# one refusal type: an error class is raised or caught by name, and only
+# errors.py defines one, so a new refusal raises PreconditionViolation
+def test_every_error_class_is_raised_or_caught():
+    sources = _sources()
+    assert unnamed_errors(sources["errors.py"], sources.values()) == []
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"errors.py"}))
+def test_only_errors_defines_an_error_class(module):
+    sources = _sources()
+    assert error_subclasses(sources[module], error_classes(sources["errors.py"])) == []
+
+
+def test_unnamed_error_is_caught():
+    errors = ("class GlasseyLabError(Exception):\n    pass\n"
+              "class PreconditionViolation(GlasseyLabError):\n    pass\n"
+              "class Divergence(GlasseyLabError):\n    pass\n"
+              "class Unraised(GlasseyLabError):\n    pass\n")
+    user = ("def step():\n    raise PreconditionViolation('dt')\n"
+            "def main():\n"
+            "    try:\n        step()\n"
+            "    except (errors.Divergence, GlasseyLabError):\n        return 2\n")
+    assert unnamed_errors(errors, [errors, user]) == ["Unraised"]
+    local = "class Local(errors.PreconditionViolation):\n    pass\nclass Plain:\n    pass\n"
+    assert error_subclasses(local, error_classes(errors)) == ["Local"]
 
 
 def test_every_step_default_is_the_solvers():

@@ -102,17 +102,17 @@ def test_fit_censoring_rules():
     assert fit.slope == pytest.approx(-1.0, abs=1e-10)
     # majority-censored set is refused
     mostly = good[:2] + [record(e, 9.9, censored=True) for e in (3.0, 4.0, 5.0)]
-    with pytest.raises(gl.InsufficientData):
+    with pytest.raises(gl.PreconditionViolation, match="records censored"):
         gl.fit_power(mostly, spec(3, 1.5))
     # agreement-failing records are excluded and can starve the fit
     shaky = [record(e, 1.0 / e, agreement=0.5) for e in (0.5, 1.0, 2.0, 4.0)]
-    with pytest.raises(gl.InsufficientData):
+    with pytest.raises(gl.PreconditionViolation, match="usable records"):
         gl.fit_power(shaky, spec(3, 1.5))
 
 
 def test_fit_needs_four_records():
     recs = [record(e, 1.0 / e) for e in (0.5, 1.0, 2.0)]
-    with pytest.raises(gl.InsufficientData):
+    with pytest.raises(gl.PreconditionViolation, match="usable records"):
         gl.fit_power(recs, spec(3, 1.5))
 
 

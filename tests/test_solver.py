@@ -60,9 +60,9 @@ def test_gaussian_lambda_scales_linearly():
 
 def test_support_overflow_gate():
     g = gl.RadialGrid(r_max=4.0, num_cells=100)
-    with pytest.raises(gl.SupportOverflow):
+    with pytest.raises(gl.PreconditionViolation, match="gaussian tail"):
         gl.make_profile(gaussian_profile(width=2.0), g)
-    with pytest.raises(gl.SupportOverflow):
+    with pytest.raises(gl.PreconditionViolation, match="bump support"):
         gl.make_profile(
             gl.DataProfile(family="smooth_bump", epsilon=1.0, width=5.0, center=0.0,
                            assigns="to_u0"),
@@ -354,7 +354,7 @@ def test_exact_free_n3_range_gate():
     g = gl.RadialGrid(r_max=8.0, num_cells=200)
     f = gl.RadialField.from_function(g, lambda r: 1.0 / (1.0 + r**2))  # no decay
     z = gl.RadialField.zeros(g)
-    with pytest.raises(gl.RangeViolation):
+    with pytest.raises(gl.PreconditionViolation, match="interpolant domain"):
         gl.exact_free_n3(f, z, 1.0, g)
 
 
@@ -900,7 +900,7 @@ def test_step_count_is_the_sample_spacing_of_evolve(t_end, cells, cfl, stride, s
 def test_step_underflow():
     g = gl.RadialGrid(r_max=8.0, num_cells=200)
     z = gl.RadialField.zeros(g)
-    with pytest.raises(gl.StepUnderflow):
+    with pytest.raises(gl.PreconditionViolation, match="below 1e-12"):
         gl.evolve(spec(), z, z, g, 1e-12, sample_stride=10)
 
 
