@@ -20,6 +20,7 @@ from .core import (
     ProblemSpec,
     RadialGrid,
     WeightParams,
+    _le_term_names,
     _quadrature_weight,
     energy,
     lambda_norms,
@@ -71,15 +72,21 @@ def _add_common(parser, names):
     parser.add_argument("--config", type=str, default=None, help="config file with flag defaults")
 
 
+# kss --variant inhom solves from zero data, so it refuses these data flags
+# at any value but their default
+_DATA_ONLY = {"profile": "gaussian", "assigns": "to_u0", "data_file": None}
+
+
 def _add_profile(parser, include_eps=True):
     parser.add_argument("--profile", choices=("gaussian", "smooth_bump", "from_file"),
-                        default="gaussian")
+                        default=_DATA_ONLY["profile"])
     if include_eps:
         parser.add_argument("--eps", type=float, default=1.0, help="data amplitude")
     parser.add_argument("--width", type=float, default=1.0)
     parser.add_argument("--center", type=float, default=0.0)
-    parser.add_argument("--assigns", choices=("to_u0", "to_u1", "split"), default="to_u0")
-    parser.add_argument("--data-file", type=str, default=None)
+    parser.add_argument("--assigns", choices=("to_u0", "to_u1", "split"),
+                        default=_DATA_ONLY["assigns"])
+    parser.add_argument("--data-file", type=str, default=_DATA_ONLY["data_file"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,29 +237,25 @@ def _run_kss(args):
     if not t_list:
         raise PreconditionViolation("--t-list names no horizon")
     estimates.require_band(args.band, "--band")
+    grid = RadialGrid(r_max=args.rmax, num_cells=args.cells)
+    step = dict(cfl=args.cfl, sample_stride=args.stride)
     if args.variant == "hom":
-        grid = RadialGrid(r_max=args.rmax, num_cells=args.cells)
         data = make_profile(_profile_from(args), grid)
         samples, details = estimates.kss_hom_check(
-            data.u0, data.u1, args.n, args.delta, args.delta_prime, t_list,
-            cfl=args.cfl, sample_stride=args.stride,
-        )
-        rows = [{**s.row(), **details[s.params["T"]]} for s in samples]
-        columns = estimates.SUITE_COLUMNS + ("e1", "le1", "deriv", "field", "log", "horizon")
+            data.u0, data.u1, args.n, args.delta, args.delta_prime, t_list, **step)
     else:
-        forcing = estimates.ForcingSpec(
-            amplitude=args.eps, space_center=args.center, space_width=args.width,
-            t_on=0.0, t_off=1.0,
-        )
-        samples = [
-            estimates.kss_inhom_check(
-                forcing, args.n, args.delta, args.delta_prime, T,
-                cfl=args.cfl, sample_stride=args.stride,
-            )
-            for T in t_list
-        ]
-        rows = [s.row() for s in samples]
-        columns = estimates.SUITE_COLUMNS
+        for key, default in _DATA_ONLY.items():
+            if getattr(args, key) != default:
+                flag = "--" + key.replace("_", "-")
+                raise PreconditionViolation(
+                    f"kss --variant inhom solves from zero data and takes no {flag}")
+        forcing = estimates.ForcingSpec(amplitude=args.eps, space_center=args.center,
+                                        space_width=args.width, t_on=0.0, t_off=1.0)
+        samples, details = estimates.kss_inhom_check(
+            forcing, grid, args.n, args.delta, args.delta_prime, t_list, **step)
+    rows = [{**s.row(), **details[s.params["T"]]} for s in samples]
+    # every LE term: at n = 2 the field column stays empty
+    columns = estimates.SUITE_COLUMNS + ("e1", "le1") + _le_term_names(3)
     write_csv(os.path.join(args.out, "kss.csv"), "kss", columns, rows)
     write_series(os.path.join(args.out, "band_series.txt"), "T ratio",
                  [(s.params["T"], s.ratio) for s in samples])

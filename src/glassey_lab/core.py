@@ -498,6 +498,12 @@ def _samples_through(times: np.ndarray, t_max: float = None) -> int:
     return int(np.count_nonzero(times <= t_max + 1e-9 * max(1.0, t_max)))
 
 
+def _horizon_rows(times: np.ndarray, horizon: float) -> int:
+    """How many samples a time integral to horizon reads: those through it,
+    plus the next, which _integrate_to_horizon interpolates against."""
+    return min(times.size, _samples_through(times, horizon) + 1)
+
+
 def _energy_integrals(traj: Trajectory, kept: int) -> np.ndarray:
     """_energy_integral of each of the first `kept` samples, shape (kept,)."""
     n = traj.problem.n_dim
@@ -579,10 +585,10 @@ def _le_term_names(n: int) -> tuple:
     return ("deriv", "field", "log", "horizon") if n >= 3 else ("deriv", "log", "horizon")
 
 
-def _le_rows(traj: Trajectory) -> np.ndarray:
-    """An empty (samples, terms) array for the _le_squares of each state;
+def _le_rows(kept: int, n: int) -> np.ndarray:
+    """An empty (kept, terms) array for the _le_squares of each state;
     filled in place, it keeps no Python float per term."""
-    return np.empty((traj.times.size, len(_le_term_names(traj.problem.n_dim))))
+    return np.empty((kept, len(_le_term_names(n))))
 
 
 def _le_total(times, rows, w, n) -> LocalEnergyNorm:
@@ -601,11 +607,12 @@ def le_norm(traj: Trajectory, w: WeightParams) -> LocalEnergyNorm:
     terms when n <= 2); norm_report adds the second order."""
     n = traj.problem.n_dim
     grid = traj.grid
-    rows = _le_rows(traj)
-    for k, (u, v) in enumerate(zip(traj.u, traj.v)):
+    kept = _horizon_rows(traj.times, w.horizon)
+    rows = _le_rows(kept, n)
+    for k, (u, v) in enumerate(zip(traj.u[:kept], traj.v[:kept])):
         du = _derivative_values(u, grid.spacing)
         rows[k] = _le_squares(v, du, u, grid, n, w)
-    return _le_total(traj.times, rows, w, n)
+    return _le_total(traj.times[:kept], rows, w, n)
 
 
 @dataclass(frozen=True)
@@ -626,18 +633,19 @@ def norm_report(traj: Trajectory, w: WeightParams) -> NormReport:
     n = traj.problem.n_dim
     grid = traj.grid
     kept = _samples_through(traj.times, w.horizon)
+    rows = _horizon_rows(traj.times, w.horizon)
     e1 = 0.0
     e2 = 0.0
-    first, second = _le_rows(traj), _le_rows(traj)
-    for k, (u, v) in enumerate(zip(traj.u, traj.v)):
+    first, second = _le_rows(rows, n), _le_rows(rows, n)
+    for k, (u, v) in enumerate(zip(traj.u[:rows], traj.v[:rows])):
         du, dv, lap = _slopes(u, v, grid, n)
         if k < kept:
             e1 = max(e1, math.sqrt(_energy_integral(v, du, grid, n)))
             e2 = max(e2, math.sqrt(_energy_integral(dv, lap, grid, n)))
         first[k] = _le_squares(v, du, u, grid, n, w)
         second[k] = _le_squares(dv, lap, du, grid, n, w)
-    le1 = _le_total(traj.times, first, w, n)
-    le2 = _le_total(traj.times, second, w, n)
+    le1 = _le_total(traj.times[:rows], first, w, n)
+    le2 = _le_total(traj.times[:rows], second, w, n)
     return NormReport(e1=e1, e2=e2, le1=le1.total, le2=le2.total,
                       components=le1.components)
 
@@ -645,12 +653,13 @@ def norm_report(traj: Trajectory, w: WeightParams) -> NormReport:
 def lestar_upper(times, source, grid: RadialGrid, n: int, w: WeightParams) -> float:
     """Upper bound on the dual-space norm of the source whose nodal values at
     times[k] are the row source[k]: minimum over the three single-term
-    decompositions."""
+    decompositions, from the rows _horizon_rows reads."""
     d, dp, horizon = w.delta, w.delta_prime, w.horizon
+    kept = _horizon_rows(times, horizon)
     rows = []
-    for f in source:
+    for f in source[:kept]:
         vals = np.abs(f)
         rows.append([_weighted_square_integral(vals, grid, n, d, nu)
                      for nu in (0.5 - dp, 0.5 - d, 0.0)])
-    a, b, c = _time_norms(times, rows, horizon)
+    a, b, c = _time_norms(times[:kept], rows, horizon)
     return min(a, math.sqrt(math.log(2.0 + horizon)) * b, horizon ** (0.5 - d) * c)

@@ -32,7 +32,7 @@ from .core import (
     weighted_sup,
 )
 from .errors import PreconditionViolation
-from .solver import DEFAULT_CFL, DEFAULT_STRIDE, _bump_shape, evolve
+from .solver import DEFAULT_CFL, DEFAULT_STRIDE, DataProfile, _bump_shape, evolve
 
 DEFAULT_TOL = 1e-3
 KSS_BAND = 0.25
@@ -194,46 +194,41 @@ def _free_solve(u0, u1, n, horizon, forcing=None, **step) -> Trajectory:
     ).trajectory
 
 
-def kss_hom_check(
-    u0: RadialField,
-    u1: RadialField,
-    n: int,
-    delta: float,
-    delta_prime: float,
-    t_list,
-    cfl: float = DEFAULT_CFL,
-    sample_stride: int = DEFAULT_STRIDE,
-):
-    """Uniform-in-T ratios (E1 + LE1(T)) / data size for the free wave.
-
-    Returns (samples, details); details carries the per-term LE component
-    breakdown for each horizon so band failures can be audited.
-    """
-    t_list = sorted(float(t) for t in t_list)
-    if not t_list:
+def _kss_weights(delta: float, delta_prime: float, t_list) -> list:
+    """One WeightParams per horizon of t_list, in increasing order."""
+    weights = [WeightParams(delta, delta_prime, T) for T in sorted(map(float, t_list))]
+    if not weights:
         raise PreconditionViolation("t_list must contain positive horizons")
-    weights = [WeightParams(delta=delta, delta_prime=delta_prime, horizon=T) for T in t_list]
-    denom = lambda_norms(u0, u1, n).lambda1
-    if denom == 0.0:
-        raise PreconditionViolation("kss_hom_check: zero data")
+    return weights
 
-    traj = _free_solve(u0, u1, n, t_list[-1], cfl=cfl, sample_stride=sample_stride)
+
+def _kss_samples(lemma: str, traj: Trajectory, weights, denominator):
+    """(samples, details) of the ratios (E1 + LE1(T)) / denominator(w) at the
+    horizon T of each w, all read off the one solve traj.  details carries
+    each horizon's E1, LE1 and LE terms, so band failures can be audited."""
     samples, details = [], {}
     for w in weights:
         T = w.horizon
         le = le_norm(traj, w)
         e1 = e_norms(traj, t_max=T)
-        ratio = (e1 + le.total) / denom
-        samples.append(
-            IneqSample(
-                "kss_hom",
-                {"n": n, "delta": delta, "delta_prime": delta_prime, "T": T},
-                ratio,
-                bound=None,
-            )
-        )
+        params = {"n": traj.problem.n_dim, "delta": w.delta,
+                  "delta_prime": w.delta_prime, "T": T}
+        samples.append(IneqSample(lemma, params, (e1 + le.total) / denominator(w)))
         details[T] = {"e1": e1, "le1": le.total, **le.components}
     return samples, details
+
+
+def kss_hom_check(u0: RadialField, u1: RadialField, n: int, delta: float, delta_prime: float,
+                  t_list, cfl: float = DEFAULT_CFL, sample_stride: int = DEFAULT_STRIDE):
+    """Uniform-in-T ratios (E1 + LE1(T)) / lambda1 of the free wave from
+    (u0, u1), every horizon read off one solve to the last: (samples,
+    details) as _kss_samples returns them."""
+    weights = _kss_weights(delta, delta_prime, t_list)
+    denom = lambda_norms(u0, u1, n).lambda1
+    if denom == 0.0:
+        raise PreconditionViolation("kss_hom_check: zero data")
+    traj = _free_solve(u0, u1, n, weights[-1].horizon, cfl=cfl, sample_stride=sample_stride)
+    return _kss_samples("kss_hom", traj, weights, lambda w: denom)
 
 
 @dataclass(frozen=True)
@@ -247,8 +242,11 @@ class ForcingSpec:
     t_off: float = 1.0
 
     def __post_init__(self):
-        if self.space_width <= 0.0 or self.t_off <= self.t_on:
-            raise PreconditionViolation("forcing bump needs positive extents")
+        # the space bump is a smooth_bump data profile's, with its checks
+        DataProfile("smooth_bump", epsilon=self.amplitude, width=self.space_width,
+                    center=self.space_center)
+        if not self.t_on < self.t_off:
+            raise PreconditionViolation(f"need t_on < t_off, got {self.t_on}, {self.t_off}")
 
     @property
     def support_radius(self) -> float:
@@ -270,43 +268,29 @@ class ForcingSpec:
         return lambda t: self.envelope(t) * shape
 
 
-def kss_inhom_check(
-    forcing: ForcingSpec,
-    n: int,
-    delta: float,
-    delta_prime: float,
-    horizon: float,
-    cfl: float = DEFAULT_CFL,
-    sample_stride: int = DEFAULT_STRIDE,
-) -> IneqSample:
-    """Zero-data source solve: (E1 + LE1) against the source-norm upper bound."""
+def kss_inhom_check(forcing: ForcingSpec, grid: RadialGrid, n: int, delta: float,
+                    delta_prime: float, t_list, cfl: float = DEFAULT_CFL,
+                    sample_stride: int = DEFAULT_STRIDE):
+    """Ratios (E1 + LE1(T)) / lestar_upper(T) of the zero-data solve that
+    `forcing` drives on grid, every horizon read off one solve to the last:
+    (samples, details) as _kss_samples returns them."""
     if n < 3:
-        raise PreconditionViolation(
-            f"the inhomogeneous bound requires n >= 3, got n = {n}"
-        )
-    w = WeightParams(delta=delta, delta_prime=delta_prime, horizon=horizon)
+        raise PreconditionViolation(f"the inhomogeneous bound requires n >= 3, got n = {n}")
+    weights = _kss_weights(delta, delta_prime, t_list)
     if forcing.amplitude == 0.0:
         raise PreconditionViolation("kss_inhom_check: zero forcing")
-    side = max(1.0, forcing.support_radius + horizon + 2.5)
-    cells = side / 0.05
-    if not math.isfinite(cells):
-        raise PreconditionViolation(
-            f"horizon {horizon:.3g}: a grid of dr 0.05 out to r = {side:.3g} has {cells} cells")
-    grid = RadialGrid(r_max=side, num_cells=max(int(cells), 200))
     zero = RadialField.zeros(grid)
-    traj = _free_solve(zero, zero, n, horizon, forcing, cfl=cfl, sample_stride=sample_stride)
-    le = le_norm(traj, w)
-    e1 = e_norms(traj, t_max=horizon)
-    envelopes = np.array([forcing.envelope(t) for t in traj.times])
-    denom = lestar_upper(traj.times, envelopes[:, None] * forcing.shape(grid), grid, n, w)
-    if denom == 0.0:
-        raise PreconditionViolation("kss_inhom_check: zero source norm")
-    return IneqSample(
-        "kss_inhom",
-        {"n": n, "delta": delta, "delta_prime": delta_prime, "T": horizon},
-        (e1 + le.total) / denom,
-        bound=None,
-    )
+    traj = _free_solve(zero, zero, n, weights[-1].horizon, forcing,
+                       cfl=cfl, sample_stride=sample_stride)
+    source = np.array([forcing.envelope(t) for t in traj.times])[:, None] * forcing.shape(grid)
+
+    def source_norm(w):
+        denom = lestar_upper(traj.times, source, grid, n, w)
+        if denom == 0.0:
+            raise PreconditionViolation("kss_inhom_check: zero source norm")
+        return denom
+
+    return _kss_samples("kss_inhom", traj, weights, source_norm)
 
 
 def require_band(band: float, name: str = "band") -> None:

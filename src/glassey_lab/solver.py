@@ -65,8 +65,9 @@ class DataProfile:
             raise PreconditionViolation(f"width must be positive, got {self.width}")
         if not (math.isfinite(self.center) and self.center >= 0.0):
             raise PreconditionViolation(f"center must be >= 0, got {self.center}")
-        if self.family == "from_file" and not self.path:
-            raise PreconditionViolation("from_file profile needs a path")
+        if (self.family == "from_file") != bool(self.path):
+            raise PreconditionViolation(f"profile {self.family!r} with path {self.path!r}: "
+                                        "from_file alone reads a data file, and needs one")
 
 
 def _bump_shape(r: np.ndarray, center: float, width: float) -> np.ndarray:

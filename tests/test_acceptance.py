@@ -106,12 +106,13 @@ def test_criterion_05_kss_uniformity():
 
     forcing = gl.ForcingSpec(amplitude=1.0, space_center=0.0, space_width=1.0,
                              t_on=0.0, t_off=0.5)
-    inhom = [gl.kss_inhom_check(forcing, 3, 0.3, 0.2, T) for T in (1.0, 10.0, 100.0)]
+    source_grid = gl.RadialGrid(r_max=103.5, num_cells=2070)
+    inhom, _ = gl.kss_inhom_check(forcing, source_grid, 3, 0.3, 0.2, [1.0, 10.0, 100.0])
     inhom_ok = gl.kss_band_ok(inhom, band=0.25)
 
     gate_ok = False
     try:
-        gl.kss_inhom_check(forcing, 2, 0.3, 0.2, 1.0)
+        gl.kss_inhom_check(forcing, source_grid, 2, 0.3, 0.2, [1.0])
     except gl.PreconditionViolation:
         gate_ok = True
     elapsed = time.time() - t0

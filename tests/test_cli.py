@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import contextlib
 import csv
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import glassey_lab
 from glassey_lab import estimates, lifespan
-from glassey_lab.cli import main
+from glassey_lab.cli import build_parser, main
 from glassey_lab.report import read_config
 
 
@@ -318,6 +319,101 @@ def test_kss_empty_t_list_exits_2_before_any_solve(tmp_path, monkeypatch, capsys
     assert "precondition: --t-list names no horizon" in err and "Traceback" not in err
 
 
+# kss --variant inhom drives its solve with a source of amplitude --eps on the
+# bump --center, --width; a bad value was solved on, or refused as "support 0"
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eps", "nan", "epsilon must be >= 0, got nan"),
+    ("--eps", "inf", "epsilon must be >= 0, got inf"),
+    ("--eps", "-1", "epsilon must be >= 0, got -1.0"),
+    ("--center", "-3", "center must be >= 0, got -3.0"),
+    ("--center", "nan", "center must be >= 0, got nan"),
+    ("--width", "nan", "width must be positive, got nan"),
+], ids=["eps-nan", "eps-inf", "eps-negative", "center-negative", "center-nan", "width-nan"])
+def test_kss_inhom_bad_source_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, flag,
+                                                       value, message):
+    monkeypatch.setattr(estimates, "evolve", _no_solve)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["kss", "--variant", "inhom", "--t-list", "1,2", f"{flag}={value}",
+                     "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"precondition: {message}" in err.splitlines() and "Traceback" not in err
+    assert [str(w.message) for w in caught] == []
+
+
+# they shape initial data, and the source solve starts from zero data
+@pytest.mark.parametrize("flag, value", [
+    ("--profile", "smooth_bump"), ("--profile", "from_file"), ("--assigns", "split"),
+    ("--assigns", "to_u1"), ("--data-file", "field.txt"),
+])
+def test_kss_inhom_refuses_the_data_flags(tmp_path, monkeypatch, capsys, flag, value):
+    monkeypatch.setattr(estimates, "evolve", _no_solve)
+    code = main(["kss", "--variant", "inhom", "--t-list", "1,2", flag, value,
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert (f"precondition: kss --variant inhom solves from zero data and takes no {flag}"
+            in err.splitlines())
+    assert "Traceback" not in err
+
+
+def test_kss_inhom_config_replays(tmp_path):
+    # the config echoes the data flags at their defaults, which inhom takes
+    out = str(tmp_path / "run")
+    assert main(["kss", "--variant", "inhom", "--n", "3", "--rmax", "12", "--cells", "120",
+                 "--t-list", "1,2", "--band", "1", "--out", out]) == 0
+    again = str(tmp_path / "again")
+    assert main(["--config", os.path.join(out, "config.txt"), "--out", again]) == 0
+    assert read(os.path.join(again, "kss.csv")) == read(os.path.join(out, "kss.csv"))
+
+
+def _accepted_flags(subcommand):
+    """Every flag the subcommand's parser takes, --help, --out and --config
+    aside."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    parser = subparsers.choices[subcommand]
+    return {opt for a in parser._actions for opt in a.option_strings} - {
+        "-h", "--help", "--out", "--config"}
+
+
+# each kss flag off its default.  The base run passes the 25% band for hom and
+# breaches it for inhom, so --band moves each the other way
+_KSS_MOVES = {
+    "--n": "4", "--rmax": "14", "--cells": "140", "--cfl": "0.25", "--stride": "4",
+    "--profile": "smooth_bump", "--eps": "2", "--width": "1.5", "--center": "0.5",
+    "--assigns": "to_u1", "--delta": "0.35", "--delta-prime": "0.1", "--t-list": "1,3",
+}
+_KSS_BAND_MOVES = {"hom": "0", "inhom": "1"}
+
+
+@pytest.mark.parametrize("variant", ["hom", "inhom"])
+def test_every_kss_flag_changes_the_run_or_exits_2(tmp_path, variant):
+    # a flag that a variant parses and ignores echoes into config.txt while
+    # the run writes what it wrote without it
+    field = tmp_path / "field.txt"
+    field.write_text("# radial-field v1\n0.0 1.0\n0.5 0.5\n1.0 0.0\n2.0 0.0\n")
+    moves = dict(_KSS_MOVES, **{"--band": _KSS_BAND_MOVES[variant],
+                                "--data-file": str(field)})
+    assert set(moves) | {"--variant"} == _accepted_flags("kss")
+
+    def run(extra, name):
+        out = str(tmp_path / name)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["kss", "--variant", variant, "--n", "3", "--rmax", "12",
+                         "--cells", "120", "--t-list", "1,2"] + extra + ["--out", out])
+        path = os.path.join(out, "kss.csv")
+        return code, read(path) if os.path.exists(path) else None
+
+    base = run([], "base")
+    assert base[0] in (0, 3) and base[1] is not None
+    moved = {flag: run([f"{flag}={value}"], flag.strip("-")) for flag, value in moves.items()}
+    assert [flag for flag, result in moved.items() if result == base] == []
+    assert [flag for flag, (code, _) in moved.items() if code not in (0, 2, 3)] == []
+
+
 # a data-file token: any double's repr (nan, inf, 1.7976931348623157e+308,
 # subnormals), a few spelled-out edge values, or junk
 _TOKENS = st.one_of(
@@ -484,12 +580,11 @@ _STEPS_PAST_RANGE = "t_end 1e+308 takes t_end / (cfl * dr) = inf steps, past the
     (["kss", "--t-list", "1e308", "--rmax", "12", "--cells", "64"], _STEPS_PAST_RANGE),
     (["lifespan", "--n", "3", "--p", "1.5", "--eps-list", "1,2,3,4", "--horizon", "1e308",
       "--rmax", "12", "--ladder", "120,240"], _STEPS_PAST_RANGE),
-    (["kss", "--variant", "inhom", "--t-list", "1e308"],
-     "horizon 1e+308: a grid of dr 0.05 out to r = 1e+308 has inf cells"),
+    (["kss", "--variant", "inhom", "--t-list", "1e308"], _STEPS_PAST_RANGE),
 ], ids=["solve", "norms", "picard", "kss-hom", "lifespan", "kss-inhom"])
 def test_horizon_past_the_double_range_exits_2(tmp_path, capsys, argv, message):
-    # the step count t_end / (cfl * dr), or kss inhom's cell count, was inf,
-    # and math.ceil or int raised OverflowError: exit 1
+    # the step count t_end / (cfl * dr) was inf, and math.ceil raised
+    # OverflowError: exit 1
     out = str(tmp_path / "run")
     assert main(argv + ["--out", out]) == 2
     err = capsys.readouterr().err
@@ -501,7 +596,7 @@ def test_horizon_past_the_double_range_exits_2(tmp_path, capsys, argv, message):
     (["solve", "--cells", "10000000000000000000000", "--rmax", "12"], "1e+22"),
     (["ineq", "--lemma", "hardy", "--s", "1", "--cells", "10000000000000000000000"], "1e+22"),
     (["lifespan", "--ladder", "1e22,2e22"], "1e+22"),
-    (["kss", "--variant", "inhom", "--t-list", "1e300"], "2e+301"),
+    (["kss", "--variant", "inhom", "--cells", "10000000000000000000000"], "1e+22"),
 ], ids=["solve", "ineq", "lifespan", "kss-inhom"])
 def test_cell_count_past_numpy_index_range_exits_2(tmp_path, capsys, argv, count):
     # numpy refused the node array: "Maximum allowed size exceeded", exit 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import glassey_lab as gl
+from glassey_lab import core
 from glassey_lab.core import (
     _derivative_values,
     _energy_integral,
@@ -694,6 +695,43 @@ def test_lestar_upper_matches_quadrature_reference(center, d, dp, T, winner):
     assert cand.index(min(cand)) == winner
     w = gl.WeightParams(delta=d, delta_prime=dp, horizon=T)
     assert gl.lestar_upper(times, source, g, 5, w) == min(cand)
+
+
+def _cut_after_the_horizon(traj, horizon):
+    """traj up to and with its first sample past horizon, and that count."""
+    kept = int(np.flatnonzero(traj.times > horizon)[0]) + 1
+    return gl.Trajectory(traj.problem, traj.grid, traj.times[:kept], traj.u[:kept],
+                         traj.v[:kept]), kept
+
+
+@pytest.mark.parametrize("horizon", [1.0, 1.03])
+def test_horizon_norms_of_a_longer_trajectory_are_those_of_its_cut(horizon):
+    # the horizon on a sample and between two; the run goes on to t = 3
+    traj, _ = _free_trajectory(t_end=3.0)
+    cut, kept = _cut_after_the_horizon(traj, horizon)
+    w = gl.WeightParams(delta=0.3, delta_prime=0.2, horizon=horizon)
+    assert gl.le_norm(traj, w) == gl.le_norm(cut, w)
+    assert gl.norm_report(traj, w) == gl.norm_report(cut, w)
+    f = gl.ForcingSpec(amplitude=1.0, space_center=0.0, space_width=1.0,
+                       t_on=0.0, t_off=horizon + 1.0)
+    source = np.array([f.envelope(t) for t in traj.times])[:, None] * f.shape(traj.grid)
+    assert (gl.lestar_upper(traj.times, source, traj.grid, 3, w)
+            == gl.lestar_upper(cut.times, source[:kept], traj.grid, 3, w))
+
+
+def test_le_squares_runs_for_no_sample_past_the_first_after_the_horizon(monkeypatch):
+    traj, _ = _free_trajectory(t_end=3.0)
+    w = gl.WeightParams(delta=0.3, delta_prime=0.2, horizon=1.03)
+    _, kept = _cut_after_the_horizon(traj, w.horizon)
+    assert kept < traj.times.size
+    calls = []
+    squares = core._le_squares
+    monkeypatch.setattr(core, "_le_squares", lambda *args: calls.append(1) or squares(*args))
+    gl.le_norm(traj, w)
+    assert len(calls) == kept
+    calls.clear()
+    gl.norm_report(traj, w)
+    assert len(calls) == 2 * kept
 
 
 def test_trajectory_difference():

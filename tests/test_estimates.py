@@ -206,7 +206,7 @@ def test_kss_inhom_n2_gate():
     f = gl.ForcingSpec(amplitude=1.0, space_center=0.0, space_width=1.0,
                        t_on=0.0, t_off=0.5)
     with pytest.raises(gl.PreconditionViolation):
-        gl.kss_inhom_check(f, 2, 0.3, 0.2, 1.0)
+        gl.kss_inhom_check(f, gl.RadialGrid(r_max=12.0, num_cells=240), 2, 0.3, 0.2, [1.0])
 
 
 def test_kss_inhom_rejects_weights_before_solving(monkeypatch):
@@ -214,20 +214,35 @@ def test_kss_inhom_rejects_weights_before_solving(monkeypatch):
                        t_on=0.0, t_off=0.5)
     monkeypatch.setattr(estimates, "evolve", _no_solve)
     with pytest.raises(gl.PreconditionViolation):
-        gl.kss_inhom_check(f, 3, 0.3, 0.3, 1.0)
+        gl.kss_inhom_check(f, gl.RadialGrid(r_max=12.0, num_cells=240), 3, 0.3, 0.3, [1.0])
 
 
 def test_kss_inhom_zero_forcing_rejected():
     f = gl.ForcingSpec(amplitude=0.0, space_center=0.0, space_width=1.0,
                        t_on=0.0, t_off=0.5)
     with pytest.raises(gl.PreconditionViolation, match="zero forcing"):
-        gl.kss_inhom_check(f, 3, 0.3, 0.2, 1.0)
+        gl.kss_inhom_check(f, gl.RadialGrid(r_max=12.0, num_cells=240), 3, 0.3, 0.2, [1.0])
+
+
+def test_kss_inhom_reads_each_horizon_as_a_solve_to_it_alone():
+    # on this grid each horizon steps at dt = 0.025, so the solve to a
+    # shorter horizon is a prefix of the solve to T = 100
+    f = gl.ForcingSpec(amplitude=1.0, space_center=0.0, space_width=1.0,
+                       t_on=0.0, t_off=0.5)
+    grid = gl.RadialGrid(r_max=103.5, num_cells=2070)
+    samples, details = gl.kss_inhom_check(f, grid, 3, 0.3, 0.2, [100.0, 1.0, 10.0])
+    assert [s.params["T"] for s in samples] == [1.0, 10.0, 100.0]
+    for s in samples:
+        T = s.params["T"]
+        alone, alone_details = gl.kss_inhom_check(f, grid, 3, 0.3, 0.2, [T])
+        assert alone == [s] and alone_details == {T: details[T]}
 
 
 def test_kss_inhom_band_small():
     f = gl.ForcingSpec(amplitude=1.0, space_center=0.0, space_width=1.0,
                        t_on=0.0, t_off=0.5)
-    samples = [gl.kss_inhom_check(f, 3, 0.3, 0.2, T) for T in (1.0, 4.0, 16.0)]
+    grid = gl.RadialGrid(r_max=19.5, num_cells=390)
+    samples, _ = gl.kss_inhom_check(f, grid, 3, 0.3, 0.2, [1.0, 4.0, 16.0])
     assert gl.kss_band_ok(samples)
 
 

@@ -116,6 +116,13 @@ def test_from_file_first_radius_near_zero_is_the_origin(tmp_path, r0):
     assert np.array_equal(fields[0], fields[1])
 
 
+@pytest.mark.parametrize("family, path", [("gaussian", "field.txt"), ("from_file", None)])
+def test_profile_takes_a_data_file_exactly_when_from_file(family, path):
+    # a path beside another family was ignored: the data came from the family
+    with pytest.raises(gl.PreconditionViolation, match="from_file alone reads a data file"):
+        gl.DataProfile(family=family, epsilon=1.0, path=path)
+
+
 def test_from_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("nonsense\n0 1\n1 0\n2 0\n3 0\n")
