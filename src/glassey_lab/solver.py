@@ -37,6 +37,9 @@ DEFAULT_CFL = 0.5
 DEFAULT_STRIDE = 5
 CAUSALITY_MARGIN = 2.0
 VANISH_FACTOR = 1e-14
+# evolve's causal window grows by whole blocks of this many nodes, so that it
+# rebuilds its buffers once per block, not once per step
+WINDOW_BLOCK = 64
 
 _FAMILIES = ("gaussian", "smooth_bump", "from_file")
 _ASSIGNS = ("to_u0", "to_u1", "split")
@@ -249,6 +252,8 @@ class SolveOutcome:
     trajectory: Trajectory
     t_blowup: float
     peak_gradient: float
+    steps: int  # the RK4 steps taken, the blow-up step included
+    node_steps: int  # the nodes of each step's causal window, summed over the steps
 
 
 class LinearSeries:
@@ -364,6 +369,119 @@ def require_runnable(spec: ProblemSpec, u0: RadialField, u1: RadialField, grid: 
     return nsteps
 
 
+def _blowup_size(y: np.ndarray, dr: float):
+    """A function of no arguments that gives the blow-up size
+    max(max|v|, max|u_r|) of the current state y = (u, v), with u_r one-sided
+    at both ends of y's rows.
+
+    It makes four array calls: |v| and |du| share one (2, nodes) scratch and
+    one max, where du is u_r times 2 dr.  A correctly rounded division by
+    2 dr > 0 is monotone, so dividing the max gives the max of the divided
+    row.  Each row's max propagates NaN as np.max does, and so does their
+    combination: Python's max(vmax, NaN) would return vmax, so a NaN gradient
+    max is returned as is.
+    """
+    u, v = y
+    sizes = np.empty(y.shape)
+    v_abs, du = sizes
+    du_inner, u_hi, u_lo = du[1:-1], u[2:], u[:-2]
+    head, tail = u[:3].tolist, u[-3:].tolist
+    two_dr = 2.0 * dr
+
+    def size():
+        np.abs(v, out=v_abs)
+        np.subtract(u_hi, u_lo, out=du_inner)
+        a0, a1, a2 = head()
+        b2, b1, b0 = tail()
+        du[0] = -3.0 * a0 + 4.0 * a1 - a2
+        du[-1] = 3.0 * b0 - 4.0 * b1 + b2
+        np.abs(du, out=du)
+        vmax, dmax = sizes.max(axis=1).tolist()
+        gmax = dmax / two_dr
+        return gmax if math.isnan(gmax) else max(vmax, gmax)
+
+    return size
+
+
+def _window_stepper(y: np.ndarray, spec: ProblemSpec, dr: float, dt: float,
+                    c_plus: np.ndarray, c_minus: np.ndarray):
+    """(step, size) over the contiguous state y = (u, v) of rows 0..J.
+
+    step(sources) advances y by one RK4 step of dt with row J clamped the way
+    the outer node of the grid is.  `sources` holds the forcing rows of the
+    four stages (at t, t + dt/2, t + dt/2, t + dt), each at least J + 1 long,
+    or four Nones.  size is _blowup_size's of y.  All buffers have y's width
+    and are contiguous, so every array call takes numpy's fast path.
+    """
+    nodes = y.shape[1]
+    nonlinear = spec.a != 0.0 or spec.b != 0.0
+    scratch = _flush_scratch(nodes, spec.p)
+    work = scratch[0]
+    u, v = y
+    # Z[i] = (u_i, v_i, a_i) for stage i: its state is Z[i, :2] and its slope
+    # (u_t, u_tt) is Z[i, 1:], so a slope's u-row is its stage's v-row.  Both
+    # slope rows are clamped at row J.  Clamping v_i there is harmless: only
+    # the a-term reads it, into a_i[-1], which is clamped too.  Stage 1's
+    # state is y itself, whose v[-1] keeps its value, so Z[0, 1] is a copy of
+    # v and Z[0, 0] is unused.  Zeroed so the skipped last row of a_i holds a
+    # finite value before its clamp.
+    Z = np.zeros((4, 3, nodes))
+    slopes = [Z[i, 1:] for i in range(4)]
+    k1, k2, k3, k4 = slopes
+    k23 = Z[1:3, 1:]
+    outer = Z[:, 1:, -1]
+    stage_rows = [(u, v, Z[0, 2])] + [tuple(Z[i]) for i in (1, 2, 3)]
+    # rows 0..J-1 of the grid's stencil read rows 0..J alone
+    stencils = [_flux_stencil(su, c_plus[:nodes - 1], c_minus[:nodes - 2], acc, work)
+                for su, _, acc in stage_rows]
+
+    def rhs(i, source):
+        """Stage i's slope from its state plus the forcing row `source` (None
+        without forcing), clamped at row J."""
+        su, sv, acc = stage_rows[i]
+        stencils[i]()
+        if nonlinear:
+            _add_nonlinearity(acc, su, sv, dr, spec, scratch)
+        if source is not None:
+            acc += source[:nodes]
+        outer[i] = 0.0
+
+    # RK4 in the operation order of
+    #   k2 = f(t + dt/2, y + (dt/2) k1), k3 = f(t + dt/2, y + (dt/2) k2),
+    #   k4 = f(t + dt, y + dt k3),  y += (dt/6) (k1 + 2 k2 + 2 k3 + k4)
+    # so the buffered step gives the same bits as the plain formulas
+    # stage i + 1's state is y + h k_i
+    builds = list(zip((0.5 * dt, 0.5 * dt, dt), slopes, (Z[i, :2] for i in (1, 2, 3))))
+    sixth = dt / 6.0
+
+    def step(sources):
+        np.copyto(k1[0], v)
+        rhs(0, sources[0])
+        for i, (h, slope, state) in enumerate(builds, start=1):
+            np.multiply(slope, h, out=state)
+            state += y
+            rhs(i, sources[i])
+        # k2 and k3 doubled in one call; the sum keeps its written order.
+        # In place through out=, since these names are the enclosing scope's
+        np.multiply(k23, 2.0, out=k23)
+        np.add(k2, k1, out=k2)
+        np.add(k2, k3, out=k2)
+        np.add(k2, k4, out=k2)
+        np.multiply(k2, sixth, out=k2)
+        np.add(y, k2, out=y)
+
+    return step, _blowup_size(y, dr)
+
+
+def _window_width(radius: float, dr: float, nodes: int) -> int:
+    """The nodes of the smallest causal window, rows 0..J, with J a multiple of
+    WINDOW_BLOCK and J >= radius / dr; the whole grid if that is wider."""
+    need = radius / dr
+    if need >= nodes - 1:
+        return nodes
+    return min(nodes, WINDOW_BLOCK * math.ceil(need / WINDOW_BLOCK) + 1)
+
+
 def evolve(
     spec: ProblemSpec,
     u0: RadialField,
@@ -386,137 +504,95 @@ def evolve(
     so that detector is the one report.  A cfl that RK4 cannot take on this
     stencil is refused (require_stable_step), so a reported blow-up is not
     RK4's own instability.
+
+    Causal window: a step from t to t + dt moves only rows 0..J, where J is
+    the first multiple of WINDOW_BLOCK with
+    J dr >= reach + t + dt + CAUSALITY_MARGIN and
+    reach = max(support_radius(u0, u1), forcing_support), or the outer node
+    once that is past it.  Row J is clamped the way the outer node is,
+    and the rows past it keep their data values, in the stored samples too.
+    After t = 0 the blow-up size is read on rows 0..J; the size at t = 0, and
+    with it a linear run's threshold, is the whole grid's.
+    SolveOutcome.node_steps sums J + 1 over the steps taken.
+
     `forcing(t)` is called once per distinct stage time: t, t + dt/2, t + dt,
     where a step's t that equals the previous step's t + dt bit for bit
-    reuses that row.
+    reuses that row; a step holds its three rows at once.  Forcing contract:
+    the rows of forcing(t) vanish past forcing_support + t, since evolve
+    reads each row only through row J.  A forcing given with forcing_support
+    0 declares no support, and its window spans the grid.
     """
     nsteps = require_runnable(spec, u0, u1, grid, t_end, cfl, sample_stride, forcing_support)
     if t_end == 0.0:
         traj = Trajectory(spec, grid, np.zeros(1), u0.values[None], u1.values[None])
-        return SolveOutcome("completed", traj, None, 0.0)
+        return SolveOutcome("completed", traj, None, 0.0, 0, 0)
 
     dr = grid.spacing
     dt = t_end / nsteps
-
     nonlinear = spec.a != 0.0 or spec.b != 0.0
-    nodes = grid.num_cells + 1
     # looked up once per run: each lookup hashes the grid
     c_plus, c_minus = _flux_weights(grid, spec.n_dim)
-    scratch = _flush_scratch(nodes, spec.p)
-    work = scratch[0]
-
-    # the state y = (u, v) as one (2, nodes) array, so every stage build and
-    # the update run once over both rows; u and v are views of its rows
-    y = np.stack((u0.values, u1.values))
-    u, v = y
-    # Z[i] = (u_i, v_i, a_i) for stage i: its state is Z[i, :2] and its slope
-    # (u_t, u_tt) is Z[i, 1:], so a slope's u-row is its stage's v-row.  Both
-    # slope rows are clamped at the outer node.  Clamping v_i there is
-    # harmless: only the a-term reads it, into a_i[-1], which is clamped too.
-    # Stage 1's state is y itself, whose v[-1] keeps its data value, so
-    # Z[0, 1] is a copy of v and Z[0, 0] is unused.  Zeroed so the skipped
-    # outer row of a_i holds a finite value before its clamp.
-    Z = np.zeros((4, 3, nodes))
-    slopes = [Z[i, 1:] for i in range(4)]
-    k1, k2, k3, k4 = slopes
-    k23 = Z[1:3, 1:]
-    outer = Z[:, 1:, -1]
-    stage_rows = [(u, v, Z[0, 2])] + [tuple(Z[i]) for i in (1, 2, 3)]
-    stencils = [_flux_stencil(su, c_plus, c_minus, acc, work)
-                for su, _, acc in stage_rows]
-
-    def rhs(i, source):
-        """Stage i's slope from its state plus the forcing row `source` (None
-        without forcing), clamped at the outer node."""
-        su, sv, acc = stage_rows[i]
-        stencils[i]()
-        if nonlinear:
-            _add_nonlinearity(acc, su, sv, dr, spec, scratch)
-        if source is not None:
-            acc += source
-        outer[i] = 0.0
-
-    # the blow-up size max(max|v|, max|u_r|) in four array calls: |v| and
-    # |du| share one (2, nodes) scratch and one max, where du is u_r times
-    # 2 dr.  A correctly rounded division by 2 dr > 0 is monotone, so
-    # dividing the max gives the max of the divided row.  Each row's max
-    # propagates NaN as np.max does, and so does their combination: Python's
-    # max(vmax, NaN) would return vmax, so a NaN gradient max is returned as is
-    sizes = np.empty((2, nodes))
-    v_abs, du = sizes
-    du_inner, u_hi, u_lo = du[1:-1], u[2:], u[:-2]
-    head, tail = u[:3].tolist, u[-3:].tolist
-    two_dr = 2.0 * dr
-
-    def size():
-        np.abs(v, out=v_abs)
-        np.subtract(u_hi, u_lo, out=du_inner)
-        a0, a1, a2 = head()
-        b2, b1, b0 = tail()
-        du[0] = -3.0 * a0 + 4.0 * a1 - a2
-        du[-1] = 3.0 * b0 - 4.0 * b1 + b2
-        np.abs(du, out=du)
-        vmax, dmax = sizes.max(axis=1).tolist()
-        gmax = dmax / two_dr
-        return gmax if math.isnan(gmax) else max(vmax, gmax)
+    data = np.stack((u0.values, u1.values))
+    nodes = data.shape[1]
+    if forcing is not None and forcing_support == 0.0:
+        reach = math.inf
+    else:
+        reach = max(support_radius(u0, u1), forcing_support)
 
     # one row per sample; a blow-up trims the buffer to the rows written
     rows = nsteps // sample_stride + 1
     times = np.empty(rows)
     us = np.empty((rows, nodes))
     vs = np.empty((rows, nodes))
-    times[0], us[0], vs[0] = 0.0, u, v
+    times[0], us[0], vs[0] = 0.0, u0.values, u1.values
     stored = 1
     status, t_blow = "completed", None
 
-    # RK4 in the operation order of
-    #   k2 = f(t + dt/2, y + (dt/2) k1), k3 = f(t + dt/2, y + (dt/2) k2),
-    #   k4 = f(t + dt, y + dt k3),  y += (dt/6) (k1 + 2 k2 + 2 k3 + k4)
-    # so the buffered loop gives the same bits as the plain formulas
-    # stage i + 1's state is y + h k_i
-    builds = list(zip((0.5 * dt, 0.5 * dt, dt), slopes, (Z[i, :2] for i in (1, 2, 3))))
-    sixth = dt / 6.0
-    t = 0.0
+    # the window's state y = (u, v) of `width` nodes; it starts empty and
+    # grows before the first step
+    y, width, node_steps = data[:, :0], 0, 0
+    sources = (None,) * 4
     # `source` is the forcing row at time t_source
     source, t_source = None, None
     with np.errstate(over="ignore", invalid="ignore"):
         # data near the double range overflows the one-sided origin row
-        peak = size()
+        peak = _blowup_size(data, dr)()
         limit = BLOWUP_THRESHOLD if nonlinear else BLOWUP_THRESHOLD * max(1.0, peak)
         for k in range(nsteps):
-            if forcing is not None and t != t_source:
-                source = forcing(t)
-            np.copyto(k1[0], v)
-            rhs(0, source)
-            for i, (h, slope, state) in enumerate(builds, start=1):
-                np.multiply(slope, h, out=state)
-                state += y
+            t = k * dt
+            t_next = (k + 1) * dt
+            radius = reach + t_next + CAUSALITY_MARGIN
+            if width < nodes and radius / dr > width - 1:
+                width = _window_width(radius, dr, nodes)
+                grown = data[:, :width].copy()
+                grown[:, :y.shape[1]] = y
+                y = grown
+                step, size = _window_stepper(y, spec, dr, dt, c_plus, c_minus)
+            if forcing is not None:
+                if t != t_source:
+                    source = forcing(t)
                 # k2 and k3 share the stage time t + dt/2, so its row is reused
-                if forcing is not None and i != 2:
-                    t_source = t + h
-                    source = forcing(t_source)
-                rhs(i, source)
-            # k2 and k3 doubled in one call; the sum keeps its written order
-            k23 *= 2.0
-            k2 += k1
-            k2 += k3
-            k2 += k4
-            k2 *= sixth
-            y += k2
-            t = (k + 1) * dt
+                half = forcing(t + 0.5 * dt)
+                t_source = t + dt
+                sources = (source, half, half, forcing(t_source))
+                source = sources[3]
+            step(sources)
+            node_steps += width
 
             now = size()
             if not math.isfinite(now) or now > limit:
-                status, t_blow = "blew_up", t
+                status, t_blow = "blew_up", t_next
                 peak = max(peak, now) if math.isfinite(now) else math.inf
                 break
             peak = max(peak, now)
             if (k + 1) % sample_stride == 0:
-                times[stored], us[stored], vs[stored] = t, u, v
+                times[stored] = t_next
+                us[stored, :width], vs[stored, :width] = y
+                us[stored, width:], vs[stored, width:] = data[:, width:]
                 stored += 1
 
     traj = Trajectory(spec, grid, times[:stored], us[:stored], vs[:stored])
-    return SolveOutcome(status, traj, t_blow, peak)
+    return SolveOutcome(status, traj, t_blow, peak, k + 1, node_steps)
 
 
 def exact_free_n3(

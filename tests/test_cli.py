@@ -987,7 +987,8 @@ def _solve_flags(draw, drop=(), **extra):
 def _with_bad_values(draw, flags):
     """`flags` as --flag=value tokens, with at most two of the values that
     are not choices replaced by bad ones."""
-    numeric = [f for f in flags if f not in ("--profile", "--assigns", "--variant")]
+    numeric = [f for f in flags
+               if f not in ("--profile", "--assigns", "--variant", "--data-file")]
     for flag in draw(st.lists(st.sampled_from(numeric), max_size=2, unique=True)):
         flags[flag] = draw(_BAD)
     # --flag=value, so that a negative value is not read as a flag
@@ -1017,13 +1018,50 @@ def test_solve_flags_never_exit_1(flags):
 _HORIZONS = st.lists(st.floats(0.05, 2.0).map(repr), min_size=1, max_size=2).map(",".join)
 
 
-@settings(max_examples=50, deadline=None, database=None, derandomize=True)
-@given(flags=_solve_flags(**{"--variant": st.sampled_from(["hom", "inhom"]),
-                             "--t-list": _HORIZONS, "--band": st.floats(0.0, 1.0)}))
-def test_kss_flags_never_exit_1(flags):
-    code, err = _exit_code(["kss"] + flags)
-    assert code in (0, 2, 3), err
-    assert "Traceback" not in err
+# stands for the path of a readable data file, which the test writes
+_FIELD_FILE = "<field file>"
+
+
+@st.composite
+def _kss_flags(draw):
+    """Flags of a small kss run.  inhom solves from zero data and refuses the
+    data flags --profile, --assigns and --data-file, so only hom draws them;
+    its from_file runs read the file _FIELD_FILE stands for."""
+    extra = {"--t-list": _HORIZONS, "--band": st.floats(0.0, 1.0)}
+    if draw(st.booleans()):
+        profile = draw(st.sampled_from(["gaussian", "smooth_bump", "from_file"]))
+        extra.update({"--variant": st.just("hom"), "--profile": st.just(profile)})
+        if profile == "from_file":
+            extra["--data-file"] = st.just(_FIELD_FILE)
+        return draw(_solve_flags(**extra))
+    extra["--variant"] = st.just("inhom")
+    return draw(_solve_flags(drop=("--profile", "--assigns"), **extra))
+
+
+def test_kss_flags_never_exit_1(tmp_path, monkeypatch):
+    field = tmp_path / "field.txt"
+    field.write_text("# radial-field v1\n0.0 1.0\n0.5 0.5\n1.0 0.0\n2.0 0.0\n")
+    # the inhom examples that reach the forced solve, the only one they make
+    forced = []
+    free_solve = estimates._free_solve
+
+    def counting(u0, u1, n, horizon, forcing=None, **step):
+        if forcing is not None:
+            forced.append(horizon)
+        return free_solve(u0, u1, n, horizon, forcing, **step)
+
+    monkeypatch.setattr(estimates, "_free_solve", counting)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(flags=_kss_flags())
+    def never_exit_1(flags):
+        flags = [flag.replace(_FIELD_FILE, str(field)) for flag in flags]
+        code, err = _exit_code(["kss"] + flags)
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+
+    never_exit_1()
+    assert len(forced) >= 10
 
 
 # mostly dimensions that picard's weights admit; n = 20 is past the step bound

@@ -12,6 +12,8 @@ import glassey_lab as gl
 from glassey_lab.core import _derivative_values, _energy_integral, _laplacian_values
 from glassey_lab.solver import (
     BLOWUP_THRESHOLD,
+    CAUSALITY_MARGIN,
+    WINDOW_BLOCK,
     LinearSeries,
     _add_nonlinearity,
     _power_cut,
@@ -619,20 +621,39 @@ def test_energy_scaling():
 # bit-identity against the plain allocating RK4
 # ---------------------------------------------------------------------------
 
-def _reference_rk4(sp, u0, u1, g, t_end, forcing=None, cfl=0.25, stride=10):
+def _reference_rk4(sp, u0, u1, g, t_end, forcing=None, cfl=0.25, stride=10,
+                   forcing_support=0.0, windowed=True):
     """Classical RK4 written out with a fresh array per operation and the
     unflushed |.|^p; returns (times, u, v, status, t_blowup, peak).  A linear
     run stops past BLOWUP_THRESHOLD times max(1, its size at t = 0), a
-    nonlinear one past BLOWUP_THRESHOLD."""
+    nonlinear one past BLOWUP_THRESHOLD.
+
+    With windowed=True, evolve's causal window: the step from t to t + dt
+    moves rows 0..J alone, J the first multiple of WINDOW_BLOCK at or past
+    (reach + t + dt + CAUSALITY_MARGIN) / dr, or the outer node N once that
+    is past it; rows J.. have zero slope, rows past J keep their values, and
+    the size after a step is read on rows 0..J.  With windowed=False, J = N
+    on every step: the whole grid."""
     dr, n = g.spacing, sp.n_dim
+    N = g.num_cells
     nsteps = max(1, math.ceil(t_end / (cfl * dr)))
     nsteps = stride * math.ceil(nsteps / stride)
     dt = t_end / nsteps
     nonlinear = sp.a != 0.0 or sp.b != 0.0
+    if forcing is not None and forcing_support == 0.0:
+        reach = math.inf
+    else:
+        reach = max(gl.support_radius(u0, u1), forcing_support)
 
-    def rhs(t, u, v):
+    def last_row(k):
+        need = (reach + (k + 1) * dt + CAUSALITY_MARGIN) / dr
+        if not windowed or need >= N:
+            return N
+        return min(N, WINDOW_BLOCK * math.ceil(need / WINDOW_BLOCK))
+
+    def rhs(t, u, v, J):
         du_t = v.copy()
-        du_t[-1] = 0.0
+        du_t[J:] = 0.0
         acc = _laplacian_values(u, g, n)
         if sp.a != 0.0:
             acc += sp.a * np.abs(v) ** sp.p
@@ -640,7 +661,7 @@ def _reference_rk4(sp, u0, u1, g, t_end, forcing=None, cfl=0.25, stride=10):
             acc += sp.b * np.abs(_derivative_values(u, dr)) ** sp.p
         if forcing is not None:
             acc = acc + forcing(t)
-        acc[-1] = 0.0
+        acc[J:] = 0.0
         return du_t, acc
 
     def size(u, v):
@@ -652,14 +673,17 @@ def _reference_rk4(sp, u0, u1, g, t_end, forcing=None, cfl=0.25, stride=10):
     threshold = BLOWUP_THRESHOLD if nonlinear else BLOWUP_THRESHOLD * max(1.0, peak)
     t = 0.0
     for k in range(nsteps):
-        k1u, k1v = rhs(t, u, v)
-        k2u, k2v = rhs(t + 0.5 * dt, u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-        k3u, k3v = rhs(t + 0.5 * dt, u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-        k4u, k4v = rhs(t + dt, u + dt * k3u, v + dt * k3v)
-        u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        J = last_row(k)
+        w = slice(0, J + 1)
+        k1u, k1v = rhs(t, u, v, J)
+        k2u, k2v = rhs(t + 0.5 * dt, u + 0.5 * dt * k1u, v + 0.5 * dt * k1v, J)
+        k3u, k3v = rhs(t + 0.5 * dt, u + 0.5 * dt * k2u, v + 0.5 * dt * k2v, J)
+        k4u, k4v = rhs(t + dt, u + dt * k3u, v + dt * k3v, J)
+        u, v = u.copy(), v.copy()
+        u[w] = u[w] + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)[w]
+        v[w] = v[w] + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)[w]
         t = (k + 1) * dt
-        now = size(u, v)
+        now = size(u[w], v[w])
         if not math.isfinite(now) or now > threshold:
             status, t_blow = "blew_up", t
             peak = max(peak, now) if math.isfinite(now) else math.inf
@@ -700,7 +724,7 @@ def _assert_same_run(out, ref):
     assert traj.v.tobytes() == vs.tobytes()
 
 
-@pytest.mark.parametrize(
+_RUNS = pytest.mark.parametrize(
     "n, p, a, b, eps, assigns, rmax, cells, t_end, source, status, v_outer",
     [
         # the lifespan setting; its tail holds subnormal and zero values
@@ -719,8 +743,10 @@ def _assert_same_run(out, ref):
     ids=["n3-a-blowup", "n3-ab-blowup", "n2-ab", "n5-b", "n3-linear-series",
          "n3-ab-bump", "n3-ab-outer-v", "n3-linear-large-data"],
 )
-def test_evolve_bit_identical_to_plain_rk4(n, p, a, b, eps, assigns, rmax, cells,
-                                           t_end, source, status, v_outer):
+
+
+def _run_setup(n, p, a, b, eps, assigns, rmax, cells, source, v_outer):
+    """(spec, grid, u0, u1, evolve's keyword arguments) of one _RUNS entry."""
     g = gl.RadialGrid(r_max=rmax, num_cells=cells)
     sp = spec(n=n, p=p, a=a, b=b)
     data = gl.make_profile(gaussian_profile(eps=eps, assigns=assigns), g)
@@ -730,14 +756,39 @@ def test_evolve_bit_identical_to_plain_rk4(n, p, a, b, eps, assigns, rmax, cells
         u1[-1] = v_outer
         u1 = gl.RadialField(g, u1)
     forcing = _FORCINGS[source](g) if source else None
-    kwargs = dict(forcing=forcing, cfl=0.25)
-    out = gl.evolve(sp, data.u0, u1, g, t_end, forcing_support=6.0 if source else 0.0,
-                    sample_stride=10, **kwargs)
+    kwargs = dict(forcing=forcing, cfl=0.25, forcing_support=6.0 if source else 0.0)
+    return sp, g, data.u0, u1, kwargs
+
+
+@_RUNS
+def test_evolve_bit_identical_to_plain_rk4(n, p, a, b, eps, assigns, rmax, cells,
+                                           t_end, source, status, v_outer):
+    sp, g, u0, u1, kwargs = _run_setup(n, p, a, b, eps, assigns, rmax, cells, source, v_outer)
+    out = gl.evolve(sp, u0, u1, g, t_end, sample_stride=10, **kwargs)
     assert out.status == status
-    _assert_same_run(out, _reference_rk4(sp, data.u0, u1, g, t_end, stride=10, **kwargs))
+    _assert_same_run(out, _reference_rk4(sp, u0, u1, g, t_end, stride=10, **kwargs))
     # the outer node is clamped: both rows keep their data values there
-    assert np.all(out.trajectory.u[:, -1] == data.u0.values[-1])
+    assert np.all(out.trajectory.u[:, -1] == u0.values[-1])
     assert np.all(out.trajectory.v[:, -1] == u1.values[-1])
+
+
+@_RUNS
+def test_evolve_window_matches_whole_grid_rk4(n, p, a, b, eps, assigns, rmax, cells,
+                                              t_end, source, status, v_outer):
+    # the causal window moves the rows of the whole-grid scheme in their last
+    # bits only: what the wave has not reached is below 1e-14 of its peak
+    sp, g, u0, u1, kwargs = _run_setup(n, p, a, b, eps, assigns, rmax, cells, source, v_outer)
+    out = gl.evolve(sp, u0, u1, g, t_end, sample_stride=10, **kwargs)
+    times, us, vs, ref_status, ref_blow, ref_peak = _reference_rk4(
+        sp, u0, u1, g, t_end, stride=10, windowed=False, **kwargs)
+    assert out.status == ref_status == status
+    assert out.t_blowup == ref_blow
+    assert out.trajectory.times.tobytes() == times.tobytes()
+    assert out.peak_gradient == pytest.approx(ref_peak, rel=1e-12, abs=0.0)
+    for got, want in ((out.trajectory.u, us), (out.trajectory.v, vs)):
+        for row, ref in zip(got, want):
+            assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert out.node_steps < out.steps * len(g.nodes)
 
 
 _DETECTOR_GRID = gl.RadialGrid(r_max=12.0, num_cells=240)
@@ -950,6 +1001,31 @@ def test_require_runnable_returns_the_steps_evolve_takes():
     z = gl.RadialField.zeros(g)
     # t_end = 0 takes no step, so no step is too small
     assert gl.solver.require_runnable(spec(), z, z, g, 0.0, 0.5, 5) == 5
+
+
+def test_outcome_counts_the_whole_grid_when_the_window_spans_it():
+    # a forcing that declares no support steps every node from step 0
+    g = gl.RadialGrid(r_max=8.0, num_cells=200)
+    z = gl.RadialField.zeros(g)
+    f = gl.ForcingSpec(amplitude=1.0, space_width=1.0, t_on=0.0, t_off=1.0)
+    out = gl.evolve(spec(a=0.0, b=0.0), z, z, g, 2.0, forcing=f.callable_on(g))
+    assert out.steps == step_count(2.0, g, gl.solver.DEFAULT_CFL, gl.solver.DEFAULT_STRIDE)
+    assert out.node_steps == out.steps * len(g.nodes)
+    # t = 0 takes no step
+    still = gl.evolve(spec(), z, z, g, 0.0)
+    assert (still.steps, still.node_steps) == (0, 0)
+
+
+def test_window_steps_fewer_nodes_on_the_lifespan_benchmark():
+    # the benchmark's coarse rung at its smallest epsilon: the data's support
+    # is about 5.7 of r_max 48, so the window averages well under half the grid
+    g = gl.RadialGrid(r_max=48.0, num_cells=960)
+    data = gl.make_profile(gaussian_profile(eps=0.7, assigns="split"), g)
+    steps = step_count(40.0, g, 0.5, 1)
+    out = gl.evolve(spec(p=1.5), data.u0, data.u1, g, 40.0, sample_stride=steps)
+    assert out.status == "blew_up" and out.steps == round(out.t_blowup / (40.0 / steps))
+    whole = out.steps * len(g.nodes)
+    assert out.node_steps < 0.5 * whole
 
 
 # ---------------------------------------------------------------------------

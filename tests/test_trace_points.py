@@ -119,6 +119,7 @@ def test_traced_node_steps_are_the_steps_evolve_takes(tracing, monkeypatch, eps,
     attrs = tracing._evolve_attrs(bound.arguments, outcome)
     steps = len(stages) // 4
     assert len(stages) == 4 * steps
+    assert outcome.steps == steps
     planned = solver.step_count(4.0, grid, 0.25, 7)
     if status == "completed":
         assert steps == planned
