@@ -63,7 +63,6 @@ from .solver import (
     ProfileData,
     SolveOutcome,
     evolve,
-    exact_free_n3,
     make_profile,
     support_radius,
 )

@@ -281,7 +281,7 @@ def _derivative_values(values: np.ndarray, dr: float, out: np.ndarray = None) ->
     if out is None:
         out = np.empty_like(values)
     inner = np.subtract(values[2:], values[:-2], out=out[1:-1])
-    inner /= 2.0 * dr
+    np.divide(inner, 2.0 * dr, inner)
     # the end rows in Python floats: the same IEEE operations as on numpy
     # scalars, without their per-operation cost
     a0, a1, a2 = values[:3].tolist()
@@ -334,10 +334,10 @@ def _flux_stencil(values: np.ndarray, c_plus: np.ndarray, c_minus: np.ndarray,
     out_head, out_mid = out[:-1], out[1:-1]
 
     def apply():
-        np.subtract(hi, lo, out=diff)
-        np.multiply(diff, c_plus, out=out_head)
-        np.multiply(head, c_minus, out=head)
-        np.subtract(out_mid, head, out=out_mid)
+        np.subtract(hi, lo, diff)
+        np.multiply(diff, c_plus, out_head)
+        np.multiply(head, c_minus, head)
+        np.subtract(out_mid, head, out_mid)
 
     return apply
 

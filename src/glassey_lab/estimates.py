@@ -38,6 +38,9 @@ DEFAULT_TOL = 1e-3
 KSS_BAND = 0.25
 # slack of the energy inequality's factor-2 bound
 ENERGY_INEQ_TOL = 0.05
+# _gaussian_sum's widths are drawn for a grid of this radius or more; on a
+# shorter grid they shrink with r_max, so that the draws decay before it
+SAMPLE_R_MAX = 12.0
 
 # no check fills s1 and s2 any more; the columns stay empty so that the
 # ineq.csv and kss.csv headers, and the files written before, keep their bytes
@@ -102,6 +105,10 @@ def _gaussian_sum(seed: int, grid: RadialGrid, num_terms: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.0, grid.r_max / 2.0, num_terms)
     widths = rng.uniform(0.2, 2.0, num_terms)
+    if grid.r_max < SAMPLE_R_MAX:
+        # every suite ratio is dilation-invariant, so this is the family of
+        # r_max = SAMPLE_R_MAX rescaled (the centers scale with r_max already)
+        widths *= grid.r_max / SAMPLE_R_MAX
     amps = rng.uniform(-1.0, 1.0, num_terms)
     r = grid.nodes
     vals = np.zeros_like(r)

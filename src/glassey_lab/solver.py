@@ -1,6 +1,6 @@
 """Radial wave propagation: method-of-lines evolution of
 u_tt = lap u + a|u_t|^p + b|u_r|^p + F, the RK4 step bound of the stencil,
-the exact n=3 free-wave oracle, and blow-up detection.
+and blow-up detection.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ def _bump_shape(r: np.ndarray, center: float, width: float) -> np.ndarray:
 
 
 def _load_field_file(path: str, grid: RadialGrid) -> np.ndarray:
-    # scipy is imported here, in exact_free_n3 and in stable_cfl only: it is
-    # most of the package's import time and memory, and no other path needs it
+    # scipy is imported here and in stable_cfl only: it is most of the
+    # package's import time and memory, and no other path needs it
     from scipy.interpolate import PchipInterpolator
 
     try:
@@ -192,55 +192,66 @@ def _power_cut(p: float) -> float:
     return float(x[0])
 
 
-def _flush_scratch(size: int, p: float) -> tuple:
-    """(work row, dead mask, live mask, cut) for _add_nonlinearity on rows of
-    `size` nodes, so a caller that applies it many times allocates them and
-    looks up the cut of |.|^p once."""
-    return np.empty(size), np.empty(size, bool), np.empty(size, bool), _power_cut(p)
+def _flush_scratch(size: int, spec: ProblemSpec) -> tuple:
+    """(work row, dead mask, cut, p, a, b): the scratch of _add_nonlinearity
+    on rows of `size` nodes, so that a caller that applies it many times
+    allocates the rows and looks up the cut of |.|^p (_power_cut) once.
+
+    cut, p and the coefficients are 0-d float64 arrays: numpy takes them as
+    they are, where it converts a Python float on every call.  A unit
+    coefficient is None, since x * 1.0 == x bitwise and its scale is skipped.
+    """
+    def coef(c):
+        return None if c == 1.0 else np.array(c, dtype=float)
+
+    return (np.empty(size), np.empty(size, bool), np.array(_power_cut(spec.p)),
+            np.array(spec.p, dtype=float), coef(spec.a), coef(spec.b))
 
 
-def _add_flushed_power(out: np.ndarray, x: np.ndarray, coef: float, p: float,
-                       scratch: tuple) -> None:
-    """out += coef * x**p for x >= 0, overwriting x, with powers below DBL_MIN
-    set to 0.
+def _add_flushed_power(out: np.ndarray, x: np.ndarray, coef, dead: np.ndarray,
+                       cut: np.ndarray, p: np.ndarray) -> None:
+    """out += coef * x**p for x >= 0, overwriting x and the mask row `dead`,
+    with the powers below DBL_MIN set to 0; coef is None for 1.
 
     np.power is up to ~60x slower on arguments whose result underflows (the
     far tail of the data), and a subnormal term cannot move a sum of
-    normal-range values, so those entries skip the power.  NaN and inf are
-    not below the cut and still pass through np.power.  x * 1.0 == x
-    bitwise, so a unit coefficient skips its scale.
+    normal-range values.  So the entries below the cut are zeroed first, and
+    np.power then runs over the whole row, where 0**p is the flushed value.
+    Where few entries are below the cut, as in a causal window, the unmasked
+    power costs ~60% of one masked to the entries above it; a zero costs it
+    ~3x a normal-range entry, so a row mostly below the cut would be cheaper
+    masked.  NaN and inf are not below the cut and pass through np.power.
     """
-    _, dead, live, cut = scratch
-    np.less(x, cut, out=dead)
-    np.logical_not(dead, out=live)
-    np.power(x, p, out=x, where=live)
+    np.less(x, cut, dead)
     np.copyto(x, 0.0, where=dead)
-    if coef != 1.0:
-        x *= coef
-    out += x
+    np.power(x, p, x)
+    if coef is not None:
+        np.multiply(x, coef, x)
+    np.add(out, x, out)
 
 
 def _add_nonlinearity(out: np.ndarray, u: np.ndarray, v: np.ndarray, dr: float,
                       spec: ProblemSpec, scratch: tuple = None) -> None:
     """out += a|v|^p, then out += b|u_r|^p, in place; a zero coefficient
     skips its term, and |.|^p below DBL_MIN counts as 0 (see
-    _add_flushed_power).  `scratch` is a _flush_scratch for rows like `out`."""
+    _add_flushed_power).  `scratch` is spec's _flush_scratch for rows like
+    `out`."""
     if scratch is None:
-        scratch = _flush_scratch(out.size, spec.p)
-    work = scratch[0]
+        scratch = _flush_scratch(out.size, spec)
+    work, dead, cut, p, a, b = scratch
     if spec.a != 0.0:
-        np.abs(v, out=work)
-        _add_flushed_power(out, work, spec.a, spec.p, scratch)
+        np.abs(v, work)
+        _add_flushed_power(out, work, a, dead, cut, p)
     if spec.b != 0.0:
-        np.abs(_derivative_values(u, dr, out=work), out=work)
-        _add_flushed_power(out, work, spec.b, spec.p, scratch)
+        np.abs(_derivative_values(u, dr, out=work), work)
+        _add_flushed_power(out, work, b, dead, cut, p)
 
 
 def sampled_nonlinearity(spec: ProblemSpec, traj: Trajectory) -> LinearSeries:
     """spec's N[u] on the trajectory's sample times, linearly interpolated
     between."""
     fields = np.zeros_like(traj.u)
-    scratch = _flush_scratch(fields.shape[1], spec.p)
+    scratch = _flush_scratch(fields.shape[1], spec)
     for row, u, v in zip(fields, traj.u, traj.v):
         _add_nonlinearity(row, u, v, traj.grid.spacing, spec, scratch)
     return LinearSeries(traj.times, fields)
@@ -375,11 +386,11 @@ def _blowup_size(y: np.ndarray, dr: float):
     at both ends of y's rows.
 
     It makes four array calls: |v| and |du| share one (2, nodes) scratch and
-    one max, where du is u_r times 2 dr.  A correctly rounded division by
-    2 dr > 0 is monotone, so dividing the max gives the max of the divided
-    row.  Each row's max propagates NaN as np.max does, and so does their
-    combination: Python's max(vmax, NaN) would return vmax, so a NaN gradient
-    max is returned as is.
+    one np.maximum.reduce, where du is u_r times 2 dr.  A correctly rounded
+    division by 2 dr > 0 is monotone, so dividing the max gives the max of
+    the divided row.  Each row's max propagates NaN as np.max does, and so
+    does their combination: Python's max(vmax, NaN) would return vmax, so a
+    NaN gradient max is returned as is.
     """
     u, v = y
     sizes = np.empty(y.shape)
@@ -387,16 +398,17 @@ def _blowup_size(y: np.ndarray, dr: float):
     du_inner, u_hi, u_lo = du[1:-1], u[2:], u[:-2]
     head, tail = u[:3].tolist, u[-3:].tolist
     two_dr = 2.0 * dr
+    row_max = np.maximum.reduce
 
     def size():
-        np.abs(v, out=v_abs)
-        np.subtract(u_hi, u_lo, out=du_inner)
+        np.abs(v, v_abs)
+        np.subtract(u_hi, u_lo, du_inner)
         a0, a1, a2 = head()
         b2, b1, b0 = tail()
         du[0] = -3.0 * a0 + 4.0 * a1 - a2
         du[-1] = 3.0 * b0 - 4.0 * b1 + b2
-        np.abs(du, out=du)
-        vmax, dmax = sizes.max(axis=1).tolist()
+        np.abs(du, du)
+        vmax, dmax = row_max(sizes, 1).tolist()
         gmax = dmax / two_dr
         return gmax if math.isnan(gmax) else max(vmax, gmax)
 
@@ -411,11 +423,13 @@ def _window_stepper(y: np.ndarray, spec: ProblemSpec, dr: float, dt: float,
     the outer node of the grid is.  `sources` holds the forcing rows of the
     four stages (at t, t + dt/2, t + dt/2, t + dt), each at least J + 1 long,
     or four Nones.  size is _blowup_size's of y.  All buffers have y's width
-    and are contiguous, so every array call takes numpy's fast path.
+    and are contiguous, so every array call takes numpy's fast path, and
+    every scalar operand is a 0-d float64 array built here, which numpy takes
+    without converting a Python float on each call.
     """
     nodes = y.shape[1]
     nonlinear = spec.a != 0.0 or spec.b != 0.0
-    scratch = _flush_scratch(nodes, spec.p)
+    scratch = _flush_scratch(nodes, spec)
     work = scratch[0]
     u, v = y
     # Z[i] = (u_i, v_i, a_i) for stage i: its state is Z[i, :2] and its slope
@@ -426,49 +440,43 @@ def _window_stepper(y: np.ndarray, spec: ProblemSpec, dr: float, dt: float,
     # v and Z[0, 0] is unused.  Zeroed so the skipped last row of a_i holds a
     # finite value before its clamp.
     Z = np.zeros((4, 3, nodes))
-    slopes = [Z[i, 1:] for i in range(4)]
-    k1, k2, k3, k4 = slopes
+    k1, k2, k3, k4 = (Z[i, 1:] for i in range(4))
     k23 = Z[1:3, 1:]
-    outer = Z[:, 1:, -1]
-    stage_rows = [(u, v, Z[0, 2])] + [tuple(Z[i]) for i in (1, 2, 3)]
-    # rows 0..J-1 of the grid's stencil read rows 0..J alone
-    stencils = [_flux_stencil(su, c_plus[:nodes - 1], c_minus[:nodes - 2], acc, work)
-                for su, _, acc in stage_rows]
-
-    def rhs(i, source):
-        """Stage i's slope from its state plus the forcing row `source` (None
-        without forcing), clamped at row J."""
-        su, sv, acc = stage_rows[i]
-        stencils[i]()
-        if nonlinear:
-            _add_nonlinearity(acc, su, sv, dr, spec, scratch)
-        if source is not None:
-            acc += source[:nodes]
-        outer[i] = 0.0
-
+    half, full, two, sixth = (np.array(c) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
     # RK4 in the operation order of
     #   k2 = f(t + dt/2, y + (dt/2) k1), k3 = f(t + dt/2, y + (dt/2) k2),
     #   k4 = f(t + dt, y + dt k3),  y += (dt/6) (k1 + 2 k2 + 2 k3 + k4)
-    # so the buffered step gives the same bits as the plain formulas
-    # stage i + 1's state is y + h k_i
-    builds = list(zip((0.5 * dt, 0.5 * dt, dt), slopes, (Z[i, :2] for i in (1, 2, 3))))
-    sixth = dt / 6.0
+    # so the buffered step gives the same bits as the plain formulas.  Stage
+    # i + 1's state is y + h k_i; each stage is (its state's build (h, k_i,
+    # state) or None, its stencil, its u, v and a rows, its slope's row J).
+    # Rows 0..J-1 of the grid's stencil read rows 0..J alone.
+    builds = (None, (half, k1, Z[1, :2]), (half, k2, Z[2, :2]), (full, k3, Z[3, :2]))
+    stages = []
+    for i, build in enumerate(builds):
+        su, sv, acc = (u, v, Z[0, 2]) if i == 0 else Z[i]
+        stencil = _flux_stencil(su, c_plus[:nodes - 1], c_minus[:nodes - 2], acc, work)
+        stages.append((build, stencil, su, sv, acc, Z[i, 1:, -1]))
 
     def step(sources):
         np.copyto(k1[0], v)
-        rhs(0, sources[0])
-        for i, (h, slope, state) in enumerate(builds, start=1):
-            np.multiply(slope, h, out=state)
-            state += y
-            rhs(i, sources[i])
-        # k2 and k3 doubled in one call; the sum keeps its written order.
-        # In place through out=, since these names are the enclosing scope's
-        np.multiply(k23, 2.0, out=k23)
-        np.add(k2, k1, out=k2)
-        np.add(k2, k3, out=k2)
-        np.add(k2, k4, out=k2)
-        np.multiply(k2, sixth, out=k2)
-        np.add(y, k2, out=y)
+        for (build, stencil, su, sv, acc, outer), source in zip(stages, sources):
+            if build is not None:
+                h, slope, state = build
+                np.multiply(slope, h, state)
+                np.add(state, y, state)
+            stencil()
+            if nonlinear:
+                _add_nonlinearity(acc, su, sv, dr, spec, scratch)
+            if source is not None:
+                np.add(acc, source[:nodes], acc)
+            outer.fill(0.0)
+        # k2 and k3 doubled in one call; the sum keeps its written order
+        np.multiply(k23, two, k23)
+        np.add(k2, k1, k2)
+        np.add(k2, k3, k2)
+        np.add(k2, k4, k2)
+        np.multiply(k2, sixth, k2)
+        np.add(y, k2, y)
 
     return step, _blowup_size(y, dr)
 
@@ -593,88 +601,3 @@ def evolve(
 
     traj = Trajectory(spec, grid, times[:stored], us[:stored], vs[:stored])
     return SolveOutcome(status, traj, t_blow, peak, k + 1, node_steps)
-
-
-def exact_free_n3(
-    u0: RadialField, u1: RadialField, t: float, grid: RadialGrid
-) -> tuple:
-    """The pair (u, v) of RadialFields of the exact n=3 free radial wave at
-    time t, via the reduction of r*u to a line wave.
-
-    With PHI(s) = s*phi(s) and PSI(s) = s*psi(s) extended oddly,
-    r u(t,r) = [PHI(r+t) + PHI(r-t)]/2 + (1/2) int_{r-t}^{r+t} PSI, and
-    u(t,0) = PHI'(t) + PSI(t).  Cubic interpolation supplies phi and psi off
-    the nodes; beyond r_max the data must have vanished, in which case the
-    extensions are zero there.
-    """
-    from scipy.interpolate import CubicSpline
-
-    if u0.grid != grid or u1.grid != grid:
-        raise PreconditionViolation("data must live on the target grid")
-    if not (math.isfinite(t) and t >= 0.0):
-        raise PreconditionViolation(f"t must be >= 0, got {t}")
-
-    r = grid.nodes
-    # radial symmetry forces phi'(0) = psi'(0) = 0
-    phi = CubicSpline(r, u0.values, bc_type=((1, 0.0), "not-a-knot"))
-    psi = CubicSpline(r, u1.values, bc_type=((1, 0.0), "not-a-knot"))
-    phi_d = phi.derivative()
-    phi_dd = phi_d.derivative()
-    psi_d = psi.derivative()
-    big_psi = CubicSpline(
-        r, r * u1.values, bc_type=((1, float(u1.values[0])), "not-a-knot")
-    )
-    big_psi_int = big_psi.antiderivative()
-
-    scale = max(
-        float(np.max(np.abs(u0.values))), float(np.max(np.abs(u1.values))), 1e-300
-    )
-    tail = max(abs(float(u0.values[-1])), abs(float(u1.values[-1])))
-    vanishes = tail <= 1e-12 * scale
-    if t > 0.0 and not vanishes:
-        raise PreconditionViolation(
-            "r + t exceeds the interpolant domain and the data has not vanished "
-            "before r_max"
-        )
-
-    def PHI(s):
-        s = np.asarray(s, dtype=float)
-        a = np.abs(s)
-        out = np.where(a <= grid.r_max, s * phi(np.minimum(a, grid.r_max)), 0.0)
-        return out
-
-    def PHI_D(s):
-        s = np.asarray(s, dtype=float)
-        a = np.abs(s)
-        inside = a <= grid.r_max
-        ac = np.minimum(a, grid.r_max)
-        return np.where(inside, phi(ac) + ac * phi_d(ac), 0.0)
-
-    def PSI(s):
-        s = np.asarray(s, dtype=float)
-        a = np.abs(s)
-        return np.where(a <= grid.r_max, np.sign(s) * big_psi(np.minimum(a, grid.r_max)), 0.0)
-
-    def PSI_AD(s):
-        # even antiderivative of the odd PSI
-        s = np.asarray(s, dtype=float)
-        a = np.minimum(np.abs(s), grid.r_max)
-        return big_psi_int(a)
-
-    rp = r[1:] + t
-    rm = r[1:] - t
-    u_vals = np.empty_like(r)
-    v_vals = np.empty_like(r)
-    u_vals[1:] = (
-        0.5 * (PHI(rp) + PHI(rm)) + 0.5 * (PSI_AD(rp) - PSI_AD(rm))
-    ) / r[1:]
-    v_vals[1:] = (0.5 * (PHI_D(rp) - PHI_D(rm)) + 0.5 * (PSI(rp) + PSI(rm))) / r[1:]
-
-    if t <= grid.r_max:
-        u_vals[0] = float(phi(t) + t * phi_d(t) + t * psi(t))
-        v_vals[0] = float(2.0 * phi_d(t) + t * phi_dd(t) + psi(t) + t * psi_d(t))
-    else:
-        u_vals[0] = 0.0
-        v_vals[0] = 0.0
-
-    return RadialField(grid, u_vals), RadialField(grid, v_vals)

@@ -15,6 +15,7 @@ import pytest
 
 import glassey_lab as gl
 from glassey_lab.cli import main as cli_main
+from oracles import exact_free_n3
 
 pytestmark = pytest.mark.acceptance
 
@@ -38,7 +39,7 @@ def test_criterion_01_linear_solver_vs_exact_oracle():
         g = gl.RadialGrid(r_max=20.0, num_cells=cells)
         data = gl.make_profile(_gaussian(), g)
         out = gl.evolve(spec, data.u0, data.u1, g, 1.0)
-        exact_u, _ = gl.exact_free_n3(data.u0, data.u1, 1.0, g)
+        exact_u, _ = exact_free_n3(data.u0, data.u1, 1.0, g)
         fin_u = out.trajectory.u[-1]
         diff = gl.RadialField(g, fin_u - exact_u.values)
         errs[cells] = gl.weighted_l2(diff, 3, 0, 0) / gl.weighted_l2(exact_u, 3, 0, 0)

@@ -30,7 +30,7 @@ def _no_solve(*args, **kwargs):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is only for exact_free_n3 and from_file data; the CLI's startup
+    # scipy is only for from_file data and the exact step bound; the CLI's startup
     # time and memory should not pay for it
     src = os.path.dirname(os.path.dirname(glassey_lab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -86,6 +86,15 @@ def test_ineq_writes_marked_csv(tmp_path):
     assert len(lines) == 2 + 25
     cfg = read_config(os.path.join(out, "config.txt"))
     assert cfg["subcommand"] == "ineq" and cfg["samples"] == "25"
+
+
+def test_ineq_on_a_short_grid_holds_the_bound(tmp_path, capsys):
+    # the draws shrink with r_max below estimates.SAMPLE_R_MAX, so they decay
+    # before it; drawn for r_max 12, 14 of these 20 samples breached the bound
+    code = main(["ineq", "--lemma", "hardy", "--n", "3", "--s", "0.5", "--samples", "20",
+                 "--rmax", "1", "--cells", "400", "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert "0 violations" in capsys.readouterr().out
 
 
 def test_config_replay_is_byte_identical(tmp_path):

@@ -318,6 +318,18 @@ def test_suite_rows_and_determinism():
     assert row["lemma_id"] == "hardy" and row["n"] == 3 and row["violation"] is False
 
 
+@pytest.mark.parametrize("lemma, n, s", [("hardy", 3, 0.5), ("trace", 3, 0.75),
+                                         ("trace_variant", 2, 0.125)])
+def test_suite_ratios_on_a_short_grid_are_those_of_r_max_12(lemma, n, s):
+    # below SAMPLE_R_MAX the draws are the r_max = 12 family rescaled, and
+    # every suite ratio is dilation-invariant
+    assert estimates.SAMPLE_R_MAX == 12.0
+    short = gl.run_ineq_suite(lemma, n, s, 8, 5, r_max=3.0, num_cells=2400)
+    full = gl.run_ineq_suite(lemma, n, s, 8, 5, r_max=12.0, num_cells=2400)
+    for a, b in zip(short, full):
+        assert a.ratio == pytest.approx(b.ratio, rel=1e-12, abs=0.0)
+
+
 def test_suite_parallel_matches_serial():
     a = gl.run_ineq_suite("hardy", 3, 0.5, 12, 3, jobs=1)
     b = gl.run_ineq_suite("hardy", 3, 0.5, 12, 3, jobs=2)

@@ -2,14 +2,20 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import glassey_lab as gl
-from glassey_lab.core import _derivative_values, _energy_integral, _laplacian_values
+from glassey_lab import solver
+from glassey_lab.core import (
+    _derivative_values,
+    _energy_integral,
+    _flux_weights,
+    _laplacian_values,
+)
 from glassey_lab.solver import (
     BLOWUP_THRESHOLD,
     CAUSALITY_MARGIN,
@@ -17,9 +23,11 @@ from glassey_lab.solver import (
     LinearSeries,
     _add_nonlinearity,
     _power_cut,
+    _window_stepper,
     stable_cfl,
     step_count,
 )
+from oracles import exact_free_n3, origin_oracle
 
 
 def spec(n=3, p=2.0, a=1.0, b=0.0):
@@ -194,21 +202,23 @@ def _underflow_probe(p):
     return np.concatenate([signed, [np.nan, np.inf, -np.inf]])
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.7])
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 2.5, 3.7])
 def test_nonlinearity_flushes_only_sub_dbl_min_powers(p):
     x = _underflow_probe(p)
-    coef = 0.7
     with np.errstate(invalid="ignore", over="ignore"):
         plain = np.abs(x) ** p
-    out = np.zeros_like(x)
-    _add_nonlinearity(out, np.zeros_like(x), x, 0.1, spec(p=p, a=coef, b=0.0))
     normal = plain >= TINY
-    assert np.array_equal(out[normal], plain[normal] * coef)
     below = plain < TINY
-    assert np.all(out[below] == 0.0)
-    assert np.all(out[x == 0.0] == 0.0)
-    assert np.isnan(out[np.isnan(x)]).all()
-    assert np.all(out[np.isinf(x)] == np.inf)
+    finite = np.isfinite(x)
+    # bytes on the finite entries, so that a -0.0 is told from 0.0; a unit
+    # coefficient skips its scale
+    for coef in (0.7, 1.0, -1.3):
+        out = np.zeros_like(x)
+        _add_nonlinearity(out, np.zeros_like(x), x, 0.1, spec(p=p, a=coef, b=0.0))
+        want = np.zeros_like(x) + np.where(normal, plain, 0.0) * coef
+        assert out[finite].tobytes() == want[finite].tobytes()
+        assert np.isnan(out[np.isnan(x)]).all()
+        assert np.all(out[np.isinf(x)] == math.copysign(np.inf, coef))
     # the cut is the boundary of the flushed set
     cut = _power_cut(p)
     assert np.all(normal[np.abs(x) == cut])
@@ -342,11 +352,11 @@ def state_energy(g, u, v, n=3):
 def test_exact_free_n3_identity_and_zero():
     g = gl.RadialGrid(r_max=12.0, num_cells=800)
     data = gl.make_profile(gaussian_profile(), g)
-    u, v = gl.exact_free_n3(data.u0, data.u1, 0.0, g)
+    u, v = exact_free_n3(data.u0, data.u1, 0.0, g)
     assert np.max(np.abs(u.values - data.u0.values)) <= 1e-10
     assert np.max(np.abs(v.values - data.u1.values)) <= 1e-10
     z = gl.RadialField.zeros(g)
-    u0, v0 = gl.exact_free_n3(z, z, 3.0, g)
+    u0, v0 = exact_free_n3(z, z, 3.0, g)
     assert not np.any(u0.values) and not np.any(v0.values)
 
 
@@ -355,7 +365,7 @@ def test_exact_free_n3_energy_conserved():
     data = gl.make_profile(gaussian_profile(), g)
     e0 = state_energy(g, data.u0, data.u1)
     for t in (0.5, 1.0, 2.0):
-        u, v = gl.exact_free_n3(data.u0, data.u1, t, g)
+        u, v = exact_free_n3(data.u0, data.u1, t, g)
         assert state_energy(g, u, v) == pytest.approx(e0, rel=1e-6)
 
 
@@ -364,51 +374,18 @@ def test_exact_free_n3_range_gate():
     f = gl.RadialField.from_function(g, lambda r: 1.0 / (1.0 + r**2))  # no decay
     z = gl.RadialField.zeros(g)
     with pytest.raises(gl.PreconditionViolation, match="interpolant domain"):
-        gl.exact_free_n3(f, z, 1.0, g)
+        exact_free_n3(f, z, 1.0, g)
 
 
 def test_evolve_matches_exact_oracle():
     g = gl.RadialGrid(r_max=20.0, num_cells=1000)
     data = gl.make_profile(gaussian_profile(), g)
     out = gl.evolve(spec(a=0.0, b=0.0), data.u0, data.u1, g, 1.0)
-    exact_u, _ = gl.exact_free_n3(data.u0, data.u1, 1.0, g)
+    exact_u, _ = exact_free_n3(data.u0, data.u1, 1.0, g)
     fin_u = out.trajectory.u[-1]
     err = gl.weighted_l2(gl.RadialField(g, fin_u - exact_u.values), 3, 0, 0)
     ref = gl.weighted_l2(exact_u, 3, 0, 0)
     assert err / ref <= 1e-3
-
-
-def origin_oracle(n):
-    """u(t, 0) of the free wave in odd dimension n from u0 = exp(-r^2), u1 = 0:
-    gamma_n^{-1} d/dt (t^{-1} d/dt)^{(n-3)/2} (t^{n-2} exp(-t^2)), with
-    gamma_n = 1*3*...*(n-2).
-
-    Each derivative maps P(t) exp(-t^2) to (P' - 2t P) exp(-t^2), so the
-    polynomial P is built in exact rational arithmetic; every division by t
-    is exact.  Returns (t -> u(t, 0), the coefficients of P, lowest first).
-    """
-
-    def d_dt(poly):
-        out = [Fraction(0)] * (len(poly) + 1)
-        for k, c in enumerate(poly):
-            if k:
-                out[k - 1] += k * c
-            out[k + 1] -= 2 * c
-        return out
-
-    poly = [Fraction(0)] * (n - 2) + [Fraction(1)]
-    for _ in range((n - 3) // 2):
-        poly = d_dt(poly)
-        assert poly[0] == 0
-        poly = poly[1:]
-    gamma = math.prod(range(1, n - 1, 2))
-    poly = [c / gamma for c in d_dt(poly)]
-
-    def u_origin(t):
-        x = Fraction(t)
-        return float(sum(c * x**k for k, c in enumerate(poly))) * math.exp(-t * t)
-
-    return u_origin, poly
 
 
 def test_origin_oracle_is_the_n3_formula_and_starts_at_the_data():
@@ -739,9 +716,13 @@ _RUNS = pytest.mark.parametrize(
         (3, 2.0, 0.7, 0.4, 1.0, "split", 24.0, 400, 8.0, False, "completed", 1e-300),
         # data of size 1e7: the free wave runs to its horizon
         (3, 2.0, 0.0, 0.0, 1e7, "split", 24.0, 400, 8.0, False, "completed", None),
+        # p = 1.1: the window's grown tail holds |v| and |u_r| below the cut,
+        # whose powers evolve flushes and the reference keeps as subnormals
+        # (test_p11_run_crosses_the_cut)
+        (3, 1.1, 1.0, 0.5, 0.5, "split", 40.0, 400, 20.0, False, "blew_up", None),
     ],
     ids=["n3-a-blowup", "n3-ab-blowup", "n2-ab", "n5-b", "n3-linear-series",
-         "n3-ab-bump", "n3-ab-outer-v", "n3-linear-large-data"],
+         "n3-ab-bump", "n3-ab-outer-v", "n3-linear-large-data", "n3-p1.1-ab-tail-cut"],
 )
 
 
@@ -789,6 +770,50 @@ def test_evolve_window_matches_whole_grid_rk4(n, p, a, b, eps, assigns, rmax, ce
         for row, ref in zip(got, want):
             assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert out.node_steps < out.steps * len(g.nodes)
+
+
+def test_p11_run_crosses_the_cut(monkeypatch):
+    # the p = 1.1 run of _RUNS is there for the entries in (0, cut): their
+    # powers are subnormal, and evolve's flush sets them to 0
+    crossing = []
+    real = solver._add_flushed_power
+
+    def counting(out, x, coef, dead, cut, p):
+        crossing.append(int(np.count_nonzero((x > 0.0) & (x < cut))))
+        return real(out, x, coef, dead, cut, p)
+
+    monkeypatch.setattr(solver, "_add_flushed_power", counting)
+    sp, g, u0, u1, kwargs = _run_setup(3, 1.1, 1.0, 0.5, 0.5, "split", 40.0, 400, False, None)
+    assert gl.evolve(sp, u0, u1, g, 20.0, sample_stride=10, **kwargs).status == "blew_up"
+    assert sum(crossing) > 0
+
+
+def test_window_step_keeps_no_allocation():
+    # 100 steps of a 577-node window with both terms and a source, after
+    # warm-up: nothing stays allocated, and the peak is below one window row
+    # (measured: 1200-1680 B against a row's 4616 B)
+    g = gl.RadialGrid(r_max=48.0, num_cells=1920)
+    data = gl.make_profile(gaussian_profile(eps=0.7, assigns="split"), g)
+    nodes = 577
+    y = np.stack((data.u0.values, data.u1.values))[:, :nodes].copy()
+    step, size = _window_stepper(y, spec(p=1.5, a=1.0, b=0.5), g.spacing, 0.5 * g.spacing,
+                                 *_flux_weights(g, 3))
+    row = 0.1 * np.exp(-((g.nodes - 2.0) ** 2))
+    sources = (row,) * 4
+    for _ in range(10):
+        step(sources)
+        size()
+    tracemalloc.start()
+    try:
+        for _ in range(100):
+            step(sources)
+            size()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(y))
+    assert current == 0
+    assert peak < y[0].nbytes
 
 
 _DETECTOR_GRID = gl.RadialGrid(r_max=12.0, num_cells=240)
