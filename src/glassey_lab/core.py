@@ -277,17 +277,18 @@ def weight_exponents(spec: ProblemSpec, s1: float = None, s2: float = None) -> t
 # ---------------------------------------------------------------------------
 
 def _derivative_values(values: np.ndarray, dr: float, out: np.ndarray = None) -> np.ndarray:
-    """Second-order d/dr: centred inside, one-sided at both ends."""
+    """Second-order d/dr along the last axis: centred inside, one-sided at
+    both ends; any leading axes are rows of their own."""
     if out is None:
         out = np.empty_like(values)
-    inner = np.subtract(values[2:], values[:-2], out=out[1:-1])
+    inner = np.subtract(values[..., 2:], values[..., :-2], out=out[..., 1:-1])
     np.divide(inner, 2.0 * dr, inner)
-    # the end rows in Python floats: the same IEEE operations as on numpy
-    # scalars, without their per-operation cost
-    a0, a1, a2 = values[:3].tolist()
-    b2, b1, b0 = values[-3:].tolist()
-    out[0] = (-3.0 * a0 + 4.0 * a1 - a2) / (2.0 * dr)
-    out[-1] = (3.0 * b0 - 4.0 * b1 + b2) / (2.0 * dr)
+    # the end columns through .T: of one row they are numpy scalars, where
+    # [..., 0] would give 0-d arrays and their per-operation cost
+    cols, out_cols = values.T, out.T
+    a0, a1, a2, b2, b1, b0 = cols[0], cols[1], cols[2], cols[-3], cols[-2], cols[-1]
+    out_cols[0] = (-3.0 * a0 + 4.0 * a1 - a2) / (2.0 * dr)
+    out_cols[-1] = (3.0 * b0 - 4.0 * b1 + b2) / (2.0 * dr)
     return out
 
 
@@ -319,9 +320,10 @@ def _flux_weights(grid: RadialGrid, n: int):
 
 def _flux_stencil(values: np.ndarray, c_plus: np.ndarray, c_minus: np.ndarray,
                   out: np.ndarray, work: np.ndarray):
-    """A function that writes rows 0..N-1 of the flux-form Laplacian (see
-    _flux_weights) of the current `values` into out[:-1], leaving out[-1]
-    untouched.
+    """A function that writes nodes 0..N-1 of the flux-form Laplacian (see
+    _flux_weights) of the current `values` into out[..., :-1], leaving the
+    last node untouched; nodes run along the last axis, any leading axes are
+    rows of their own.
 
     It runs four passes over one difference row: diff, scale by c_plus, scale
     by c_minus, subtract.  The row views are built here, once, so a caller
@@ -329,9 +331,9 @@ def _flux_stencil(values: np.ndarray, c_plus: np.ndarray, c_minus: np.ndarray,
     call.  `work` is a scratch row; neither it nor `out` may share memory
     with `values`.
     """
-    hi, lo = values[1:], values[:-1]
-    diff, head = work[:-1], work[:-2]
-    out_head, out_mid = out[:-1], out[1:-1]
+    hi, lo = values[..., 1:], values[..., :-1]
+    diff, head = work[..., :-1], work[..., :-2]
+    out_head, out_mid = out[..., :-1], out[..., 1:-1]
 
     def apply():
         np.subtract(hi, lo, diff)
@@ -350,14 +352,16 @@ def _laplacian_values(values: np.ndarray, grid: RadialGrid, n: int) -> np.ndarra
     (1/2) (sum_j V_j v_j^2 + sum_j r_{j+1/2}^(n-1) (u[j+1] - u[j])^2 / dr)
     exactly in time-continuous form, for every n.  Rows 0..N-1 are
     _flux_stencil's; callers that apply it many times use that directly.
+    Like _derivative_values, it works along the last axis.
     """
     out = np.empty_like(values)
     _flux_stencil(values, *_flux_weights(grid, n), out, np.empty_like(values))()
     dr = grid.spacing
-    out[-1] = (
-        2.0 * values[-1] - 5.0 * values[-2] + 4.0 * values[-3] - values[-4]
+    cols = values.T
+    out.T[-1] = (
+        2.0 * cols[-1] - 5.0 * cols[-2] + 4.0 * cols[-3] - cols[-4]
     ) / dr**2 + ((n - 1) / grid.r_max) * (
-        3.0 * values[-1] - 4.0 * values[-2] + values[-3]
+        3.0 * cols[-1] - 4.0 * cols[-2] + cols[-3]
     ) / (2.0 * dr)
     return out
 
@@ -398,35 +402,34 @@ def _quadrature_weight(grid: RadialGrid, q: float, nu: float) -> np.ndarray:
     return weight
 
 
-def _weighted_square_integral(values, grid, n, mu, nu, inv_r_coeff=0.0):
-    """A_{n-1} * int_0^rmax r^(2mu) <r>^(2nu) f(r)^2 r^(n-1) dr.
+def _weighted_square_integral(values, grid, n, mu, nu, inv_r_coeff=None):
+    """A_{n-1} * int_0^rmax r^(2mu) <r>^(2nu) f(r)^2 r^(n-1) dr of each row.
 
-    values[0] holds the regular part of f at the origin; a nonzero
-    inv_r_coeff alpha declares f ~ alpha/r + regular there.  Composite
-    trapezoid everywhere, except that the first cell is integrated against
-    the exact power weight whenever the integrand is unbounded at r = 0.
+    Nodes run along the last axis of values and any leading axes are rows:
+    the result has the shape values.shape[:-1], a scalar for a lone row.
+    values[..., 0] holds the regular part of f at the origin; inv_r_coeff
+    alpha (one for every row, or one per row) declares f ~ alpha/r + regular
+    there, and a row whose alpha is 0, like every row when it is None, has
+    no 1/r part.  Composite trapezoid everywhere, except that the first cell
+    is integrated against the exact power weight whenever the integrand is
+    unbounded at r = 0.
     """
     dr = grid.spacing
     q = 2.0 * mu + (n - 1)
     if q <= -1.0:
         raise PreconditionViolation(f"weight exponent 2mu + n - 1 = {q:.4g} <= -1")
 
-    g = _quadrature_weight(grid, q, nu) * np.asarray(values)[1:] ** 2
-    total = dr * (0.5 * g[0] + g[1:-1].sum() + 0.5 * g[-1])
+    values = np.asarray(values)
+    g = _quadrature_weight(grid, q, nu) * values[..., 1:] ** 2
+    # nodes on the first axis of the .T views, as in _derivative_values, and
+    # the result transposed back
+    cols, g_cols = values.T, g.T
+    total = dr * (0.5 * g_cols[0] + np.add.reduce(g_cols[1:-1], 0) + 0.5 * g_cols[-1])
 
-    if inv_r_coeff != 0.0:
-        # f ~ alpha/r + beta on the first cell, beta matched at the first node
-        alpha = inv_r_coeff
-        beta = values[1] - alpha / dr
-        first = (
-            alpha**2 * _power_cell(dr, q - 2.0)
-            + 2.0 * alpha * beta * _power_cell(dr, q - 1.0)
-            + beta**2 * _power_cell(dr, q)
-        )
-    elif q < -1e-12:
+    if q < -1e-12:
         # integrand unbounded at r = 0: integrate a linear field model exactly
-        c0 = values[0]
-        c1 = (values[1] - values[0]) / dr
+        c0 = cols[0]
+        c1 = (cols[1] - cols[0]) / dr
         first = (
             c0**2 * _power_cell(dr, q)
             + 2.0 * c0 * c1 * _power_cell(dr, q + 1.0)
@@ -434,12 +437,24 @@ def _weighted_square_integral(values, grid, n, mu, nu, inv_r_coeff=0.0):
         )
     elif abs(q) <= 1e-12:
         # finite limiting integrand f(0)^2 at the origin
-        first = 0.5 * dr * (values[0] ** 2 + g[0])
+        first = 0.5 * dr * (cols[0] ** 2 + g_cols[0])
     else:
         # limiting integrand 0 at the origin
-        first = 0.5 * dr * g[0]
+        first = 0.5 * dr * g_cols[0]
 
-    return sphere_area(n) * (total + first)
+    # None spares a lone row's call (weighted_l2) the test of its alphas
+    if inv_r_coeff is not None and np.count_nonzero(inv_r_coeff):
+        # f ~ alpha/r + beta on the first cell, beta matched at the first node
+        alpha = np.transpose(inv_r_coeff)
+        beta = cols[1] - alpha / dr
+        singular = (
+            alpha**2 * _power_cell(dr, q - 2.0)
+            + 2.0 * alpha * beta * _power_cell(dr, q - 1.0)
+            + beta**2 * _power_cell(dr, q)
+        )
+        first = np.where(alpha != 0.0, singular, first)
+
+    return (sphere_area(n) * (total + first)).T
 
 
 def weighted_l2(f: RadialField, n: int, mu: float, nu: float) -> float:
@@ -475,8 +490,8 @@ def lambda_norms(u0: RadialField, u1: RadialField, n: int) -> LambdaNorms:
 
 
 def _energy_integral(v: np.ndarray, du: np.ndarray, grid: RadialGrid, n: int) -> float:
-    """int (v^2 + u_r^2) over R^n, given nodal v and u_r (norm_report also
-    passes v_r and lap u, for the second-order energy)."""
+    """int (v^2 + u_r^2) over R^n of each row, given nodal v and u_r
+    (norm_report also passes v_r and lap u, for the second-order energy)."""
     return _weighted_square_integral(v, grid, n, 0.0, 0.0) + _weighted_square_integral(
         du, grid, n, 0.0, 0.0
     )
@@ -504,13 +519,29 @@ def _horizon_rows(times: np.ndarray, horizon: float) -> int:
     return min(times.size, _samples_through(times, horizon) + 1)
 
 
+# The trajectory norms take the states a block of rows at a time: each array
+# pass covers max(1, BLOCK_BUDGET // nodes) states, so a loop pays numpy's
+# per-call cost once per block, and each temporary of a block holds about
+# BLOCK_BUDGET doubles (128 KiB; 9 states of 1801 nodes), or one state.
+BLOCK_BUDGET = 2**14
+
+
+def _blocks(rows: int, nodes: int) -> list:
+    """Slices that cover rows 0..rows-1 in order, BLOCK_BUDGET // nodes rows
+    each (at least one), the last one shorter when they do not divide."""
+    step = max(1, BLOCK_BUDGET // nodes)
+    return [slice(k, min(k + step, rows)) for k in range(0, rows, step)]
+
+
 def _energy_integrals(traj: Trajectory, kept: int) -> np.ndarray:
-    """_energy_integral of each of the first `kept` samples, shape (kept,)."""
+    """_energy_integral of each of the first `kept` samples, shape (kept,),
+    taken a block of states (_blocks) at a time."""
     n = traj.problem.n_dim
     grid = traj.grid
     out = np.empty(kept)
-    for k, (u, v) in enumerate(zip(traj.u[:kept], traj.v[:kept])):
-        out[k] = _energy_integral(v, _derivative_values(u, grid.spacing), grid, n)
+    for rows in _blocks(kept, grid.num_cells + 1):
+        du = _derivative_values(traj.u[rows], grid.spacing)
+        out[rows] = _energy_integral(traj.v[rows], du, grid, n)
     return out
 
 
@@ -555,29 +586,30 @@ class LocalEnergyNorm:
 
 
 def _le_squares(time_slot, grad_slot, field_slot, grid, n, w):
-    """One state's squared local-energy terms: deriv, field (n >= 3 only), log
-    and horizon, from the gradient magnitude |(time_slot, grad_slot)| and the
-    field |field_slot|: (v, u_r, u) for the first order, (v_r, lap u, u_r)
-    for the second."""
+    """The squared local-energy terms of each row of states, shape
+    (..., terms): deriv, field (n >= 3 only), log and horizon, from the
+    gradient magnitude |(time_slot, grad_slot)| and the field |field_slot|:
+    (v, u_r, u) for the first order, (v_r, lap u, u_r) for the second.  The
+    field term's 1/r part has the coefficient |field_slot| at r = 0 of each
+    row."""
     du_abs = np.sqrt(time_slot**2 + grad_slot**2)
     u_abs = np.abs(field_slot)
     d, dp = w.delta, w.delta_prime
     terms = [_weighted_square_integral(du_abs, grid, n, -d, -0.5 + dp)]
-    comp, alpha = du_abs, 0.0
+    comp, alpha = du_abs, None
     if n >= 3:
-        alpha = u_abs[0]
+        alpha = u_abs[..., 0]
         comp = du_abs.copy()
-        comp[1:] += u_abs[1:] / grid.nodes[1:]
+        comp[..., 1:] += u_abs[..., 1:] / grid.nodes[1:]
         terms.append(_weighted_square_integral(u_abs, grid, n, -1.0 - d, -0.5 + dp))
     terms.append(_weighted_square_integral(comp, grid, n, -d, -0.5 + d, inv_r_coeff=alpha))
     terms.append(_weighted_square_integral(comp, grid, n, -d, 0.0, inv_r_coeff=alpha))
-    return terms
+    return np.stack(terms, axis=-1)
 
 
 def _time_norms(times, rows, horizon):
     """sqrt(int_0^horizon) of each column, where rows[k] holds the terms at times[k]."""
-    return [math.sqrt(_integrate_to_horizon(times, col, horizon))
-            for col in np.asarray(rows).T]
+    return [math.sqrt(_integrate_to_horizon(times, col, horizon)) for col in rows.T]
 
 
 def _le_term_names(n: int) -> tuple:
@@ -586,8 +618,9 @@ def _le_term_names(n: int) -> tuple:
 
 
 def _le_rows(kept: int, n: int) -> np.ndarray:
-    """An empty (kept, terms) array for the _le_squares of each state;
-    filled in place, it keeps no Python float per term."""
+    """An empty (kept, terms) array for the _le_squares of each state,
+    filled in place a block of rows (_blocks) at a time; it keeps no Python
+    float per term."""
     return np.empty((kept, len(_le_term_names(n))))
 
 
@@ -609,9 +642,9 @@ def le_norm(traj: Trajectory, w: WeightParams) -> LocalEnergyNorm:
     grid = traj.grid
     kept = _horizon_rows(traj.times, w.horizon)
     rows = _le_rows(kept, n)
-    for k, (u, v) in enumerate(zip(traj.u[:kept], traj.v[:kept])):
-        du = _derivative_values(u, grid.spacing)
-        rows[k] = _le_squares(v, du, u, grid, n, w)
+    for block in _blocks(kept, grid.num_cells + 1):
+        u, v = traj.u[block], traj.v[block]
+        rows[block] = _le_squares(v, _derivative_values(u, grid.spacing), u, grid, n, w)
     return _le_total(traj.times[:kept], rows, w, n)
 
 
@@ -629,21 +662,23 @@ class NormReport:
 def norm_report(traj: Trajectory, w: WeightParams) -> NormReport:
     """e_norms up to w.horizon and le_norm, each with its second order (the
     same norms of (v_r, lap u, u_r) in place of (v, u_r, u)), from one
-    _slopes per state."""
+    _slopes per block of states."""
     n = traj.problem.n_dim
     grid = traj.grid
     kept = _samples_through(traj.times, w.horizon)
     rows = _horizon_rows(traj.times, w.horizon)
-    e1 = 0.0
-    e2 = 0.0
+    energies = np.empty((2, rows))
     first, second = _le_rows(rows, n), _le_rows(rows, n)
-    for k, (u, v) in enumerate(zip(traj.u[:rows], traj.v[:rows])):
+    for block in _blocks(rows, grid.num_cells + 1):
+        u, v = traj.u[block], traj.v[block]
         du, dv, lap = _slopes(u, v, grid, n)
-        if k < kept:
-            e1 = max(e1, math.sqrt(_energy_integral(v, du, grid, n)))
-            e2 = max(e2, math.sqrt(_energy_integral(dv, lap, grid, n)))
-        first[k] = _le_squares(v, du, u, grid, n, w)
-        second[k] = _le_squares(dv, lap, du, grid, n, w)
+        energies[0, block] = _energy_integral(v, du, grid, n)
+        energies[1, block] = _energy_integral(dv, lap, grid, n)
+        first[block] = _le_squares(v, du, u, grid, n, w)
+        second[block] = _le_squares(dv, lap, du, grid, n, w)
+    # the energies stop at the horizon; the row after it is for the time
+    # integrals alone
+    e1, e2 = (math.sqrt(row.max(initial=0.0)) for row in energies[:, :kept])
     le1 = _le_total(traj.times[:rows], first, w, n)
     le2 = _le_total(traj.times[:rows], second, w, n)
     return NormReport(e1=e1, e2=e2, le1=le1.total, le2=le2.total,
@@ -653,13 +688,15 @@ def norm_report(traj: Trajectory, w: WeightParams) -> NormReport:
 def lestar_upper(times, source, grid: RadialGrid, n: int, w: WeightParams) -> float:
     """Upper bound on the dual-space norm of the source whose nodal values at
     times[k] are the row source[k]: minimum over the three single-term
-    decompositions, from the rows _horizon_rows reads."""
+    decompositions, from the rows _horizon_rows reads, a block (_blocks) at
+    a time."""
     d, dp, horizon = w.delta, w.delta_prime, w.horizon
     kept = _horizon_rows(times, horizon)
-    rows = []
-    for f in source[:kept]:
-        vals = np.abs(f)
-        rows.append([_weighted_square_integral(vals, grid, n, d, nu)
-                     for nu in (0.5 - dp, 0.5 - d, 0.0)])
+    nus = (0.5 - dp, 0.5 - d, 0.0)
+    rows = np.empty((kept, len(nus)))
+    for block in _blocks(kept, grid.num_cells + 1):
+        vals = np.abs(source[block])
+        for j, nu in enumerate(nus):
+            rows[block, j] = _weighted_square_integral(vals, grid, n, d, nu)
     a, b, c = _time_norms(times[:kept], rows, horizon)
     return min(a, math.sqrt(math.log(2.0 + horizon)) * b, horizon ** (0.5 - d) * c)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -296,6 +297,20 @@ def test_laplacian_is_the_written_out_flux_form_to_the_bit(n):
     np.testing.assert_allclose(c_minus, lo[1:] ** (n - 1) / (vol[1:] * dr), rtol=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stencils_of_a_block_are_those_of_each_row(n):
+    # the nodes run along the last axis; any leading axes are rows
+    g = gl.RadialGrid(r_max=7.0, num_cells=140)
+    r = g.nodes
+    rows = np.array([np.exp(-((r - c) ** 2)) * np.cos(c * r) for c in np.linspace(0.0, 3.0, 6)])
+    block = rows.reshape(2, 3, -1)
+    for stencil in (lambda u: _derivative_values(u, g.spacing),
+                    lambda u: _laplacian_values(u, g, n)):
+        each = np.array([stencil(row) for row in rows])
+        assert stencil(rows).tobytes() == each.tobytes()
+        assert stencil(block).tobytes() == each.tobytes()
+
+
 def test_flux_weights_are_read_only_and_finite_at_large_n():
     g = gl.RadialGrid(r_max=18.0, num_cells=1800)
     with warnings.catch_warnings():
@@ -398,6 +413,42 @@ def test_cached_weight_gives_the_inline_formula_bits(n, branch):
     # a hit on an equal grid built anew gives the same bits
     same = gl.RadialGrid(r_max=12.0, num_cells=600)
     assert _weighted_square_integral(f, same, n, mu, nu, inv_r_coeff=alpha) == plain
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("branch", ["inv_r", "q_negative", "q_zero", "q_positive"])
+def test_block_of_rows_gives_the_inline_formula_bits_of_each_row(n, branch):
+    # six rows at once, as (6, nodes) and as (2, 3, nodes); on the inv_r
+    # branch every other row has alpha 0 and takes the q_positive branch
+    g = gl.RadialGrid(r_max=12.0, num_cells=600)
+    r = g.nodes
+    rows = np.array([np.exp(-((r - c) ** 2)) * (1.0 + 0.1 * np.sin(k * r))
+                     for k, c in enumerate((0.0, 0.5, 1.0, 2.0, 3.0, 4.5))])
+    mu, nu, alpha = {
+        "inv_r": (0.3, -0.2, 0.7),
+        "q_negative": (-(n - 1) / 2.0 - 0.3, -0.3, 0.0),
+        "q_zero": (-(n - 1) / 2.0, 0.25, 0.0),
+        "q_positive": (0.0, -0.3, 0.0),
+    }[branch]
+    alphas = alpha * np.array([1.0, 0.0, 2.0, 0.0, -1.0, 0.0])
+    plain = [_plain_weighted_square_integral(row, g, n, mu, nu, inv_r_coeff=a)
+             for row, a in zip(rows, alphas)]
+    block = _weighted_square_integral(rows, g, n, mu, nu, inv_r_coeff=alphas)
+    assert block.shape == (6,) and list(block) == plain
+    deep = _weighted_square_integral(rows.reshape(2, 3, -1), g, n, mu, nu,
+                                     inv_r_coeff=alphas.reshape(2, 3))
+    assert deep.shape == (2, 3) and list(deep.ravel()) == plain
+
+
+def test_block_whose_alphas_are_all_zero_never_forms_the_alpha_squared_cell():
+    # at q = 1 the 1/r^2 cell r^(q - 2) is not integrable: a block with no
+    # 1/r part must not ask for it, one with any must refuse
+    g = gl.RadialGrid(r_max=12.0, num_cells=600)
+    rows = np.exp(-(g.nodes**2)) * np.array([[1.0], [2.0], [3.0]])
+    got = _weighted_square_integral(rows, g, 3, -0.5, 0.0, inv_r_coeff=np.zeros(3))
+    assert list(got) == [_plain_weighted_square_integral(row, g, 3, -0.5, 0.0) for row in rows]
+    with pytest.raises(gl.PreconditionViolation, match="not integrable"):
+        _weighted_square_integral(rows, g, 3, -0.5, 0.0, inv_r_coeff=np.array([0.0, 1.0, 0.0]))
 
 
 def test_cached_weight_is_read_only():
@@ -724,14 +775,86 @@ def test_le_squares_runs_for_no_sample_past_the_first_after_the_horizon(monkeypa
     w = gl.WeightParams(delta=0.3, delta_prime=0.2, horizon=1.03)
     _, kept = _cut_after_the_horizon(traj, w.horizon)
     assert kept < traj.times.size
-    calls = []
+    # _le_squares takes a block of states a call: count the rows it is handed
+    rows = []
     squares = core._le_squares
-    monkeypatch.setattr(core, "_le_squares", lambda *args: calls.append(1) or squares(*args))
+    monkeypatch.setattr(core, "_le_squares",
+                        lambda *args: rows.append(len(args[0])) or squares(*args))
     gl.le_norm(traj, w)
-    assert len(calls) == kept
-    calls.clear()
+    assert sum(rows) == kept
+    rows.clear()
     gl.norm_report(traj, w)
-    assert len(calls) == 2 * kept
+    assert sum(rows) == 2 * kept
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_block_norms_are_the_per_state_references_across_block_boundaries(n):
+    # 601 nodes make blocks of 27 states; the horizon 2.03 lies between two
+    # samples, so each norm reads more than one block and ends in a part of
+    # one.  In every block u(0) = 0 on some states (a row with alpha 0 in the
+    # first-order field term), u_r(0) = 0 on others (the same at second order)
+    # and neither on the rest.
+    g = gl.RadialGrid(r_max=12.0, num_cells=600)
+    prof = gl.DataProfile(family="gaussian", epsilon=1.0, width=1.0, center=0.0,
+                          assigns="split")
+    data = gl.make_profile(prof, g)
+    run = gl.evolve(spec(n=n, a=0.0, b=0.0), data.u0, data.u1, g, 3.0).trajectory
+    u = run.u.copy()
+    u[0::3, 0] = 0.0
+    u[1::3, :3] = 0.0
+    traj = gl.Trajectory(run.problem, g, run.times, u, run.v)
+    w = gl.WeightParams(delta=0.25, delta_prime=0.1, horizon=2.03)
+    step = core.BLOCK_BUDGET // g.nodes.size
+    kept = int(np.count_nonzero(traj.times <= w.horizon))
+    for rows in (traj.times.size, kept, kept + 1):
+        assert rows > step and rows % step != 0
+    dr = g.spacing
+
+    energies = [_energy_integral(v, _derivative_values(u, dr), g, n)
+                for u, v in zip(traj.u, traj.v)]
+    assert list(gl.energy(traj)) == [0.5 * e for e in energies]
+    e1 = max(math.sqrt(e) for e in energies[:kept])
+    assert gl.e_norms(traj, t_max=w.horizon) == e1
+
+    first = _le1_reference(traj, w)
+    assert gl.le_norm(traj, w).components == first
+    e2 = 0.0
+    for t, u, v in zip(traj.times, traj.u, traj.v):
+        if t <= w.horizon:
+            du, dv, lap = _slopes(u, v, g, n)
+            e2 = max(e2, math.sqrt(_energy_integral(dv, lap, g, n)))
+    second = _le1_reference(traj, w, second_order=True)
+    assert gl.norm_report(traj, w) == core.NormReport(
+        e1=e1, e2=e2, le1=sum(first.values()), le2=sum(second.values()), components=first)
+
+    f = gl.ForcingSpec(amplitude=1.0, space_center=0.5, space_width=1.5, t_on=0.0, t_off=3.0)
+    source = np.array([f.envelope(t) for t in traj.times])[:, None] * f.shape(g)
+    cand = []
+    for nu, pref in ((0.5 - w.delta_prime, 1.0),
+                     (0.5 - w.delta, math.sqrt(math.log(2.0 + w.horizon))),
+                     (0.0, w.horizon ** (0.5 - w.delta))):
+        sq = [_weighted_square_integral(np.abs(row), g, n, w.delta, nu) for row in source]
+        cand.append(pref * math.sqrt(_integrate_to_horizon(traj.times, np.array(sq), w.horizon)))
+    assert gl.lestar_upper(traj.times, source, g, n, w) == min(cand)
+
+
+def test_norm_report_of_the_benchmark_sized_trajectory_keeps_block_sized_temporaries():
+    # 401 states of 1801 nodes, as picard stores at --cells 1800 --t-end 10:
+    # a temporary of the whole trajectory would take 5.8 MB, of a block of 9
+    # states 130 KB
+    g = gl.RadialGrid(r_max=18.0, num_cells=1800)
+    times = np.linspace(0.0, 10.0, 401)
+    front = g.nodes - times[:, None]
+    traj = gl.Trajectory(spec(p=2.5), g, times, np.exp(-front**2), 2.0 * front * np.exp(-front**2))
+    w = gl.WeightParams(delta=0.25, delta_prime=0.1, horizon=10.0)
+    gl.norm_report(traj, w)
+    tracemalloc.start()
+    try:
+        gl.norm_report(traj, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25e6
 
 
 def test_trajectory_difference():
