@@ -30,7 +30,6 @@ from .errors import Divergence, GlasseyLabError, PreconditionViolation
 from .estimates import (
     ForcingSpec,
     IneqSample,
-    energy_ineq_check,
     hardy_check,
     kss_band_ok,
     kss_hom_check,

@@ -137,13 +137,6 @@ class RadialField:
     def zeros(grid: RadialGrid) -> "RadialField":
         return RadialField(grid, np.zeros(grid.num_cells + 1))
 
-    @staticmethod
-    def from_function(grid: RadialGrid, fn) -> "RadialField":
-        return RadialField(grid, fn(grid.nodes))
-
-    def scaled(self, c: float) -> "RadialField":
-        return RadialField(self.grid, c * self.values)
-
 
 def _read_only(values) -> np.ndarray:
     view = np.asarray(values, dtype=float).view()
@@ -617,13 +610,6 @@ def _le_term_names(n: int) -> tuple:
     return ("deriv", "field", "log", "horizon") if n >= 3 else ("deriv", "log", "horizon")
 
 
-def _le_rows(kept: int, n: int) -> np.ndarray:
-    """An empty (kept, terms) array for the _le_squares of each state,
-    filled in place a block of rows (_blocks) at a time; it keeps no Python
-    float per term."""
-    return np.empty((kept, len(_le_term_names(n))))
-
-
 def _le_total(times, rows, w, n) -> LocalEnergyNorm:
     """The local energy norm from rows[k], the _le_squares of the state at
     times[k]."""
@@ -641,7 +627,7 @@ def le_norm(traj: Trajectory, w: WeightParams) -> LocalEnergyNorm:
     n = traj.problem.n_dim
     grid = traj.grid
     kept = _horizon_rows(traj.times, w.horizon)
-    rows = _le_rows(kept, n)
+    rows = np.empty((kept, len(_le_term_names(n))))
     for block in _blocks(kept, grid.num_cells + 1):
         u, v = traj.u[block], traj.v[block]
         rows[block] = _le_squares(v, _derivative_values(u, grid.spacing), u, grid, n, w)
@@ -668,7 +654,8 @@ def norm_report(traj: Trajectory, w: WeightParams) -> NormReport:
     kept = _samples_through(traj.times, w.horizon)
     rows = _horizon_rows(traj.times, w.horizon)
     energies = np.empty((2, rows))
-    first, second = _le_rows(rows, n), _le_rows(rows, n)
+    terms = len(_le_term_names(n))
+    first, second = np.empty((rows, terms)), np.empty((rows, terms))
     for block in _blocks(rows, grid.num_cells + 1):
         u, v = traj.u[block], traj.v[block]
         du, dv, lap = _slopes(u, v, grid, n)

@@ -1,6 +1,6 @@
 """Property-testing of the weighted inequalities: Hardy, trace and its
-compact-support variant, homogeneous and inhomogeneous KSS bounds, and the
-energy inequality.
+compact-support variant, and the homogeneous and inhomogeneous KSS bounds.
+The energy inequality of a forced solve is a test oracle (tests/oracles.py).
 
 Checks are pure given their inputs; suites are deterministic in the seed and
 merge results in seed order.
@@ -20,14 +20,11 @@ from .core import (
     RadialGrid,
     Trajectory,
     WeightParams,
-    _derivative_values,
-    _energy_integral,
     e_norms,
     lambda_norms,
     le_norm,
     lestar_upper,
     radial_derivative,
-    sphere_area,
     weighted_l2,
     weighted_sup,
 )
@@ -36,8 +33,6 @@ from .solver import DEFAULT_CFL, DEFAULT_STRIDE, DataProfile, _bump_shape, evolv
 
 DEFAULT_TOL = 1e-3
 KSS_BAND = 0.25
-# slack of the energy inequality's factor-2 bound
-ENERGY_INEQ_TOL = 0.05
 # _gaussian_sum's widths are drawn for a grid of this radius or more; on a
 # shorter grid they shrink with r_max, so that the draws decay before it
 SAMPLE_R_MAX = 12.0
@@ -289,7 +284,9 @@ def kss_inhom_check(forcing: ForcingSpec, grid: RadialGrid, n: int, delta: float
     zero = RadialField.zeros(grid)
     traj = _free_solve(zero, zero, n, weights[-1].horizon, forcing,
                        cfl=cfl, sample_stride=sample_stride)
-    source = np.array([forcing.envelope(t) for t in traj.times])[:, None] * forcing.shape(grid)
+    # the source rows at the sample times, from the callable the solve read
+    forcing_at = forcing.callable_on(grid)
+    source = np.array([forcing_at(t) for t in traj.times])
 
     def source_norm(w):
         denom = lestar_upper(traj.times, source, grid, n, w)
@@ -315,39 +312,6 @@ def kss_band_ok(samples, band: float = KSS_BAND) -> bool:
         raise PreconditionViolation("kss_band_ok: the sample list is empty")
     ref = ordered[0].ratio
     return all(s.ratio <= (1.0 + band) * ref for s in ordered)
-
-
-def energy_ineq_check(
-    u0: RadialField,
-    u1: RadialField,
-    forcing: ForcingSpec,
-    n: int,
-    horizon: float,
-) -> IneqSample:
-    """sup-in-time energy against data energy plus the |du||F| work integral."""
-    grid = u0.grid
-    traj = _free_solve(u0, u1, n, horizon, forcing)
-    shape = forcing.shape(grid)
-    energies, work_series = [], []
-    for t, u, v in zip(traj.times, traj.u, traj.v):
-        du = _derivative_values(u, grid.spacing)
-        energies.append(_energy_integral(v, du, grid, n))
-        mag = np.sqrt(v**2 + du**2)
-        f_abs = np.abs(forcing.envelope(t) * shape)
-        integrand = mag * f_abs * grid.nodes ** (n - 1)
-        work_series.append(
-            sphere_area(n) * float(np.trapezoid(integrand, dx=grid.spacing))
-        )
-    rhs = energies[0] + float(np.trapezoid(np.array(work_series), traj.times))
-    if rhs == 0.0:
-        raise PreconditionViolation("energy_ineq_check: zero data and forcing")
-    return IneqSample(
-        "energy_ineq",
-        {"n": n, "T": horizon},
-        max(energies) / rhs,
-        bound=2.0,
-        tol=ENERGY_INEQ_TOL,
-    )
 
 
 # ---------------------------------------------------------------------------

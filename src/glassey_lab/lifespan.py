@@ -1,6 +1,7 @@
 """Lifespan experiments: epsilon sweeps, censoring-aware records, and fits
-against the three regime laws (power law below threshold, exponential rate at
-threshold, global survival above).
+against the regime laws: a power law below threshold and an exponential rate
+at it.  No law is fit above threshold; a supercritical sweep reports its
+records alone.
 """
 
 from __future__ import annotations

@@ -157,12 +157,10 @@ def make_profile(profile: DataProfile, grid: RadialGrid) -> ProfileData:
         shape = _bump_shape(r, profile.center, profile.width)
     else:
         shape = _load_field_file(profile.path, grid)
-        peak = np.max(np.abs(shape)) or 1.0
-        if abs(shape[-1]) > VANISH_FACTOR * peak:
-            raise PreconditionViolation("file data does not vanish before r_max")
 
     data = profile.epsilon * shape
-    if abs(data[-1]) > VANISH_FACTOR * profile.epsilon:
+    # support_radius's rule: a tail within VANISH_FACTOR of the peak is negligible
+    if abs(data[-1]) > VANISH_FACTOR * np.max(np.abs(data)):
         raise PreconditionViolation("data does not vanish before r_max")
     zero = np.zeros_like(data)
     u0 = data if profile.assigns in ("to_u0", "split") else zero

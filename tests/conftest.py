@@ -32,4 +32,4 @@ def grid12():
 
 @pytest.fixture(scope="session")
 def gaussian12(grid12):
-    return gl.RadialField.from_function(grid12, lambda r: np.exp(-(r**2)))
+    return gl.RadialField(grid12, np.exp(-(grid12.nodes**2)))

@@ -1,4 +1,5 @@
-"""Exact free-wave solutions the tests compare the solver against."""
+"""Exact free-wave solutions the tests compare the solver against, and the
+energy inequality of a forced solve."""
 
 import math
 from fractions import Fraction
@@ -7,6 +8,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 import glassey_lab as gl
+from glassey_lab.core import _derivative_values
+from glassey_lab.estimates import _free_solve
 
 
 def exact_free_n3(
@@ -123,3 +126,34 @@ def origin_oracle(n):
         return float(sum(c * x**k for k, c in enumerate(poly))) * math.exp(-t * t)
 
     return u_origin, poly
+
+
+def energy_ineq_check(
+    u0: gl.RadialField,
+    u1: gl.RadialField,
+    forcing: gl.ForcingSpec,
+    n: int,
+    horizon: float,
+) -> gl.IneqSample:
+    """sup-in-time energy of the free wave that forcing drives from (u0, u1),
+    against the data energy plus the |du||F| work integral; the factor-2
+    bound holds with 5% slack."""
+    grid = u0.grid
+    traj = _free_solve(u0, u1, n, horizon, forcing)
+    energies = 2.0 * gl.energy(traj)
+    shape = forcing.shape(grid)
+    work_series = []
+    for t, u, v in zip(traj.times, traj.u, traj.v):
+        du = _derivative_values(u, grid.spacing)
+        mag = np.sqrt(v**2 + du**2)
+        f_abs = np.abs(forcing.envelope(t) * shape)
+        integrand = mag * f_abs * grid.nodes ** (n - 1)
+        work_series.append(
+            gl.sphere_area(n) * float(np.trapezoid(integrand, dx=grid.spacing))
+        )
+    rhs = energies[0] + float(np.trapezoid(np.array(work_series), traj.times))
+    if rhs == 0.0:
+        raise gl.PreconditionViolation("energy_ineq_check: zero data and forcing")
+    return gl.IneqSample(
+        "energy_ineq", {"n": n, "T": horizon}, energies.max() / rhs, bound=2.0, tol=0.05
+    )

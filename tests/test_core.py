@@ -198,7 +198,7 @@ def test_trajectory_arrays_read_only():
 
 def test_derivative_exact_on_quadratics():
     g = gl.RadialGrid(r_max=5.0, num_cells=50)
-    f = gl.RadialField.from_function(g, lambda r: r**2)
+    f = gl.RadialField(g, g.nodes**2)
     df = gl.radial_derivative(f)
     assert np.max(np.abs(df.values - 2.0 * g.nodes)) <= 1e-10
 
@@ -229,7 +229,7 @@ def test_derivative_second_order_on_gaussian():
     errs = {}
     for cells in (200, 400):
         g = gl.RadialGrid(r_max=8.0, num_cells=cells)
-        f = gl.RadialField.from_function(g, lambda r: np.exp(-(r**2)))
+        f = gl.RadialField(g, np.exp(-(g.nodes**2)))
         df = gl.radial_derivative(f)
         exact = -2.0 * g.nodes * np.exp(-(g.nodes**2))
         errs[cells] = np.max(np.abs(df.values - exact))
@@ -239,10 +239,10 @@ def test_derivative_second_order_on_gaussian():
 
 def test_laplacian_quadratic_and_constant():
     g = gl.RadialGrid(r_max=5.0, num_cells=50)
-    f = gl.RadialField.from_function(g, lambda r: r**2)
+    f = gl.RadialField(g, g.nodes**2)
     lap = gl.radial_laplacian(f, 3)
     assert np.max(np.abs(lap.values - 6.0)) <= 1e-9
-    const = gl.RadialField.from_function(g, lambda r: np.full_like(r, 4.2))
+    const = gl.RadialField(g, np.full_like(g.nodes, 4.2))
     assert np.max(np.abs(gl.radial_laplacian(const, 5).values)) <= 1e-9
 
 
@@ -250,7 +250,7 @@ def test_laplacian_second_order_on_gaussian():
     errs = {}
     for cells in (200, 400):
         g = gl.RadialGrid(r_max=8.0, num_cells=cells)
-        f = gl.RadialField.from_function(g, lambda r: np.exp(-(r**2)))
+        f = gl.RadialField(g, np.exp(-(g.nodes**2)))
         lap = gl.radial_laplacian(f, 3)
         exact = (4.0 * g.nodes**2 - 6.0) * np.exp(-(g.nodes**2))
         errs[cells] = np.max(np.abs(lap.values - exact))
@@ -333,7 +333,7 @@ def test_weighted_l2_zero(grid12):
 
 def test_weighted_l2_gaussian_moment():
     g = gl.RadialGrid(r_max=12.0, num_cells=4000)
-    f = gl.RadialField.from_function(g, lambda r: np.exp(-(r**2)))
+    f = gl.RadialField(g, np.exp(-(g.nodes**2)))
     exact = math.sqrt(4 * math.pi * math.sqrt(2 * math.pi) / 16.0)
     assert gl.weighted_l2(f, 3, 0.0, 0.0) == pytest.approx(exact, abs=1e-3)
     exact_inv = math.sqrt(4 * math.pi * 0.5 * math.sqrt(math.pi / 2.0))
@@ -347,7 +347,7 @@ def test_weighted_l2_grid_convergence():
     errs = []
     for cells in (16, 32):
         g = gl.RadialGrid(r_max=6.0, num_cells=cells)
-        f = gl.RadialField.from_function(g, lambda r: np.exp(-(r**2)))
+        f = gl.RadialField(g, np.exp(-(g.nodes**2)))
         errs.append(abs(gl.weighted_l2(f, 3, 0.0, 0.0) - exact))
     converged = max(errs) <= 1e-12
     assert converged or math.log2(errs[0] / errs[1]) >= 1.8
@@ -364,7 +364,7 @@ def test_singular_first_cell_quadrature():
     vals = []
     for cells in (2000, 4000):
         g = gl.RadialGrid(r_max=12.0, num_cells=cells)
-        f = gl.RadialField.from_function(g, lambda r: np.exp(-(r**2)))
+        f = gl.RadialField(g, np.exp(-(g.nodes**2)))
         vals.append(gl.weighted_l2(f, 3, -1.3, -0.2))
     assert abs(vals[1] - vals[0]) / vals[1] < 5e-3
 
@@ -479,25 +479,26 @@ def test_values_past_the_double_range_raise_a_precondition():
 def test_sup_trace_norm_gaussian():
     # the trace norm || r^{n/2-s} f ||_{L_r^inf L_omega^2} at n=3, s=1/2
     g = gl.RadialGrid(r_max=12.0, num_cells=4000)
-    f = gl.RadialField.from_function(g, lambda r: np.exp(-(r**2)))
+    f = gl.RadialField(g, np.exp(-(g.nodes**2)))
     exact = math.sqrt(4 * math.pi) * (1.0 / math.sqrt(2.0)) * math.exp(-0.5)
     assert gl.weighted_sup(f, 3, 1.5 - 0.5) == pytest.approx(exact, abs=1e-4)
     assert gl.weighted_sup(gl.RadialField.zeros(g), 3, 1.5 - 0.5) == 0.0
-    assert gl.weighted_sup(f.scaled(2.0), 3, 1.5 - 0.5) == pytest.approx(
-        2.0 * gl.weighted_sup(f, 3, 1.5 - 0.5), rel=1e-14
-    )
+    assert gl.weighted_sup(
+        gl.RadialField(f.grid, 2.0 * f.values), 3, 1.5 - 0.5
+    ) == pytest.approx(2.0 * gl.weighted_sup(f, 3, 1.5 - 0.5), rel=1e-14)
 
 
 def test_lambda_norms_golden(goldens):
     value, cells, tol = goldens["lambda1_gaussian_n3"]
     g = gl.RadialGrid(r_max=12.0, num_cells=cells)
-    f = gl.RadialField.from_function(g, lambda r: np.exp(-(r**2)))
+    f = gl.RadialField(g, np.exp(-(g.nodes**2)))
     z = gl.RadialField.zeros(g)
     lam = gl.lambda_norms(f, z, 3)
     assert lam.lambda1 == pytest.approx(value, abs=tol)
     zero = gl.lambda_norms(z, z, 3)
     assert zero.lambda1 == 0.0 and zero.lambda2 == 0.0
-    scaled = gl.lambda_norms(f.scaled(3.0), z.scaled(3.0), 3)
+    scaled = gl.lambda_norms(gl.RadialField(f.grid, 3.0 * f.values),
+                             gl.RadialField(z.grid, 3.0 * z.values), 3)
     assert scaled.lambda1 == pytest.approx(3.0 * lam.lambda1, rel=1e-12)
     assert scaled.lambda2 == pytest.approx(3.0 * lam.lambda2, rel=1e-12)
 
@@ -521,7 +522,8 @@ def test_norm_homogeneity_and_triangle(mu, nu):
         f = _random_field(2 * seed, g)
         h = _random_field(2 * seed + 1, g)
         nf = gl.weighted_l2(f, 3, mu, nu)
-        assert gl.weighted_l2(f.scaled(2.5), 3, mu, nu) == pytest.approx(2.5 * nf, rel=1e-12)
+        f25 = gl.RadialField(f.grid, 2.5 * f.values)
+        assert gl.weighted_l2(f25, 3, mu, nu) == pytest.approx(2.5 * nf, rel=1e-12)
         nh = gl.weighted_l2(h, 3, mu, nu)
         nsum = gl.weighted_l2(gl.RadialField(g, f.values + h.values), 3, mu, nu)
         assert nsum <= nf + nh + 1e-12
@@ -546,7 +548,7 @@ def test_e_norms_zero_and_single_state():
     traj = gl.Trajectory(spec(), g, np.zeros(1), z.values[None], z.values[None])
     assert gl.e_norms(traj) == 0.0
 
-    f = gl.RadialField.from_function(g, lambda r: np.exp(-(r**2)))
+    f = gl.RadialField(g, np.exp(-(g.nodes**2)))
     traj1 = gl.Trajectory(spec(), g, np.zeros(1), f.values[None], z.values[None])
     assert gl.e_norms(traj1) == pytest.approx(
         gl.weighted_l2(gl.radial_derivative(f), 3, 0.0, 0.0), rel=1e-12

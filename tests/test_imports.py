@@ -88,6 +88,56 @@ def test_dead_name_is_caught():
     assert dead_names(mod, [mod, other]) == ["UNUSED", "_gone"]
 
 
+def definitions(source: str) -> list:
+    """The module-level functions and classes a module defines, and the
+    methods of those classes as 'Class.method', dunders left out."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")]
+    return found
+
+
+def unreferenced(source: str, sources) -> list:
+    """Definitions of a module that no source references: a function or class
+    through a name, an import or a module attribute, a method through an
+    attribute name alone, so a local variable of the same name does not count."""
+    names, attributes = set(), set()
+    for other in sources:
+        for node in ast.walk(ast.parse(other)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    referenced = names | attributes
+    return [name for name in definitions(source)
+            if name.rpartition(".")[2] not in (attributes if "." in name else referenced)]
+
+
+# a definition in src has a caller in src, so a CLI path can reach it: a
+# helper for the tests alone lives in the tests (tests/oracles.py); the
+# re-exports of __init__ are no caller
+@pytest.mark.parametrize("module", MODULES)
+def test_every_definition_has_a_caller_in_src(module):
+    sources = _sources()
+    callers = [text for name, text in sources.items() if name != "__init__.py"]
+    assert unreferenced(sources[module], callers) == []
+
+
+def test_unreferenced_definition_is_caught():
+    mod = ("def used():\n    pass\ndef gone():\n    pass\n"
+           "class Field:\n    def __init__(self):\n        pass\n"
+           "    def kept(self):\n        pass\n    def scaled(self):\n        pass\n")
+    other = ("from .mod import used\nimport mod\n"
+             "def run(f):\n    scaled = mod.Field()\n    return scaled.kept()\n")
+    assert unreferenced(mod, [mod, other]) == ["gone", "Field.scaled"]
+
+
 def _catches_package_errors() -> set:
     """The names a handler can give to catch a GlasseyLabError: the class, its
     subclasses and its bases."""

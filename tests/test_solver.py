@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -78,6 +79,43 @@ def test_support_overflow_gate():
                            assigns="to_u0"),
             g,
         )
+
+
+@pytest.mark.parametrize("profile, refusal", [
+    (gaussian_profile(width=0.7), "gaussian tail 6.59e-15 at r_max exceeds 1e-16 of peak"),
+    (gl.DataProfile(family="smooth_bump", epsilon=1.0, center=1.0, width=3.0),
+     "bump support reaches the outer boundary"),
+    (gl.DataProfile(family="smooth_bump", epsilon=1.0, center=1.0, width=2.9), None),
+], ids=["gaussian-tail", "bump-reaches-r_max", "bump-inside"])
+def test_shape_vanishes_before_r_max(profile, refusal):
+    g = gl.RadialGrid(r_max=4.0, num_cells=100)
+    if refusal is not None:
+        with pytest.raises(gl.PreconditionViolation, match=re.escape(refusal)):
+            gl.make_profile(profile, g)
+    else:
+        data = gl.make_profile(profile, g)
+        assert gl.support_radius(data.u0, data.u1) < g.r_max
+
+
+@pytest.mark.parametrize("peak, tail, refused", [(1.0, 1e-13, True), (100.0, 5e-13, False)])
+def test_file_data_vanishes_against_its_own_peak(tmp_path, peak, tail, refused):
+    # one rule, support_radius's: a tail within VANISH_FACTOR of the scaled
+    # data's peak is negligible.  A second check in the units of the unscaled
+    # shape used to refuse the peak-100 file, whose tail is 5e-15 of its peak
+    g = gl.RadialGrid(r_max=4.0, num_cells=100)
+    rs = np.linspace(0.0, 4.0, 41)
+    vals = peak * np.exp(-((rs / 0.5) ** 2))
+    vals[-1] = tail
+    path = tmp_path / "field.txt"
+    path.write_text("\n".join(["# radial-field v1"] + [f"{r} {v}" for r, v in zip(rs, vals)]))
+    prof = gl.DataProfile(family="from_file", epsilon=1.0, path=str(path))
+    if refused:
+        with pytest.raises(gl.PreconditionViolation, match="data does not vanish before r_max"):
+            gl.make_profile(prof, g)
+    else:
+        data = gl.make_profile(prof, g)
+        assert data.u0.values[-1] == pytest.approx(tail, rel=1e-9)
+        assert gl.support_radius(data.u0, data.u1) < 3.0
 
 
 def test_shape_exponent_past_the_double_range_is_zero_without_warnings():
@@ -371,7 +409,7 @@ def test_exact_free_n3_energy_conserved():
 
 def test_exact_free_n3_range_gate():
     g = gl.RadialGrid(r_max=8.0, num_cells=200)
-    f = gl.RadialField.from_function(g, lambda r: 1.0 / (1.0 + r**2))  # no decay
+    f = gl.RadialField(g, 1.0 / (1.0 + g.nodes**2))  # no decay
     z = gl.RadialField.zeros(g)
     with pytest.raises(gl.PreconditionViolation, match="interpolant domain"):
         exact_free_n3(f, z, 1.0, g)
@@ -588,7 +626,8 @@ def test_manufactured_solution_converges_at_second_order(n):
 def test_energy_scaling():
     g = gl.RadialGrid(r_max=12.0, num_cells=300)
     data = gl.make_profile(gaussian_profile(), g)
-    e2 = state_energy(g, data.u0.scaled(2.0), data.u1.scaled(2.0))
+    e2 = state_energy(g, gl.RadialField(data.u0.grid, 2.0 * data.u0.values),
+                      gl.RadialField(data.u1.grid, 2.0 * data.u1.values))
     assert e2 == pytest.approx(4.0 * state_energy(g, data.u0, data.u1), rel=1e-12)
     z = gl.RadialField.zeros(g)
     assert state_energy(g, z, z) == 0.0
