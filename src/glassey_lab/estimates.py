@@ -37,14 +37,10 @@ KSS_BAND = 0.25
 # shorter grid they shrink with r_max, so that the draws decay before it
 SAMPLE_R_MAX = 12.0
 
-# no check fills s1 and s2 any more; the columns stay empty so that the
-# ineq.csv and kss.csv headers, and the files written before, keep their bytes
 SUITE_COLUMNS = (
     "lemma_id",
     "n",
     "s",
-    "s1",
-    "s2",
     "delta",
     "delta_prime",
     "T",
@@ -79,14 +75,9 @@ class IneqSample:
         return self.ratio > self.bound * (1.0 + self.tol)
 
     def row(self) -> dict:
-        out = {c: None for c in SUITE_COLUMNS}
-        out["lemma_id"] = self.lemma_id
-        out.update({k: v for k, v in self.params.items() if k in SUITE_COLUMNS})
-        out["seed"] = self.seed
-        out["ratio"] = self.ratio
-        out["bound"] = self.bound
-        out["violation"] = self.violation
-        return out
+        """The sample as write_csv takes it, keyed by column name."""
+        return {"lemma_id": self.lemma_id, **self.params, "seed": self.seed,
+                "ratio": self.ratio, "bound": self.bound, "violation": self.violation}
 
 
 def random_radial(seed: int, grid: RadialGrid, num_terms: int) -> RadialField:
@@ -205,26 +196,25 @@ def _kss_weights(delta: float, delta_prime: float, t_list) -> list:
 
 
 def _kss_samples(lemma: str, traj: Trajectory, weights, denominator):
-    """(samples, details) of the ratios (E1 + LE1(T)) / denominator(w) at the
-    horizon T of each w, all read off the one solve traj.  details carries
-    each horizon's E1, LE1 and LE terms, so band failures can be audited."""
-    samples, details = [], {}
+    """The ratios (E1 + LE1(T)) / denominator(w) at the horizon T of each w,
+    all read off the one solve traj.  Each sample's params carry its horizon's
+    E1, LE1 and LE terms, so band failures can be audited."""
+    samples = []
     for w in weights:
-        T = w.horizon
         le = le_norm(traj, w)
-        e1 = e_norms(traj, t_max=T)
+        e1 = e_norms(traj, t_max=w.horizon)
         params = {"n": traj.problem.n_dim, "delta": w.delta,
-                  "delta_prime": w.delta_prime, "T": T}
+                  "delta_prime": w.delta_prime, "T": w.horizon,
+                  "e1": e1, "le1": le.total, **le.components}
         samples.append(IneqSample(lemma, params, (e1 + le.total) / denominator(w)))
-        details[T] = {"e1": e1, "le1": le.total, **le.components}
-    return samples, details
+    return samples
 
 
 def kss_hom_check(u0: RadialField, u1: RadialField, n: int, delta: float, delta_prime: float,
                   t_list, cfl: float = DEFAULT_CFL, sample_stride: int = DEFAULT_STRIDE):
     """Uniform-in-T ratios (E1 + LE1(T)) / lambda1 of the free wave from
-    (u0, u1), every horizon read off one solve to the last: (samples,
-    details) as _kss_samples returns them."""
+    (u0, u1), every horizon read off one solve to the last, as _kss_samples
+    returns them."""
     weights = _kss_weights(delta, delta_prime, t_list)
     denom = lambda_norms(u0, u1, n).lambda1
     if denom == 0.0:
@@ -274,8 +264,8 @@ def kss_inhom_check(forcing: ForcingSpec, grid: RadialGrid, n: int, delta: float
                     delta_prime: float, t_list, cfl: float = DEFAULT_CFL,
                     sample_stride: int = DEFAULT_STRIDE):
     """Ratios (E1 + LE1(T)) / lestar_upper(T) of the zero-data solve that
-    `forcing` drives on grid, every horizon read off one solve to the last:
-    (samples, details) as _kss_samples returns them."""
+    `forcing` drives on grid, every horizon read off one solve to the last,
+    as _kss_samples returns them."""
     if n < 3:
         raise PreconditionViolation(f"the inhomogeneous bound requires n >= 3, got n = {n}")
     weights = _kss_weights(delta, delta_prime, t_list)

@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 from .core import (
     ProblemSpec,
     RadialField,
-    RadialGrid,
     Trajectory,
     WeightParams,
     e_norms,
@@ -56,17 +55,17 @@ def phi_map(
     u_traj: Trajectory,
     u0: RadialField,
     u1: RadialField,
-    grid: RadialGrid,
     t_end: float,
     cfl: float = DEFAULT_CFL,
     sample_stride: int = DEFAULT_STRIDE,
 ) -> Trajectory:
     """One application of the iteration map: the free wave of spec (a = b = 0)
-    from (u0, u1), forced by spec's N[u] on u_traj.
+    from (u0, u1), forced by spec's N[u] on u_traj, on the grid of u0.
 
     Raises Divergence when the forced solve trips the blow-up detector (the
     iterate has left any reasonable ball before a step metric can be taken).
     """
+    grid = u0.grid
     forcing, reach = None, 0.0
     if spec.a != 0.0 or spec.b != 0.0:
         forcing = sampled_nonlinearity(spec, u_traj)
@@ -103,16 +102,15 @@ def picard_run(
     spec: ProblemSpec,
     u0: RadialField,
     u1: RadialField,
-    grid: RadialGrid,
     t_end: float,
     max_iters: int = 12,
     tol: float = 1e-8,
     cfl: float = DEFAULT_CFL,
     sample_stride: int = DEFAULT_STRIDE,
 ) -> PicardResult:
-    """Iterate the map from the free solution until the step metric,
-    measured with default_weights(spec, t_end), is small.  Every iterate,
-    `final` too, is a solve of the free spec (a = b = 0).
+    """Iterate the map from the free solution on the grid of u0 until the
+    step metric, measured with default_weights(spec, t_end), is small.  Every
+    iterate, `final` too, is a solve of the free spec (a = b = 0).
 
     Raises Divergence (with the trace attached) when the step metric grows
     tenfold over two consecutive corrections.
@@ -124,14 +122,14 @@ def picard_run(
     w = default_weights(spec, t_end)
 
     lam = lambda_norms(u0, u1, spec.n_dim).lambda1
-    current = evolve(replace(spec, a=0.0, b=0.0), u0, u1, grid, t_end, cfl=cfl,
+    current = evolve(replace(spec, a=0.0, b=0.0), u0, u1, u0.grid, t_end, cfl=cfl,
                      sample_stride=sample_stride).trajectory
 
     trace = []
     converged = False
     for k in range(1, max_iters + 1):
         try:
-            nxt = phi_map(spec, current, u0, u1, grid, t_end, cfl=cfl,
+            nxt = phi_map(spec, current, u0, u1, t_end, cfl=cfl,
                           sample_stride=sample_stride)
         except Divergence as exc:
             raise Divergence(str(exc), trace=trace) from None

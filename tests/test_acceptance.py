@@ -102,13 +102,13 @@ def test_criterion_05_kss_uniformity():
     t0 = time.time()
     g = gl.RadialGrid(r_max=108.0, num_cells=2160)
     data = gl.make_profile(_gaussian(), g)
-    hom, _ = gl.kss_hom_check(data.u0, data.u1, 3, 0.3, 0.2, [1.0, 10.0, 100.0])
+    hom = gl.kss_hom_check(data.u0, data.u1, 3, 0.3, 0.2, [1.0, 10.0, 100.0])
     hom_ok = gl.kss_band_ok(hom, band=0.25)
 
     forcing = gl.ForcingSpec(amplitude=1.0, space_center=0.0, space_width=1.0,
                              t_on=0.0, t_off=0.5)
     source_grid = gl.RadialGrid(r_max=103.5, num_cells=2070)
-    inhom, _ = gl.kss_inhom_check(forcing, source_grid, 3, 0.3, 0.2, [1.0, 10.0, 100.0])
+    inhom = gl.kss_inhom_check(forcing, source_grid, 3, 0.3, 0.2, [1.0, 10.0, 100.0])
     inhom_ok = gl.kss_band_ok(inhom, band=0.25)
 
     gate_ok = False
@@ -189,7 +189,7 @@ def test_criterion_09_picard_contraction():
     spec = gl.ProblemSpec(n_dim=3, p=2.5, a=1.0, b=0.0)
     g = gl.RadialGrid(r_max=18.0, num_cells=1800)
     data = gl.make_profile(_gaussian(eps=0.05, assigns="split"), g)
-    res = gl.picard_run(spec, data.u0, data.u1, g, 10.0, max_iters=12, tol=1e-8)
+    res = gl.picard_run(spec, data.u0, data.u1, 10.0, max_iters=12, tol=1e-8)
     rhos = [t.rho_step for t in res.trace]
     ratios = [b / a for a, b in zip(rhos, rhos[1:])]
     contracting = res.converged and all(r <= 0.9 for r in ratios)

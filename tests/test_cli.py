@@ -377,6 +377,12 @@ def test_kss_inhom_config_replays(tmp_path):
     assert read(os.path.join(again, "kss.csv")) == read(os.path.join(out, "kss.csv"))
 
 
+def test_kss_hom_runs_at_its_defaults(tmp_path):
+    # the default --t-list must fit the default --rmax grid, or the bare
+    # command exits 2 on causality
+    assert main(["kss", "--variant", "hom", "--n", "3", "--out", str(tmp_path / "run")]) == 0
+
+
 def _accepted_flags(subcommand):
     """Every flag the subcommand's parser takes, --help, --out and --config
     aside."""
@@ -900,10 +906,10 @@ width = 1.0
 """
 OLD_STEP_KSS_CSV = """\
 # glassey-lab v1 kss
-lemma_id,n,s,s1,s2,delta,delta_prime,T,seed,ratio,bound,violation,e1,le1,deriv,field,log,horizon
-kss_hom,3,,,,0.3,0.2,1.0,,7.076017031072651,,false,2.4279767700518593,14.752428205883863,\
+lemma_id,n,s,delta,delta_prime,T,seed,ratio,bound,violation,e1,le1,deriv,field,log,horizon
+kss_hom,3,,0.3,0.2,1.0,,7.076017031072651,,false,2.4279767700518593,14.752428205883863,\
 2.400486668312471,2.990744494985275,4.499002450527585,4.862194592058533
-kss_hom,3,,,,0.3,0.2,2.0,,7.769190807240988,,false,2.4279767700518593,16.43543803202971,\
+kss_hom,3,,0.3,0.2,2.0,,7.769190807240988,,false,2.4279767700518593,16.43543803202971,\
 3.0427349910654002,3.482559926340602,4.791792420719965,5.1183506939037455
 """
 

@@ -167,14 +167,13 @@ def test_kss_hom_band_n3():
     prof = gl.DataProfile(family="gaussian", epsilon=1.0, width=1.0, center=0.0,
                           assigns="to_u0")
     data = gl.make_profile(prof, g)
-    samples, details = gl.kss_hom_check(data.u0, data.u1, 3, 0.3, 0.2,
-                                        [1.0, 4.0, 16.0])
+    samples = gl.kss_hom_check(data.u0, data.u1, 3, 0.3, 0.2, [1.0, 4.0, 16.0])
     assert gl.kss_band_ok(samples)
-    assert set(details[1.0]) >= {"e1", "le1", "deriv", "field", "log", "horizon"}
+    assert set(samples[0].params) >= {"e1", "le1", "deriv", "field", "log", "horizon"}
     # the data size is lambda_norms' lambda1, bit for bit
     lam = gl.lambda_norms(data.u0, data.u1, 3).lambda1
-    assert [s.ratio for s in samples] == [(details[T]["e1"] + details[T]["le1"]) / lam
-                                          for T in (1.0, 4.0, 16.0)]
+    assert [s.ratio for s in samples] == [(s.params["e1"] + s.params["le1"]) / lam
+                                          for s in samples]
 
 
 def test_kss_hom_band_n2_reduced():
@@ -182,11 +181,10 @@ def test_kss_hom_band_n2_reduced():
     prof = gl.DataProfile(family="gaussian", epsilon=1.0, width=1.0, center=0.0,
                           assigns="to_u0")
     data = gl.make_profile(prof, g)
-    samples, details = gl.kss_hom_check(data.u0, data.u1, 2, 0.25, 0.0,
-                                        [1.0, 4.0, 16.0])
+    samples = gl.kss_hom_check(data.u0, data.u1, 2, 0.25, 0.0, [1.0, 4.0, 16.0])
     assert all(math.isfinite(s.ratio) for s in samples)
     assert gl.kss_band_ok(samples)
-    assert "field" not in details[1.0]
+    assert "field" not in samples[0].params
 
 
 # at a NaN band every ratio would fail the gate, at an infinite one pass it
@@ -231,19 +229,18 @@ def test_kss_inhom_reads_each_horizon_as_a_solve_to_it_alone():
     f = gl.ForcingSpec(amplitude=1.0, space_center=0.0, space_width=1.0,
                        t_on=0.0, t_off=0.5)
     grid = gl.RadialGrid(r_max=103.5, num_cells=2070)
-    samples, details = gl.kss_inhom_check(f, grid, 3, 0.3, 0.2, [100.0, 1.0, 10.0])
+    samples = gl.kss_inhom_check(f, grid, 3, 0.3, 0.2, [100.0, 1.0, 10.0])
     assert [s.params["T"] for s in samples] == [1.0, 10.0, 100.0]
     for s in samples:
-        T = s.params["T"]
-        alone, alone_details = gl.kss_inhom_check(f, grid, 3, 0.3, 0.2, [T])
-        assert alone == [s] and alone_details == {T: details[T]}
+        alone = gl.kss_inhom_check(f, grid, 3, 0.3, 0.2, [s.params["T"]])
+        assert alone == [s]  # params carry the horizon's norms, so they match too
 
 
 def test_kss_inhom_band_small():
     f = gl.ForcingSpec(amplitude=1.0, space_center=0.0, space_width=1.0,
                        t_on=0.0, t_off=0.5)
     grid = gl.RadialGrid(r_max=19.5, num_cells=390)
-    samples, _ = gl.kss_inhom_check(f, grid, 3, 0.3, 0.2, [1.0, 4.0, 16.0])
+    samples = gl.kss_inhom_check(f, grid, 3, 0.3, 0.2, [1.0, 4.0, 16.0])
     assert gl.kss_band_ok(samples)
 
 
