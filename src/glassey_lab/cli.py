@@ -20,7 +20,6 @@ from .core import (
     ProblemSpec,
     RadialGrid,
     WeightParams,
-    _le_term_names,
     _quadrature_weight,
     energy,
     lambda_norms,
@@ -221,7 +220,7 @@ def _run_ineq(args):
         r_max=args.rmax, num_cells=args.cells, tol=args.tol, jobs=args.jobs,
     )
     write_csv(os.path.join(args.out, "ineq.csv"), "ineq",
-              estimates.SUITE_COLUMNS, [s.row() for s in samples])
+              estimates.INEQ_COLUMNS, [s.row() for s in samples])
     violations = sum(1 for s in samples if s.violation)
     print(f"ineq {args.lemma}: {len(samples)} samples, {violations} violations, "
           f"max ratio {fmt_value(max(s.ratio for s in samples))}")
@@ -254,9 +253,7 @@ def _run_kss(args):
         samples = estimates.kss_inhom_check(
             forcing, grid, args.n, args.delta, args.delta_prime, t_list, **step)
     rows = [s.row() for s in samples]
-    # every LE term: at n = 2 the field column stays empty
-    columns = estimates.SUITE_COLUMNS + ("e1", "le1") + _le_term_names(3)
-    write_csv(os.path.join(args.out, "kss.csv"), "kss", columns, rows)
+    write_csv(os.path.join(args.out, "kss.csv"), "kss", estimates.KSS_COLUMNS, rows)
     write_series(os.path.join(args.out, "band_series.txt"), "T ratio",
                  [(s.params["T"], s.ratio) for s in samples])
     ratios = [fmt_value(s.ratio) for s in samples]
@@ -268,8 +265,7 @@ def _run_kss(args):
 
 
 def _write_picard_trace(out, trace):
-    write_csv(os.path.join(out, "picard_trace.csv"), "picard",
-              ("iteration", "rho_step", "e1", "e2", "le1", "le2"),
+    write_csv(os.path.join(out, "picard_trace.csv"), "picard", picard.TRACE_COLUMNS,
               [asdict(t) for t in trace])
     write_series(os.path.join(out, "rho_series.txt"), "iteration rho",
                  [(t.iteration, t.rho_step) for t in trace])

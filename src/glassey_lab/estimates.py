@@ -20,6 +20,7 @@ from .core import (
     RadialGrid,
     Trajectory,
     WeightParams,
+    _le_term_names,
     e_norms,
     lambda_norms,
     le_norm,
@@ -37,18 +38,11 @@ KSS_BAND = 0.25
 # shorter grid they shrink with r_max, so that the draws decay before it
 SAMPLE_R_MAX = 12.0
 
-SUITE_COLUMNS = (
-    "lemma_id",
-    "n",
-    "s",
-    "delta",
-    "delta_prime",
-    "T",
-    "seed",
-    "ratio",
-    "bound",
-    "violation",
-)
+# the CSV layouts of the suites, each column filled in some row; kss keeps
+# every LE term, so a run at n = 2 keeps its field column, empty
+INEQ_COLUMNS = ("lemma_id", "n", "s", "seed", "ratio", "bound", "violation")
+KSS_COLUMNS = ("lemma_id", "n", "delta", "delta_prime", "T", "ratio", "e1", "le1",
+               *_le_term_names(3))
 
 
 @dataclass(frozen=True)
@@ -195,17 +189,18 @@ def _kss_weights(delta: float, delta_prime: float, t_list) -> list:
     return weights
 
 
-def _kss_samples(lemma: str, traj: Trajectory, weights, denominator):
+def _kss_samples(lemma: str, traj: Trajectory, weights, denominator, scale: float = 1.0):
     """The ratios (E1 + LE1(T)) / denominator(w) at the horizon T of each w,
     all read off the one solve traj.  Each sample's params carry its horizon's
-    E1, LE1 and LE terms, so band failures can be audited."""
+    E1, LE1 and LE terms times `scale`, so band failures can be audited."""
     samples = []
     for w in weights:
         le = le_norm(traj, w)
         e1 = e_norms(traj, t_max=w.horizon)
+        norms = {"e1": e1, "le1": le.total, **le.components}
         params = {"n": traj.problem.n_dim, "delta": w.delta,
                   "delta_prime": w.delta_prime, "T": w.horizon,
-                  "e1": e1, "le1": le.total, **le.components}
+                  **{name: scale * norm for name, norm in norms.items()}}
         samples.append(IneqSample(lemma, params, (e1 + le.total) / denominator(w)))
     return samples
 
@@ -265,17 +260,21 @@ def kss_inhom_check(forcing: ForcingSpec, grid: RadialGrid, n: int, delta: float
                     sample_stride: int = DEFAULT_STRIDE):
     """Ratios (E1 + LE1(T)) / lestar_upper(T) of the zero-data solve that
     `forcing` drives on grid, every horizon read off one solve to the last,
-    as _kss_samples returns them."""
+    as _kss_samples returns them.  The solve is linear in the source, so it
+    is made for the unit amplitude, which the blow-up threshold does not
+    stop, and its norms are scaled by the amplitude; the ratio is the unit
+    source's."""
     if n < 3:
         raise PreconditionViolation(f"the inhomogeneous bound requires n >= 3, got n = {n}")
     weights = _kss_weights(delta, delta_prime, t_list)
     if forcing.amplitude == 0.0:
         raise PreconditionViolation("kss_inhom_check: zero forcing")
+    unit = replace(forcing, amplitude=1.0)
     zero = RadialField.zeros(grid)
-    traj = _free_solve(zero, zero, n, weights[-1].horizon, forcing,
+    traj = _free_solve(zero, zero, n, weights[-1].horizon, unit,
                        cfl=cfl, sample_stride=sample_stride)
     # the source rows at the sample times, from the callable the solve read
-    forcing_at = forcing.callable_on(grid)
+    forcing_at = unit.callable_on(grid)
     source = np.array([forcing_at(t) for t in traj.times])
 
     def source_norm(w):
@@ -284,7 +283,7 @@ def kss_inhom_check(forcing: ForcingSpec, grid: RadialGrid, n: int, delta: float
             raise PreconditionViolation("kss_inhom_check: zero source norm")
         return denom
 
-    return _kss_samples("kss_inhom", traj, weights, source_norm)
+    return _kss_samples("kss_inhom", traj, weights, source_norm, forcing.amplitude)
 
 
 def require_band(band: float, name: str = "band") -> None:

@@ -7,7 +7,7 @@ records alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,18 +24,6 @@ from .solver import (
 
 AGREEMENT_CUTOFF = 0.10
 SLOPE_TOLERANCE = 0.20
-
-SWEEP_COLUMNS = ("epsilon", "t_observed", "censored", "num_cells", "agreement")
-FIT_COLUMNS = (
-    "model",
-    "slope",
-    "intercept",
-    "r_squared",
-    "predicted_slope",
-    "verdict",
-    "tolerance",
-    "r_squared_alt",
-)
 
 
 @dataclass(frozen=True)
@@ -63,6 +51,11 @@ class FitResult:
     def __post_init__(self):
         if not (0.0 <= self.r_squared <= 1.0):
             raise PreconditionViolation(f"r_squared must lie in [0,1], got {self.r_squared}")
+
+
+# the CSV layouts of sweep.csv and fit.csv: their records' field names
+SWEEP_COLUMNS = tuple(f.name for f in fields(LifespanRecord))
+FIT_COLUMNS = tuple(f.name for f in fields(FitResult))
 
 
 def predicted_exponent(spec: ProblemSpec) -> float:
@@ -160,8 +153,13 @@ def sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(measure_lifespan, *zip(*tasks)))
-    return [measure_lifespan(*t) for t in tasks]
+            return list(pool.map(_one_point, tasks))
+    return [_one_point(t) for t in tasks]
+
+
+def _one_point(task):
+    """One sweep point: a module-level name, which the pool pickles by name."""
+    return measure_lifespan(*task)
 
 
 def _usable(records):

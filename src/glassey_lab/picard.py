@@ -5,7 +5,7 @@ original data, and measure contraction in the energy + local-energy metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .core import (
     ProblemSpec,
@@ -39,6 +39,10 @@ class PicardTrace:
         for name in ("rho_step", "e1", "e2", "le1", "le2"):
             if not math.isfinite(getattr(self, name)):
                 raise PreconditionViolation(f"trace entry {name} must be finite")
+
+
+# the CSV layout of picard_trace.csv: the trace's field names
+TRACE_COLUMNS = tuple(f.name for f in fields(PicardTrace))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -906,10 +907,10 @@ width = 1.0
 """
 OLD_STEP_KSS_CSV = """\
 # glassey-lab v1 kss
-lemma_id,n,s,delta,delta_prime,T,seed,ratio,bound,violation,e1,le1,deriv,field,log,horizon
-kss_hom,3,,0.3,0.2,1.0,,7.076017031072651,,false,2.4279767700518593,14.752428205883863,\
+lemma_id,n,delta,delta_prime,T,ratio,e1,le1,deriv,field,log,horizon
+kss_hom,3,0.3,0.2,1.0,7.076017031072651,2.4279767700518593,14.752428205883863,\
 2.400486668312471,2.990744494985275,4.499002450527585,4.862194592058533
-kss_hom,3,,0.3,0.2,2.0,,7.769190807240988,,false,2.4279767700518593,16.43543803202971,\
+kss_hom,3,0.3,0.2,2.0,7.769190807240988,2.4279767700518593,16.43543803202971,\
 3.0427349910654002,3.482559926340602,4.791792420719965,5.1183506939037455
 """
 
@@ -960,6 +961,72 @@ def _free_runs(tmp_path, argv, csv_name):
 def test_kss_ratio_of_large_data_is_the_unit_ratio(tmp_path):
     unit, large = _free_runs(tmp_path, ["kss", "--variant", "hom", "--t-list", "1"], "kss.csv")
     assert float(large[0]["ratio"]) == pytest.approx(float(unit[0]["ratio"]), rel=1e-12)
+
+
+def test_kss_inhom_of_a_large_source_is_the_unit_source_scaled(tmp_path):
+    # a solve from zero data keeps the absolute threshold of 1e6, which the
+    # source of amplitude 1e9 crossed at t = 0: kss solves the unit source
+    rows = []
+    for eps in ("1", "1e9"):
+        out = str(tmp_path / eps)
+        assert main(["kss", "--variant", "inhom", "--n", "3", "--t-list", "1", "--rmax", "12",
+                     "--cells", "240", "--eps", eps, "--out", out]) == 0
+        rows.append(_csv_rows(os.path.join(out, "kss.csv")))
+    (unit,), (large,) = rows
+    assert large["ratio"] == unit["ratio"]
+    for name in estimates.KSS_COLUMNS[estimates.KSS_COLUMNS.index("e1"):]:
+        assert float(large[name]) == pytest.approx(1e9 * float(unit[name]), rel=1e-12)
+
+
+def _header(path):
+    """The column names of a CSV the CLI wrote."""
+    return read(path).decode().splitlines()[1].split(",")
+
+
+def _filled(rows):
+    """The columns with a cell filled in some row."""
+    return {name for row in rows for name, cell in row.items() if cell != ""}
+
+
+def test_ineq_columns_are_each_filled_by_some_lemma(tmp_path):
+    rows = []
+    for lemma, n, s in (("hardy", "3", "1.0"), ("trace", "3", "0.75"),
+                        ("trace_variant", "2", "0.125")):
+        out = str(tmp_path / lemma)
+        assert main(["ineq", "--lemma", lemma, "--n", n, "--s", s, "--samples", "3",
+                     "--cells", "600", "--out", out]) == 0
+        assert _header(os.path.join(out, "ineq.csv")) == list(estimates.INEQ_COLUMNS)
+        rows += _csv_rows(os.path.join(out, "ineq.csv"))
+    assert _filled(rows) == set(estimates.INEQ_COLUMNS)
+
+
+@pytest.mark.parametrize("variant", ["hom", "inhom"])
+def test_kss_columns_are_each_filled_at_n3(tmp_path, variant):
+    out = str(tmp_path / "run")
+    assert main(["kss", "--variant", variant, "--n", "3", "--rmax", "12", "--cells", "120",
+                 "--t-list", "1,2", "--band", "1", "--out", out]) == 0
+    path = os.path.join(out, "kss.csv")
+    assert _header(path) == list(estimates.KSS_COLUMNS)
+    assert _filled(_csv_rows(path)) == set(estimates.KSS_COLUMNS)
+
+
+@pytest.mark.parametrize("argv, layouts", [
+    (["picard", "--n", "3", "--p", "2.5", "--eps", "0.05", "--assigns", "split",
+      "--rmax", "14", "--cells", "350", "--t-end", "4"],
+     {"picard_trace.csv": glassey_lab.PicardTrace}),
+    (["lifespan", "--n", "3", "--p", "1.5", "--eps", "1.4,2.0,2.8,4.0", "--horizon", "15",
+      "--rmax", "23", "--ladder", "460,920", "--assigns", "split"],
+     {"sweep.csv": glassey_lab.LifespanRecord, "fit.csv": glassey_lab.FitResult}),
+    # a header-only fit.csv: no law is fit above the threshold power
+    (["lifespan", "--n", "3", "--p", "2.5", "--eps", "0.5,1", "--horizon", "2",
+      "--rmax", "12", "--ladder", "120,240"],
+     {"sweep.csv": glassey_lab.LifespanRecord, "fit.csv": glassey_lab.FitResult}),
+], ids=["picard", "lifespan-subcritical", "lifespan-supercritical"])
+def test_record_csv_header_is_its_record_fields(tmp_path, argv, layouts):
+    out = str(tmp_path / "run")
+    assert main(argv + ["--out", out]) == 0
+    for name, record in layouts.items():
+        assert _header(os.path.join(out, name)) == [f.name for f in dataclasses.fields(record)]
 
 
 def test_norms_of_large_data_scale_with_it(tmp_path):

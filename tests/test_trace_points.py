@@ -126,3 +126,36 @@ def test_traced_node_steps_are_the_steps_evolve_takes(tracing, monkeypatch, eps,
     else:
         assert steps < planned and outcome.t_blowup == steps * (4.0 / planned)
     assert attrs["node_steps"] == steps * len(grid.nodes)
+
+
+POOLED_SCRIPT = """
+import contextlib, io, json, os, sys
+perfbench, argv, out = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3]
+sys.path.insert(0, perfbench)
+import glassey_lab.cli
+import tracing
+
+tracing.install(tracing.Tracer())
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [glassey_lab.cli.main(argv + ["--jobs", jobs, "--out", os.path.join(out, jobs)])
+             for jobs in ("1", "2")]
+print(codes)
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs is capped at the CPU count")
+def test_traced_sweep_runs_its_points_in_a_pool(tmp_path):
+    # the pool pickles what it maps by name, which a traced measure_lifespan
+    # (a local function of the tracer) would not survive
+    src = os.path.dirname(os.path.dirname(glassey_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", POOLED_SCRIPT, os.path.join(ROOT, "perfbench"),
+         json.dumps(CALLS["lifespan-sweep"][0]), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0]", proc.stderr
+    serial, pooled = ((tmp_path / jobs / "sweep.csv").read_bytes() for jobs in ("1", "2"))
+    assert pooled == serial
