@@ -108,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ineq.add_argument("--lemma", choices=("hardy", "trace", "trace_variant"), required=True)
     p_ineq.add_argument("--s", type=float, required=True)
     p_ineq.add_argument("--samples", type=int, default=200)
-    p_ineq.add_argument("--tol", type=float, default=estimates.DEFAULT_TOL)
 
     p_kss = add_parser("kss", help="uniform-in-T space-time bounds")
     _add_common(p_kss, "n rmax cells cfl stride")
@@ -160,6 +159,12 @@ def _profile_from(args) -> DataProfile:
 
 
 def _echo_config(args, parser_keys):
+    """Make the --out directory and write config.txt into it."""
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise PreconditionViolation(
+            f"--out {args.out!r} cannot be made a directory: {exc.strerror}") from None
     values = {k: getattr(args, k) for k in parser_keys if k != "config"}
     values["subcommand"] = args.subcommand
     write_config(os.path.join(args.out, "config.txt"), values)
@@ -217,7 +222,7 @@ def _run_solve(args):
 def _run_ineq(args):
     samples = estimates.run_ineq_suite(
         args.lemma, args.n, args.s, args.samples, args.seed,
-        r_max=args.rmax, num_cells=args.cells, tol=args.tol, jobs=args.jobs,
+        r_max=args.rmax, num_cells=args.cells, jobs=args.jobs,
     )
     write_csv(os.path.join(args.out, "ineq.csv"), "ineq",
               estimates.INEQ_COLUMNS, [s.row() for s in samples])
@@ -252,7 +257,8 @@ def _run_kss(args):
                                         space_width=args.width, t_on=0.0, t_off=1.0)
         samples = estimates.kss_inhom_check(
             forcing, grid, args.n, args.delta, args.delta_prime, t_list, **step)
-    rows = [s.row() for s in samples]
+    rows = [{c: row[c] for c in estimates.KSS_COLUMNS if c in row}
+            for row in (s.row() for s in samples)]
     write_csv(os.path.join(args.out, "kss.csv"), "kss", estimates.KSS_COLUMNS, rows)
     write_series(os.path.join(args.out, "band_series.txt"), "T ratio",
                  [(s.params["T"], s.ratio) for s in samples])
@@ -349,6 +355,12 @@ _RUNNERS = {
 }
 
 
+# flags a subcommand no longer takes, each with the one value the code now
+# always applies: a config.txt line at that value replays as if absent; at
+# any other value it is folded in as any line is, and exits 2 as unrecognized
+_RETIRED = {"solve": {"linear": "false"}, "ineq": {"tol": "0.001"}}
+
+
 def _apply_config(argv):
     """Fold `--config file` defaults in front of the explicit flags."""
     if "--config" not in argv:
@@ -362,18 +374,13 @@ def _apply_config(argv):
     if sub is None:
         raise PreconditionViolation("config file does not name a subcommand")
     rest = argv[1:] if argv and not argv[0].startswith("-") else argv
+    retired = _RETIRED.get(sub, {})
     folded = [sub]
     for key, val in sorted(values.items()):
-        if key == "subcommand" or val == "":
+        if key == "subcommand" or val == "" or retired.get(key) == val:
             continue
-        flag = "--" + key.replace("_", "-")
-        if val == "true":
-            folded.append(flag)
-        elif val == "false":
-            continue
-        else:
-            # one token, so that a value such as -1e-05 is not read as a flag
-            folded.append(f"{flag}={val}")
+        # one token, so that a value such as -1e-05 is not read as a flag
+        folded.append(f"--{key.replace('_', '-')}={val}")
     folded.extend(rest)
     return folded
 
@@ -393,7 +400,6 @@ def main(argv=None) -> int:
 
     keys = [k for k in vars(args) if k != "subcommand"]
     try:
-        os.makedirs(args.out, exist_ok=True)
         _echo_config(args, keys)
         _RUNNERS[args.subcommand](args)
         return 0

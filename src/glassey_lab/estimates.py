@@ -32,7 +32,8 @@ from .core import (
 from .errors import PreconditionViolation
 from .solver import DEFAULT_CFL, DEFAULT_STRIDE, DataProfile, _bump_shape, evolve
 
-DEFAULT_TOL = 1e-3
+# the slack of every asserted bound: a ratio above bound * (1 + TOL) violates it
+TOL = 1e-3
 KSS_BAND = 0.25
 # _gaussian_sum's widths are drawn for a grid of this radius or more; on a
 # shorter grid they shrink with r_max, so that the draws decay before it
@@ -54,19 +55,16 @@ class IneqSample:
     ratio: float
     bound: float = None
     seed: int = None
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if not (math.isfinite(self.ratio) and self.ratio >= 0.0):
             raise PreconditionViolation(f"ratio must be finite and >= 0, got {self.ratio}")
-        if not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise PreconditionViolation(f"tol must be finite and >= 0, got {self.tol}")
 
     @property
     def violation(self) -> bool:
         if self.bound is None:
             return False
-        return self.ratio > self.bound * (1.0 + self.tol)
+        return self.ratio > self.bound * (1.0 + TOL)
 
     def row(self) -> dict:
         """The sample as write_csv takes it, keyed by column name."""
@@ -128,28 +126,26 @@ def _interpolation_denominator(f: RadialField, n: int, s: float, label: str) -> 
     return denom
 
 
-def hardy_check(f: RadialField, n: int, s: float, tol: float = DEFAULT_TOL) -> IneqSample:
+def hardy_check(f: RadialField, n: int, s: float) -> IneqSample:
     """||r^-s f|| against ||f||^(1-s) ||f_r||^s with the proof's constant."""
     if not (0.0 <= s <= 1.0) or (n == 2 and s >= 1.0):
         raise PreconditionViolation(f"need 0 <= s <= 1 (s < 1 when n = 2), got s={s}, n={n}")
     num = weighted_l2(f, n, -s, 0.0)
     denom = _interpolation_denominator(f, n, s, "hardy_check")
     bound = (2.0 / (n - 2.0 * s)) ** s if s >= 0.5 else (2.0 / (n - 1.0)) ** s
-    return IneqSample("hardy", {"n": n, "s": s}, num / denom, bound=bound, tol=tol)
+    return IneqSample("hardy", {"n": n, "s": s}, num / denom, bound=bound)
 
 
-def trace_check(f: RadialField, n: int, s: float, tol: float = DEFAULT_TOL) -> IneqSample:
+def trace_check(f: RadialField, n: int, s: float) -> IneqSample:
     """Sup-in-radius trace ratio; no sharp constant is asserted."""
     if not (0.5 <= s <= 1.0) or (n == 2 and s >= 1.0):
         raise PreconditionViolation(f"need 1/2 <= s <= 1 (s < 1 when n = 2), got s={s}, n={n}")
     num = weighted_sup(f, n, n / 2.0 - s)
     denom = _interpolation_denominator(f, n, s, "trace_check")
-    return IneqSample("trace", {"n": n, "s": s}, num / denom, bound=None, tol=tol)
+    return IneqSample("trace", {"n": n, "s": s}, num / denom)
 
 
-def trace_variant_check(
-    f: RadialField, n: int, s: float, tol: float = DEFAULT_TOL
-) -> IneqSample:
+def trace_variant_check(f: RadialField, n: int, s: float) -> IneqSample:
     """Compact-support trace variant with the sqrt(2) constant."""
     if s < 0.0:
         raise PreconditionViolation(f"need s >= 0, got {s}")
@@ -160,9 +156,7 @@ def trace_variant_check(
     denom = math.sqrt(base * slope)
     if denom == 0.0:
         raise PreconditionViolation("trace_variant_check: zero denominator")
-    return IneqSample(
-        "trace_variant", {"n": n, "s": s}, num / denom, bound=math.sqrt(2.0), tol=tol
-    )
+    return IneqSample("trace_variant", {"n": n, "s": s}, num / denom, bound=math.sqrt(2.0))
 
 
 def _free_solve(u0, u1, n, horizon, forcing=None, **step) -> Trajectory:
@@ -315,10 +309,10 @@ _CHECKS = {
 
 
 def _one_sample(args):
-    lemma, n, s, seed, grid, tol = args
+    lemma, n, s, seed, grid = args
     check, generator = _CHECKS[lemma]
     nt = int(np.random.default_rng((seed, 998877)).integers(1, 9))
-    return replace(check(generator(seed, grid, nt), n, s, tol=tol), seed=seed)
+    return replace(check(generator(seed, grid, nt), n, s), seed=seed)
 
 
 def run_ineq_suite(
@@ -329,7 +323,6 @@ def run_ineq_suite(
     seed: int,
     r_max: float = 12.0,
     num_cells: int = 2400,
-    tol: float = DEFAULT_TOL,
     jobs: int = 1,
 ):
     """Seeded sweep of one inequality; deterministic and seed-ordered."""
@@ -340,7 +333,7 @@ def run_ineq_suite(
     if seed < 0:
         raise PreconditionViolation(f"seed must be >= 0, got {seed}")
     grid = RadialGrid(r_max=r_max, num_cells=num_cells)
-    tasks = [(lemma, n, s, seed + i, grid, tol) for i in range(samples)]
+    tasks = [(lemma, n, s, seed + i, grid) for i in range(samples)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

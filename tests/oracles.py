@@ -136,8 +136,8 @@ def energy_ineq_check(
     horizon: float,
 ) -> gl.IneqSample:
     """sup-in-time energy of the free wave that forcing drives from (u0, u1),
-    against the data energy plus the |du||F| work integral; the factor-2
-    bound holds with 5% slack."""
+    against the data energy plus the |du||F| work integral, with the factor-2
+    bound; the tests allow it 5% slack."""
     grid = u0.grid
     traj = _free_solve(u0, u1, n, horizon, forcing)
     energies = 2.0 * gl.energy(traj)
@@ -154,6 +154,4 @@ def energy_ineq_check(
     rhs = energies[0] + float(np.trapezoid(np.array(work_series), traj.times))
     if rhs == 0.0:
         raise gl.PreconditionViolation("energy_ineq_check: zero data and forcing")
-    return gl.IneqSample(
-        "energy_ineq", {"n": n, "T": horizon}, energies.max() / rhs, bound=2.0, tol=0.05
-    )
+    return gl.IneqSample("energy_ineq", {"n": n, "T": horizon}, energies.max() / rhs, bound=2.0)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import concurrent.futures
 import contextlib
 import csv
@@ -275,16 +276,11 @@ def test_non_numeric_list_token_exits_2(tmp_path, capsys, argv, flag, token):
     assert "Traceback" not in err
 
 
-# a NaN tolerance would turn the violation gate off, an infinite one would
-# stop the iteration after one step as converged
+# an infinite tolerance would stop the iteration after one step as converged
 @pytest.mark.parametrize("argv, message", [
-    (["ineq", "--lemma", "hardy", "--s", "1.0", "--samples", "3", "--cells", "400",
-      "--tol", "nan"], "tol must be finite and >= 0, got nan"),
-    (["ineq", "--lemma", "hardy", "--s", "1.0", "--samples", "3", "--cells", "400",
-      "--tol", "-0.9"], "tol must be finite and >= 0, got -0.9"),
     (["picard", "--rmax", "12", "--cells", "200", "--t-end", "2", "--tol", "inf"],
      "tol must be finite and positive, got inf"),
-], ids=["ineq-nan", "ineq-negative", "picard-inf"])
+], ids=["picard-inf"])
 def test_non_finite_tolerance_exits_2(tmp_path, capsys, argv, message):
     code = main(argv + ["--out", str(tmp_path / "run")])
     assert code == 2
@@ -483,22 +479,35 @@ def _exit_code(argv):
 
 # ineq flags as a user might type them: any lemma, small or bad dimensions,
 # powers in and out of range, negative seeds and non-finite values
-@settings(max_examples=80, deadline=None, database=None, derandomize=True)
-@given(lemma=st.sampled_from(["hardy", "trace", "trace_variant"]),
-       n=st.integers(1, 6),
-       s=st.one_of(st.floats(0.5, 0.95),
-                   st.sampled_from([0.0, 1.0, -0.5, 1.5, math.nan, math.inf])),
-       seed=st.integers(-3, 2**40),
-       tol=st.one_of(st.floats(0.0, 0.1), st.sampled_from([-0.5, math.nan, math.inf])),
-       samples=st.integers(1, 3),
-       cells=st.integers(16, 128))
-@example(lemma="hardy", n=3, s=0.5, seed=-1, tol=1e-9, samples=3, cells=64)
-def test_ineq_flags_never_exit_1(lemma, n, s, seed, tol, samples, cells):
-    code, err = _exit_code(["ineq", "--lemma", lemma, "--n", str(n), "--s", repr(s),
-                            "--seed", str(seed), "--tol", repr(tol), "--samples", str(samples),
-                            "--cells", str(cells), "--rmax", "12"])
-    assert code in (0, 2, 3), err
-    assert "Traceback" not in err
+def test_ineq_flags_never_exit_1(monkeypatch):
+    # the examples that get past the parser to the suite
+    suites = []
+    run_ineq_suite = estimates.run_ineq_suite
+
+    def counting(*args, **kwargs):
+        suites.append(args)
+        return run_ineq_suite(*args, **kwargs)
+
+    monkeypatch.setattr(estimates, "run_ineq_suite", counting)
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(lemma=st.sampled_from(["hardy", "trace", "trace_variant"]),
+           n=st.integers(1, 6),
+           s=st.one_of(st.floats(0.5, 0.95),
+                       st.sampled_from([0.0, 1.0, -0.5, 1.5, math.nan, math.inf])),
+           seed=st.integers(-3, 2**40),
+           samples=st.integers(1, 3),
+           cells=st.integers(16, 128))
+    @example(lemma="hardy", n=3, s=0.5, seed=-1, samples=3, cells=64)
+    def never_exit_1(lemma, n, s, seed, samples, cells):
+        code, err = _exit_code(["ineq", "--lemma", lemma, "--n", str(n), "--s", repr(s),
+                                "--seed", str(seed), "--samples", str(samples),
+                                "--cells", str(cells), "--rmax", "12"])
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+
+    never_exit_1()
+    assert len(suites) >= 60
 
 
 def test_solve_huge_data_reports_inf_energy_without_warnings(tmp_path, capsys):
@@ -630,6 +639,9 @@ def test_cell_count_past_numpy_index_range_exits_2(tmp_path, capsys, argv, count
     (["solve", "--rmax", "12", "--cells", "240", "--t-end", "0.5", "--seed", "1"], "--seed"),
     (["ineq", "--lemma", "hardy", "--n", "3", "--s", "1.0", "--samples", "4",
       "--cells", "600", "--p", "2"], "--p"),
+    # the slack of every bound is estimates.TOL
+    (["ineq", "--lemma", "hardy", "--n", "3", "--s", "1.0", "--samples", "4",
+      "--cells", "600", "--tol", "0.01"], "--tol"),
     (["kss", "--variant", "hom", "--n", "3", "--t-list", "1,2", "--rmax", "24",
       "--cells", "480", "--jobs", "1"], "--jobs"),
     (["kss", "--variant", "hom", "--n", "3", "--t-list", "1,2", "--rmax", "24",
@@ -651,17 +663,21 @@ def test_cell_count_past_numpy_index_range_exits_2(tmp_path, capsys, argv, count
     # a config.txt written before the flag was dropped names it as a key
     (["--config", "{config}"], "--seed"),
     (["--config", "{linear_config}"], "--linear"),
+    # a retired flag replays only at the value the code now always applies
+    (["--config", "{tol_config}"], "--tol=0.01"),
     (["--config", "{lifespan_config}"], "--stride"),
     (["--config", "{lifespan_cells_config}"], "--cells"),
-], ids=["solve-seed", "ineq-p", "kss-jobs", "kss-b", "picard-seed", "lifespan-seed",
+], ids=["solve-seed", "ineq-p", "ineq-tol", "kss-jobs", "kss-b", "picard-seed", "lifespan-seed",
         "lifespan-stride", "lifespan-cells", "norms-a", "norms-b", "solve-linear",
-        "solve-config-seed", "solve-config-linear", "lifespan-config-stride",
+        "solve-config-seed", "solve-config-linear", "ineq-config-tol", "lifespan-config-stride",
         "lifespan-config-cells"])
 def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv, flag):
     configs = {
         "{config}": "subcommand = solve\nrmax = 12.0\ncells = 240\nt_end = 0.5\nseed = 7\n",
         "{linear_config}": "subcommand = solve\nrmax = 12.0\ncells = 240\nt_end = 0.5\n"
                            "linear = true\n",
+        "{tol_config}": "subcommand = ineq\nlemma = hardy\ns = 1.0\nsamples = 4\n"
+                        "tol = 0.01\n",
         "{lifespan_config}": "subcommand = lifespan\neps_list = 2.8,4.0\nhorizon = 6.0\n"
                              "rmax = 12.0\nladder = 120,240\nstride = 20\n",
         # the default ladder was cells/2,cells, so an old config has an empty one
@@ -777,6 +793,68 @@ def test_config_with_a_negative_value_replays(tmp_path):
     assert main(["--config", os.path.join(out1, "config.txt"), "--out", out2]) == 0
     for name in ("series.csv", "outcome.csv"):
         assert read(os.path.join(out1, name)) == read(os.path.join(out2, name))
+
+
+@pytest.mark.parametrize("out", ["true", "false"])
+def test_config_replays_into_the_out_it_recorded(tmp_path, monkeypatch, out):
+    # a recorded value is always folded as the flag's value, never as a bare
+    # switch, so --out true and --out false name their directories
+    monkeypatch.chdir(tmp_path)
+    assert main(["ineq", "--lemma", "hardy", "--s", "0.5", "--samples", "3", "--cells", "120",
+                 "--out", out]) == 0
+    csv_path = os.path.join(out, "ineq.csv")
+    first = read(csv_path)
+    os.remove(csv_path)
+    assert main(["--config", os.path.join(out, "config.txt")]) == 0
+    assert read(csv_path) == first
+    assert sorted(os.listdir(tmp_path)) == [out]
+
+
+@pytest.mark.parametrize("out", ["", "a_file"], ids=["empty", "existing-file"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_file").write_text("kept\n")
+    code = main(["ineq", "--lemma", "hardy", "--s", "0.5", "--samples", "3", "--cells", "120",
+                 "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"precondition: --out {out!r} cannot be made a directory" in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["a_file"]
+    assert (tmp_path / "a_file").read_text() == "kept\n"
+
+
+# an ineq config.txt and CSV as the CLI wrote them when ineq took --tol
+OLD_TOL_INEQ_CONFIG = """\
+# glassey-lab v1 config
+cells = 120
+jobs = 1
+lemma = hardy
+n = 3
+out = pa
+rmax = 12.0
+s = 0.75
+samples = 3
+seed = 5
+subcommand = ineq
+tol = 0.001
+"""
+OLD_TOL_INEQ_CSV = """\
+# glassey-lab v1 ineq
+lemma_id,n,s,seed,ratio,bound,violation
+hardy,3,0.75,5,0.21181033077338202,1.2408064788027995,false
+hardy,3,0.75,6,0.3516525561493061,1.2408064788027995,false
+hardy,3,0.75,7,0.27148627298554634,1.2408064788027995,false
+"""
+
+
+def test_ineq_config_with_the_retired_tol_replays_its_csv(tmp_path):
+    config = tmp_path / "config.txt"
+    config.write_text(OLD_TOL_INEQ_CONFIG)
+    out = str(tmp_path / "run")
+    assert main(["--config", str(config), "--out", out]) == 0
+    assert read(os.path.join(out, "ineq.csv")).decode() == OLD_TOL_INEQ_CSV
+    assert "tol" not in read_config(os.path.join(out, "config.txt"))
 
 
 # solve's flags for the config and CSVs below, as the CLI wrote them when
@@ -956,6 +1034,18 @@ def _free_runs(tmp_path, argv, csv_name):
                             "--out", out]) == 0
         rows.append(_csv_rows(os.path.join(out, csv_name)))
     return rows
+
+
+def test_kss_breakdown_lines_hold_the_csv_columns(tmp_path, capsys):
+    # the inhom ratios breach the band on this grid
+    code = main(["kss", "--variant", "inhom", "--n", "3", "--rmax", "12", "--cells", "240",
+                 "--out", str(tmp_path / "run")])
+    assert code == 3
+    lines = [line.split("breakdown: ", 1)[1] for line in capsys.readouterr().out.splitlines()
+             if "breakdown: " in line]
+    assert len(lines) == 3
+    for line in lines:
+        assert tuple(ast.literal_eval(line)) == estimates.KSS_COLUMNS
 
 
 def test_kss_ratio_of_large_data_is_the_unit_ratio(tmp_path):
