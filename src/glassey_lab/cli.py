@@ -68,7 +68,8 @@ def _add_common(parser, names):
     for name in names.split():
         parser.add_argument("--" + name, **_COMMON[name])
     parser.add_argument("--out", type=str, default="out", help="output directory")
-    parser.add_argument("--config", type=str, default=None, help="config file with flag defaults")
+    # listed for --help: _apply_config takes it out of argv before parsing
+    parser.add_argument("--config", default=argparse.SUPPRESS, help="config file with flag defaults")
 
 
 # kss --variant inhom solves from zero data, so it refuses these data flags
@@ -115,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_kss.add_argument("--variant", choices=("hom", "inhom"), default="hom")
     p_kss.add_argument("--delta", type=float, default=0.3)
     p_kss.add_argument("--delta-prime", type=float, default=0.2)
-    p_kss.add_argument("--t-list", type=str, default="1,2,4")
+    # the CLI's source is on over t in [0, 1]: a horizon there breaches the band
+    p_kss.add_argument("--t-list", type=str, default="2,4,8")
     p_kss.add_argument("--band", type=float, default=estimates.KSS_BAND)
 
     p_pic = add_parser("picard", help="contraction-map iteration")
@@ -158,16 +160,14 @@ def _profile_from(args) -> DataProfile:
     )
 
 
-def _echo_config(args, parser_keys):
+def _echo_config(args):
     """Make the --out directory and write config.txt into it."""
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise PreconditionViolation(
             f"--out {args.out!r} cannot be made a directory: {exc.strerror}") from None
-    values = {k: getattr(args, k) for k in parser_keys if k != "config"}
-    values["subcommand"] = args.subcommand
-    write_config(os.path.join(args.out, "config.txt"), values)
+    write_config(os.path.join(args.out, "config.txt"), vars(args))
 
 
 def _parse_list(text, flag):
@@ -362,18 +362,23 @@ _RETIRED = {"solve": {"linear": "false"}, "ineq": {"tol": "0.001"}}
 
 
 def _apply_config(argv):
-    """Fold `--config file` defaults in front of the explicit flags."""
-    if "--config" not in argv:
+    """Take `--config FILE` or `--config=FILE` out of argv and fold the
+    file's values in front of the explicit flags."""
+    path, rest, tokens = None, [], iter(argv)
+    for tok in tokens:
+        flag, eq, value = tok.partition("=")
+        if flag != "--config":
+            rest.append(tok)
+            continue
+        path = value if eq else next(tokens, None)
+        if path is None:
+            raise PreconditionViolation("--config needs a file path")
+    if path is None:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        raise PreconditionViolation("--config needs a file path")
-    path = argv[at + 1]
     values = read_config(path)
-    sub = argv[0] if argv and not argv[0].startswith("-") else values.get("subcommand")
+    sub = rest.pop(0) if rest and not rest[0].startswith("-") else values.get("subcommand")
     if sub is None:
         raise PreconditionViolation("config file does not name a subcommand")
-    rest = argv[1:] if argv and not argv[0].startswith("-") else argv
     retired = _RETIRED.get(sub, {})
     folded = [sub]
     for key, val in sorted(values.items()):
@@ -398,9 +403,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    keys = [k for k in vars(args) if k != "subcommand"]
     try:
-        _echo_config(args, keys)
+        _echo_config(args)
         _RUNNERS[args.subcommand](args)
         return 0
     except InvariantFailure as exc:
@@ -418,8 +422,7 @@ def main(argv=None) -> int:
 
 
 def _print_params(args):
-    params = {k: v for k, v in vars(args).items() if k != "config"}
-    print(f"parameters: {params}", file=sys.stderr)
+    print(f"parameters: {vars(args)}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -498,18 +498,20 @@ def _slopes(u: np.ndarray, v: np.ndarray, grid: RadialGrid, n: int):
     return du, dv, lap
 
 
-def _samples_through(times: np.ndarray, t_max: float = None) -> int:
-    """How many of the increasing sample times lie at or before t_max (all
-    when t_max is None)."""
-    if t_max is None:
-        return times.size
-    return int(np.count_nonzero(times <= t_max + 1e-9 * max(1.0, t_max)))
-
-
-def _horizon_rows(times: np.ndarray, horizon: float) -> int:
-    """How many samples a time integral to horizon reads: those through it,
-    plus the next, which _integrate_to_horizon interpolates against."""
-    return min(times.size, _samples_through(times, horizon) + 1)
+def _read_off(times: np.ndarray, horizon: float) -> tuple:
+    """The read-off at horizon T of the increasing sample times: (through,
+    rows), the samples at or before T and the rows a time integral to T
+    reads, which add the next sample only when T falls between two.  A
+    sample within 1e-9 * max(1, T) of T counts as at T; a trajectory that
+    ends before T is refused."""
+    tol = 1e-9 * max(1.0, horizon)
+    if times[-1] < horizon - tol:
+        raise PreconditionViolation(
+            f"trajectory ends at t={times[-1]:.6g} before horizon T={horizon:.6g}"
+        )
+    through = int(np.count_nonzero(times <= horizon + tol))
+    between = 0 < through and times[through - 1] < horizon - tol
+    return through, through + int(between)
 
 
 # The trajectory norms take the states a block of rows at a time: each array
@@ -545,9 +547,9 @@ def energy(traj: Trajectory) -> np.ndarray:
 
 def e_norms(traj: Trajectory, t_max: float = None) -> float:
     """Sup-in-time first-order energy norm E1 over the samples at or before
-    t_max (norm_report adds the second order); 0 when none is kept.  sqrt is
-    monotone, so the root of the max is the max of the roots."""
-    kept = _samples_through(traj.times, t_max)
+    t_max (all when None; norm_report adds the second order); 0 when none is
+    kept.  sqrt is monotone, so the root of the max is the max of the roots."""
+    kept, _ = _read_off(traj.times, traj.t_end if t_max is None else t_max)
     return math.sqrt(_energy_integrals(traj, kept).max(initial=0.0))
 
 
@@ -556,19 +558,13 @@ def e_norms(traj: Trajectory, t_max: float = None) -> float:
 # ---------------------------------------------------------------------------
 
 def _integrate_to_horizon(times: np.ndarray, series: np.ndarray, horizon: float) -> float:
-    """Trapezoid of series(t) over [0, horizon], interpolating the last cell."""
-    tol = 1e-9 * max(1.0, horizon)
-    if times[-1] < horizon - tol:
-        raise PreconditionViolation(
-            f"trajectory ends at t={times[-1]:.6g} before horizon T={horizon:.6g}"
-        )
-    inside = times <= horizon + tol
-    t_in = times[inside]
-    y_in = series[inside]
-    total = float(np.trapezoid(y_in, t_in))
-    if t_in[-1] < horizon - tol:
+    """Trapezoid of series(t) over [0, horizon] on the rows _read_off reads,
+    interpolating the last cell when the horizon falls between two samples."""
+    through, rows = _read_off(times, horizon)
+    total = float(np.trapezoid(series[:through], times[:through]))
+    if rows > through:
         y_end = float(np.interp(horizon, times, series))
-        total += 0.5 * (horizon - t_in[-1]) * (y_in[-1] + y_end)
+        total += 0.5 * (horizon - times[through - 1]) * (series[through - 1] + y_end)
     return total
 
 
@@ -626,7 +622,7 @@ def le_norm(traj: Trajectory, w: WeightParams) -> LocalEnergyNorm:
     terms when n <= 2); norm_report adds the second order."""
     n = traj.problem.n_dim
     grid = traj.grid
-    kept = _horizon_rows(traj.times, w.horizon)
+    _, kept = _read_off(traj.times, w.horizon)
     rows = np.empty((kept, len(_le_term_names(n))))
     for block in _blocks(kept, grid.num_cells + 1):
         u, v = traj.u[block], traj.v[block]
@@ -651,8 +647,7 @@ def norm_report(traj: Trajectory, w: WeightParams) -> NormReport:
     _slopes per block of states."""
     n = traj.problem.n_dim
     grid = traj.grid
-    kept = _samples_through(traj.times, w.horizon)
-    rows = _horizon_rows(traj.times, w.horizon)
+    kept, rows = _read_off(traj.times, w.horizon)
     energies = np.empty((2, rows))
     terms = len(_le_term_names(n))
     first, second = np.empty((rows, terms)), np.empty((rows, terms))
@@ -675,10 +670,10 @@ def norm_report(traj: Trajectory, w: WeightParams) -> NormReport:
 def lestar_upper(times, source, grid: RadialGrid, n: int, w: WeightParams) -> float:
     """Upper bound on the dual-space norm of the source whose nodal values at
     times[k] are the row source[k]: minimum over the three single-term
-    decompositions, from the rows _horizon_rows reads, a block (_blocks) at
-    a time."""
+    decompositions, from the rows _read_off reads, a block (_blocks) at a
+    time."""
     d, dp, horizon = w.delta, w.delta_prime, w.horizon
-    kept = _horizon_rows(times, horizon)
+    _, kept = _read_off(times, horizon)
     nus = (0.5 - dp, 0.5 - d, 0.0)
     rows = np.empty((kept, len(nus)))
     for block in _blocks(kept, grid.num_cells + 1):

@@ -7,6 +7,8 @@ import dataclasses
 import io
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -110,6 +112,28 @@ def test_config_replay_is_byte_identical(tmp_path):
     assert read(os.path.join(out1, "ineq.csv")) == read(os.path.join(out2, "ineq.csv"))
 
 
+@pytest.mark.parametrize("spelling", [
+    ["--config", "{cfg}"], ["--config={cfg}"],
+    ["solve", "--config", "{cfg}"], ["solve", "--config={cfg}"],
+], ids=["two-tokens", "one-token", "subcommand-two-tokens", "subcommand-one-token"])
+def test_config_replays_in_either_spelling(tmp_path, spelling):
+    # argparse takes --config=FILE as it takes --config FILE; both replay the
+    # recorded run, not the defaults
+    first, again = str(tmp_path / "first"), str(tmp_path / "again")
+    assert main(["solve", "--t-end", "0.5", "--eps", "2", "--rmax", "12", "--cells", "240",
+                 "--out", first]) == 0
+    cfg = os.path.join(first, "config.txt")
+    assert main([arg.format(cfg=cfg) for arg in spelling] + ["--out", again]) == 0
+    for name in ("series.csv", "outcome.csv", "energy_series.txt"):
+        assert read(os.path.join(again, name)) == read(os.path.join(first, name))
+    assert read_config(os.path.join(again, "config.txt")) == dict(read_config(cfg), out=again)
+
+
+def test_config_without_a_path_exits_2(tmp_path, capsys):
+    assert main(["solve", "--out", str(tmp_path / "run"), "--config"]) == 2
+    assert capsys.readouterr().err == "error: --config needs a file path\n"
+
+
 def test_solve_subcommand(tmp_path):
     out = str(tmp_path / "run")
     code = main(["solve", "--n", "3", "--p", "1.5", "--a", "1", "--b", "0",
@@ -163,6 +187,22 @@ def test_lifespan_supercritical_writes_sweep_and_no_fit(tmp_path, capsys):
     assert fit == ["# glassey-lab v1 lifespan", ",".join(lifespan.FIT_COLUMNS)]
     sweep = read(os.path.join(out, "sweep.csv")).decode().splitlines()
     assert len(sweep) == 2 + 2
+
+
+def test_lifespan_at_the_critical_power_writes_one_exponential_fit(tmp_path):
+    # the CLI's critical branch: criterion 7 fits the exponential law directly
+    out = str(tmp_path / "run")
+    assert main(["lifespan", "--n", "3", "--p", "2", "--eps-list", "2.6,3.0,3.5,4.0,5.0",
+                 "--horizon", "12", "--rmax", "22", "--ladder", "440,880",
+                 "--assigns", "split", "--out", out]) == 0
+    with open(os.path.join(out, "fit.csv"), newline="", encoding="utf-8") as fh:
+        assert fh.readline() == "# glassey-lab v1 lifespan\n"
+        (row,) = csv.DictReader(fh)
+    assert list(row) == list(lifespan.FIT_COLUMNS)
+    assert row["model"] == "exponential_rate"
+    assert row["predicted_slope"] == row["tolerance"] == "nan"
+    for column in ("slope", "intercept", "r_squared", "r_squared_alt"):
+        assert math.isfinite(float(row[column])), column
 
 
 def test_lifespan_three_rung_ladder_exits_2(tmp_path, monkeypatch, capsys):
@@ -374,10 +414,12 @@ def test_kss_inhom_config_replays(tmp_path):
     assert read(os.path.join(again, "kss.csv")) == read(os.path.join(out, "kss.csv"))
 
 
-def test_kss_hom_runs_at_its_defaults(tmp_path):
+@pytest.mark.parametrize("variant", ["hom", "inhom"])
+def test_kss_runs_at_its_defaults(tmp_path, variant):
     # the default --t-list must fit the default --rmax grid, or the bare
-    # command exits 2 on causality
-    assert main(["kss", "--variant", "hom", "--n", "3", "--out", str(tmp_path / "run")]) == 0
+    # command exits 2 on causality, and must start past the source's window
+    # [0, 1], or inhom breaches the band
+    assert main(["kss", "--variant", variant, "--n", "3", "--out", str(tmp_path / "run")]) == 0
 
 
 def _accepted_flags(subcommand):
@@ -739,6 +781,21 @@ def test_picard_dimension_past_its_step_bound_exits_2(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "picard_trace.csv"))
 
 
+def test_picard_whose_step_metric_grows_tenfold_exits_2_with_its_trace(tmp_path, capsys):
+    # the growth rule: rho_step at least 10 times its value two corrections back
+    out = str(tmp_path / "run")
+    assert main(["picard", "--n", "3", "--p", "2", "--eps", "5", "--assigns", "split",
+                 "--rmax", "12", "--cells", "240", "--t-end", "4", "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"precondition: step metric grew from \S+ to \S+ over two corrections",
+                        err[0])
+    trace = read(os.path.join(out, "picard_trace.csv")).decode().splitlines()
+    assert [row.split(",")[0] for row in trace[2:]] == ["1", "2", "3", "4"]
+    rhos = [float(line.split()[1])
+            for line in read(os.path.join(out, "rho_series.txt")).decode().splitlines()[1:]]
+    assert len(rhos) == 4 and rhos[3] > 10.0 * rhos[1]
+
+
 # a picard run's config.txt and trace as the CLI wrote them at cfl 0.25 with
 # stride 10, picard's default step before it moved to cfl 0.5 with stride 5
 OLD_STEP_PICARD_CONFIG = """\
@@ -1037,9 +1094,9 @@ def _free_runs(tmp_path, argv, csv_name):
 
 
 def test_kss_breakdown_lines_hold_the_csv_columns(tmp_path, capsys):
-    # the inhom ratios breach the band on this grid
+    # the inhom ratios breach the band from a first horizon at T = 1
     code = main(["kss", "--variant", "inhom", "--n", "3", "--rmax", "12", "--cells", "240",
-                 "--out", str(tmp_path / "run")])
+                 "--t-list", "1,2,4", "--out", str(tmp_path / "run")])
     assert code == 3
     lines = [line.split("breakdown: ", 1)[1] for line in capsys.readouterr().out.splitlines()
              if "breakdown: " in line]
@@ -1302,3 +1359,22 @@ def test_lifespan_flags_never_exit_1(flags):
         eps = next(f for f in flags if f.startswith("--eps-list="))
         assert "usable records" in err or "records censored" in err, err
         assert rows == len(eps.split("=", 1)[1].split(",")), err
+
+
+def _readme_examples():
+    """The commands of the README's example block, each as its argv."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        blocks = fh.read().split("```")[1::2]
+    block = next(b for b in blocks if b.lstrip().startswith("glassey-lab solve"))
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(),
+                         ids=lambda argv: argv[argv.index("--out") + 1])
+def test_readme_example_runs(tmp_path, argv):
+    at = argv.index("--out") + 1
+    argv = argv[:at] + [str(tmp_path / argv[at])] + argv[at + 1:]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0

@@ -555,6 +555,28 @@ def test_e_norms_zero_and_single_state():
     )
 
 
+@pytest.mark.parametrize("horizon, counts", [
+    (0.5, (2, 2)), (0.5 + 1e-10, (2, 2)), (0.6, (2, 3)), (0.1, (0, 0)), (1.75, (7, 7)),
+])
+def test_read_off_adds_the_next_sample_only_between_two(horizon, counts):
+    times = np.linspace(0.25, 1.75, 7)
+    assert core._read_off(times, horizon) == counts
+
+
+def test_e_norms_refuses_a_horizon_past_the_end_as_le_norm_does():
+    traj, _ = _free_trajectory(t_end=2.0)
+    w = gl.WeightParams(delta=0.3, delta_prime=0.2, horizon=5.0)
+    with pytest.raises(gl.PreconditionViolation) as e_exc:
+        gl.e_norms(traj, t_max=5.0)
+    with pytest.raises(gl.PreconditionViolation) as le_exc:
+        gl.le_norm(traj, w)
+    assert str(e_exc.value) == str(le_exc.value) == "trajectory ends at t=2 before horizon T=5"
+    # no t_max reads every sample; one before the first sample reads none
+    assert gl.e_norms(traj) == math.sqrt((2.0 * gl.energy(traj)).max())
+    late = gl.Trajectory(traj.problem, traj.grid, traj.times + 0.5, traj.u, traj.v)
+    assert gl.e_norms(late, t_max=0.25) == 0.0
+
+
 def test_e1_conserved_for_free_wave():
     traj, _ = _free_trajectory(cells=3600, t_end=4.0)
     per_state = []
