@@ -164,15 +164,10 @@ def _free_solve(u0, u1, n, horizon, forcing=None, **step) -> Trajectory:
     driven by the ForcingSpec `forcing` when one is given; `step` holds
     evolve's cfl and sample_stride, if given."""
     grid = u0.grid
-    source = None
-    if forcing is not None and forcing.amplitude != 0.0:
-        source = forcing.callable_on(grid)
-    reach = 0.0 if forcing is None else forcing.support_radius
+    source = None if forcing is None else forcing.callable_on(grid)
     # a placeholder exponent: with a = b = 0 the solve is linear
     spec = ProblemSpec(n_dim=n, p=2.0, a=0.0, b=0.0)
-    return evolve(
-        spec, u0, u1, grid, horizon, forcing=source, forcing_support=reach, **step
-    ).trajectory
+    return evolve(spec, u0, u1, grid, horizon, forcing=source, **step).trajectory
 
 
 def _kss_weights(delta: float, delta_prime: float, t_list) -> list:
@@ -229,10 +224,6 @@ class ForcingSpec:
         if not self.t_on < self.t_off:
             raise PreconditionViolation(f"need t_on < t_off, got {self.t_on}, {self.t_off}")
 
-    @property
-    def support_radius(self) -> float:
-        return self.space_center + self.space_width
-
     def shape(self, grid: RadialGrid) -> np.ndarray:
         return self.amplitude * _bump_shape(grid.nodes, self.space_center, self.space_width)
 
@@ -245,8 +236,14 @@ class ForcingSpec:
         return math.exp(-1.0 / (1.0 - xi * xi))
 
     def callable_on(self, grid: RadialGrid):
+        """F(t) on grid, carrying the space bump's `support` as evolve asks."""
         shape = self.shape(grid)
-        return lambda t: self.envelope(t) * shape
+
+        def rows(t):
+            return self.envelope(t) * shape
+
+        rows.support = self.space_center + self.space_width
+        return rows
 
 
 def kss_inhom_check(forcing: ForcingSpec, grid: RadialGrid, n: int, delta: float,
@@ -321,8 +318,8 @@ def run_ineq_suite(
     s: float,
     samples: int,
     seed: int,
-    r_max: float = 12.0,
-    num_cells: int = 2400,
+    r_max: float,
+    num_cells: int,
     jobs: int = 1,
 ):
     """Seeded sweep of one inequality; deterministic and seed-ordered."""

@@ -20,7 +20,7 @@ from .core import (
     weight_exponents,
 )
 from .errors import Divergence, PreconditionViolation
-from .solver import DEFAULT_CFL, DEFAULT_STRIDE, evolve, sampled_nonlinearity, support_radius
+from .solver import DEFAULT_CFL, DEFAULT_STRIDE, evolve, sampled_nonlinearity
 
 DEFAULT_S1 = 0.5
 DEFAULT_S2 = 1.0
@@ -69,14 +69,11 @@ def phi_map(
     Raises Divergence when the forced solve trips the blow-up detector (the
     iterate has left any reasonable ball before a step metric can be taken).
     """
-    grid = u0.grid
-    forcing, reach = None, 0.0
+    forcing = None
     if spec.a != 0.0 or spec.b != 0.0:
         forcing = sampled_nonlinearity(spec, u_traj)
-        # N[u] at time t vanishes past the iterate's data support + t
-        reach = support_radius(RadialField(grid, u_traj.u[0]), RadialField(grid, u_traj.v[0]))
-    outcome = evolve(replace(spec, a=0.0, b=0.0), u0, u1, grid, t_end, forcing=forcing,
-                     cfl=cfl, sample_stride=sample_stride, forcing_support=reach)
+    outcome = evolve(replace(spec, a=0.0, b=0.0), u0, u1, u0.grid, t_end, forcing=forcing,
+                     cfl=cfl, sample_stride=sample_stride)
     if outcome.status != "completed":
         raise Divergence(
             f"iterate exploded during the forced linear solve at t={outcome.t_blowup}"

@@ -247,12 +247,14 @@ def _add_nonlinearity(out: np.ndarray, u: np.ndarray, v: np.ndarray, dr: float,
 
 def sampled_nonlinearity(spec: ProblemSpec, traj: Trajectory) -> LinearSeries:
     """spec's N[u] on the trajectory's sample times, linearly interpolated
-    between."""
+    between; N[u] at time t vanishes past the support of u at t = 0 plus t."""
     fields = np.zeros_like(traj.u)
     scratch = _flush_scratch(fields.shape[1], spec)
     for row, u, v in zip(fields, traj.u, traj.v):
         _add_nonlinearity(row, u, v, traj.grid.spacing, spec, scratch)
-    return LinearSeries(traj.times, fields)
+    grid = traj.grid
+    support = support_radius(RadialField(grid, traj.u[0]), RadialField(grid, traj.v[0]))
+    return LinearSeries(traj.times, fields, support)
 
 
 @dataclass(frozen=True)
@@ -266,7 +268,8 @@ class SolveOutcome:
 
 
 class LinearSeries:
-    """Piecewise-linear-in-time nodal forcing built from sampled fields.
+    """Piecewise-linear-in-time nodal forcing built from sampled fields, its
+    rows at time t vanishing past `support` + t (evolve's forcing contract).
 
     `fields` is a read-only view of the array given (not a copy); outside the
     sample range a call returns its first or last row itself, inside it a
@@ -275,7 +278,8 @@ class LinearSeries:
     must not be called from two threads at once.
     """
 
-    def __init__(self, times, fields):
+    def __init__(self, times, fields, support: float):
+        self.support = support
         times = np.asarray(times, dtype=float)
         self.fields = _read_only(fields)
         if times.ndim != 1 or self.fields.shape[0] != times.size:
@@ -358,16 +362,25 @@ def require_stable_step(grid: RadialGrid, n: int, cfl: float) -> None:
         )
 
 
+def _reach(u0: RadialField, u1: RadialField, forcing) -> float:
+    """The larger of support_radius(u0, u1) and the forcing's `support`; a
+    forcing without a finite support >= 0 is refused."""
+    support = 0.0 if forcing is None else getattr(forcing, "support", None)
+    if support is None or not 0.0 <= support < math.inf:
+        raise PreconditionViolation(f"a forcing must carry its support, a finite "
+                                    f"radius >= 0, as `support`; got {support!r}")
+    return max(support_radius(u0, u1), support)
+
+
 def require_runnable(spec: ProblemSpec, u0: RadialField, u1: RadialField, grid: RadialGrid,
-                     t_end: float, cfl: float, sample_stride: int,
-                     forcing_support: float = 0.0) -> int:
+                     t_end: float, cfl: float, sample_stride: int, forcing=None) -> int:
     """Every check `evolve` makes before it steps, in its order, and the RK4 steps
     it takes (step_count); past them a run ends completed or blown up."""
     if u0.grid != grid or u1.grid != grid:
         raise PreconditionViolation("data must live on the target grid")
     nsteps = step_count(t_end, grid, cfl, sample_stride)
     require_stable_step(grid, spec.n_dim, cfl)
-    reach = max(support_radius(u0, u1), forcing_support)
+    reach = _reach(u0, u1, forcing)
     if reach + t_end + CAUSALITY_MARGIN > grid.r_max:
         raise PreconditionViolation(
             f"causality: support {reach:.3g} + t_end {t_end:.3g} + "
@@ -482,10 +495,7 @@ def _window_stepper(y: np.ndarray, spec: ProblemSpec, dr: float, dt: float,
 def _window_width(radius: float, dr: float, nodes: int) -> int:
     """The nodes of the smallest causal window, rows 0..J, with J a multiple of
     WINDOW_BLOCK and J >= radius / dr; the whole grid if that is wider."""
-    need = radius / dr
-    if need >= nodes - 1:
-        return nodes
-    return min(nodes, WINDOW_BLOCK * math.ceil(need / WINDOW_BLOCK) + 1)
+    return min(nodes, WINDOW_BLOCK * math.ceil(radius / dr / WINDOW_BLOCK) + 1)
 
 
 def evolve(
@@ -497,7 +507,6 @@ def evolve(
     forcing=None,
     cfl: float = DEFAULT_CFL,
     sample_stride: int = DEFAULT_STRIDE,
-    forcing_support: float = 0.0,
 ) -> SolveOutcome:
     """March (u, v) with classical RK4 at dt = t_end / step_count(...) <= cfl*dr.
 
@@ -513,8 +522,8 @@ def evolve(
 
     Causal window: a step from t to t + dt moves only rows 0..J, where J is
     the first multiple of WINDOW_BLOCK with
-    J dr >= reach + t + dt + CAUSALITY_MARGIN and
-    reach = max(support_radius(u0, u1), forcing_support), or the outer node
+    J dr >= reach + t + dt + CAUSALITY_MARGIN, with reach the larger of
+    support_radius(u0, u1) and the forcing's support, or the outer node
     once that is past it.  Row J is clamped the way the outer node is,
     and the rows past it keep their data values, in the stored samples too.
     After t = 0 the blow-up size is read on rows 0..J; the size at t = 0, and
@@ -524,11 +533,11 @@ def evolve(
     `forcing(t)` is called once per distinct stage time: t, t + dt/2, t + dt,
     where a step's t that equals the previous step's t + dt bit for bit
     reuses that row; a step holds its three rows at once.  Forcing contract:
-    the rows of forcing(t) vanish past forcing_support + t, since evolve
-    reads each row only through row J.  A forcing given with forcing_support
-    0 declares no support, and its window spans the grid.
+    the rows of forcing(t) vanish past forcing.support + t, since evolve
+    reads each row only through row J; a forcing without a support is
+    refused, so the window and the causality check read one reach.
     """
-    nsteps = require_runnable(spec, u0, u1, grid, t_end, cfl, sample_stride, forcing_support)
+    nsteps = require_runnable(spec, u0, u1, grid, t_end, cfl, sample_stride, forcing)
     if t_end == 0.0:
         traj = Trajectory(spec, grid, np.zeros(1), u0.values[None], u1.values[None])
         return SolveOutcome("completed", traj, None, 0.0, 0, 0)
@@ -540,10 +549,7 @@ def evolve(
     c_plus, c_minus = _flux_weights(grid, spec.n_dim)
     data = np.stack((u0.values, u1.values))
     nodes = data.shape[1]
-    if forcing is not None and forcing_support == 0.0:
-        reach = math.inf
-    else:
-        reach = max(support_radius(u0, u1), forcing_support)
+    reach = _reach(u0, u1, forcing)
 
     # one row per sample; a blow-up trims the buffer to the rows written
     rows = nsteps // sample_stride + 1

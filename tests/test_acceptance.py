@@ -70,7 +70,7 @@ def test_criterion_03_hardy_suite():
     worst = 0.0
     violations = 0
     for n, s in ((3, 0.5), (3, 1.0), (4, 1.0), (2, 0.5)):
-        samples = gl.run_ineq_suite("hardy", n, s, 200, 7)
+        samples = gl.run_ineq_suite("hardy", n, s, 200, 7, r_max=12.0, num_cells=2400)
         violations += sum(1 for x in samples if x.violation)
         worst = max(worst, max(x.ratio / x.bound for x in samples))
     g = gl.RadialGrid(r_max=12.0, num_cells=2400)
@@ -88,7 +88,8 @@ def test_criterion_04_trace_variant_suite():
     worst = 0.0
     violations = 0
     for n, s in ((2, 0.0), (2, 0.125), (3, 0.25)):
-        samples = gl.run_ineq_suite("trace_variant", n, s, 200, 7)
+        samples = gl.run_ineq_suite("trace_variant", n, s, 200, 7, r_max=12.0,
+                                     num_cells=2400)
         violations += sum(1 for x in samples if x.violation)
         worst = max(worst, max(x.ratio / x.bound for x in samples))
     elapsed = time.time() - t0

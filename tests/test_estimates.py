@@ -12,6 +12,10 @@ def grid(cells=1200, rmax=12.0):
     return gl.RadialGrid(r_max=rmax, num_cells=cells)
 
 
+# the grid of the seeded suites here: r_max = estimates.SAMPLE_R_MAX, 2400 cells
+SUITE_GRID = dict(r_max=12.0, num_cells=2400)
+
+
 # ---------------------------------------------------------------------------
 # random fields
 # ---------------------------------------------------------------------------
@@ -87,7 +91,7 @@ def test_hardy_hypothesis_gate(gaussian12):
 
 @pytest.mark.parametrize("n,s", [(3, 0.5), (3, 1.0), (4, 1.0), (2, 0.5)])
 def test_hardy_sweep_no_violations(n, s):
-    samples = gl.run_ineq_suite("hardy", n, s, 60, 7)
+    samples = gl.run_ineq_suite("hardy", n, s, 60, 7, **SUITE_GRID)
     assert len(samples) == 60
     assert not any(x.violation for x in samples)
 
@@ -109,7 +113,7 @@ def test_trace_gaussian_golden(goldens, gaussian12):
 
 
 def test_trace_sweep_finite():
-    samples = gl.run_ineq_suite("trace", 3, 0.5, 200, 3)
+    samples = gl.run_ineq_suite("trace", 3, 0.5, 200, 3, **SUITE_GRID)
     assert all(math.isfinite(x.ratio) for x in samples)
     assert all(x.bound is None for x in samples)
 
@@ -136,7 +140,7 @@ def test_trace_variant_use_site():
 
 @pytest.mark.parametrize("n,s", [(2, 0.0), (2, 0.25), (3, 0.0), (3, 0.25)])
 def test_trace_variant_sweep_no_violations(n, s):
-    samples = gl.run_ineq_suite("trace_variant", n, s, 60, 11)
+    samples = gl.run_ineq_suite("trace_variant", n, s, 60, 11, **SUITE_GRID)
     assert not any(x.violation for x in samples)
 
 
@@ -286,8 +290,7 @@ def test_free_solve_is_the_forced_linear_evolve():
     step = dict(cfl=0.25, sample_stride=10)
     traj = estimates._free_solve(data.u0, data.u1, 3, 5.0, f, **step)
     direct = gl.evolve(gl.ProblemSpec(n_dim=3, p=2.0, a=0.0, b=0.0), data.u0, data.u1,
-                       g, 5.0, forcing=f.callable_on(g), forcing_support=f.support_radius,
-                       **step).trajectory
+                       g, 5.0, forcing=f.callable_on(g), **step).trajectory
     for name in ("times", "u", "v"):
         assert np.array_equal(getattr(traj, name), getattr(direct, name))
 
@@ -309,8 +312,8 @@ def test_energy_ineq_forcing_support_enters_causality(amplitude):
 # ---------------------------------------------------------------------------
 
 def test_suite_rows_and_determinism():
-    a = gl.run_ineq_suite("hardy", 3, 1.0, 10, 7)
-    b = gl.run_ineq_suite("hardy", 3, 1.0, 10, 7)
+    a = gl.run_ineq_suite("hardy", 3, 1.0, 10, 7, **SUITE_GRID)
+    b = gl.run_ineq_suite("hardy", 3, 1.0, 10, 7, **SUITE_GRID)
     assert [x.ratio for x in a] == [x.ratio for x in b]
     assert [x.seed for x in a] == list(range(7, 17))
     row = a[0].row()
@@ -330,6 +333,6 @@ def test_suite_ratios_on_a_short_grid_are_those_of_r_max_12(lemma, n, s):
 
 
 def test_suite_parallel_matches_serial():
-    a = gl.run_ineq_suite("hardy", 3, 0.5, 12, 3, jobs=1)
-    b = gl.run_ineq_suite("hardy", 3, 0.5, 12, 3, jobs=2)
+    a = gl.run_ineq_suite("hardy", 3, 0.5, 12, 3, **SUITE_GRID, jobs=1)
+    b = gl.run_ineq_suite("hardy", 3, 0.5, 12, 3, **SUITE_GRID, jobs=2)
     assert [x.ratio for x in a] == [x.ratio for x in b]

@@ -40,6 +40,12 @@ def gaussian_profile(eps=1.0, assigns="to_u0", width=1.0, center=0.0):
                           center=center, assigns=assigns)
 
 
+def supported(forcing, support):
+    """forcing, carrying `support` as evolve's forcing contract asks."""
+    forcing.support = support
+    return forcing
+
+
 # ---------------------------------------------------------------------------
 # data profiles
 # ---------------------------------------------------------------------------
@@ -290,7 +296,7 @@ def test_evolve_reports_nonfinite_and_huge_values_as_blowup():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         huge = gl.evolve(spec(p=1.5), z, gl.RadialField(g, v), g, 2.0)
-        nan = gl.evolve(spec(p=1.5), z, z, g, 2.0, forcing=nan_source)
+        nan = gl.evolve(spec(p=1.5), z, z, g, 2.0, forcing=supported(nan_source, 1.0))
     assert huge.status == "blew_up" and huge.peak_gradient == math.inf
     assert nan.status == "blew_up" and nan.peak_gradient == math.inf
     assert nan.trajectory.times.size == 1
@@ -299,7 +305,7 @@ def test_evolve_reports_nonfinite_and_huge_values_as_blowup():
 def test_linear_series_rows_are_read_only():
     times = np.linspace(0.0, 1.0, 3)
     fields = np.arange(12.0).reshape(3, 4)
-    series = LinearSeries(times, fields)
+    series = LinearSeries(times, fields, 0.0)
     for t in (-1.0, 0.0, 1.0, 2.0):
         row = series(t)
         with pytest.raises(ValueError):
@@ -314,7 +320,7 @@ def test_linear_series_matches_plain_interpolation_bitwise():
     rng = np.random.default_rng(5)
     times = np.linspace(0.0, 10.0, 401)
     fields = rng.standard_normal((401, 64))
-    series = LinearSeries(times, fields)
+    series = LinearSeries(times, fields, 0.0)
     inside = [math.nextafter(times[0], math.inf), math.nextafter(times[-1], -math.inf)]
     for t in list(rng.uniform(0.0, 10.0, 4000)) + list(times[1:-1]) + inside:
         k = int(np.searchsorted(times, t)) - 1
@@ -326,7 +332,7 @@ def test_linear_series_matches_plain_interpolation_bitwise():
 def test_linear_series_in_range_rows_are_fresh():
     times = np.linspace(0.0, 1.0, 3)
     fields = np.arange(12.0).reshape(3, 4)
-    series = LinearSeries(times, fields)
+    series = LinearSeries(times, fields, 0.0)
     row = series(0.25)
     again = series(0.25)
     assert row.flags.writeable and row is not again
@@ -344,7 +350,8 @@ def test_evolve_calls_forcing_once_per_stage_time():
         seen.append(t)
         return np.zeros(65)
 
-    gl.evolve(spec(a=0.0), z, z, g, 1.0, forcing=recording, cfl=0.25, sample_stride=10)
+    gl.evolve(spec(a=0.0), z, z, g, 1.0, forcing=supported(recording, 0.0), cfl=0.25,
+              sample_stride=10)
     # 1 / (cfl 0.25 * dr 0.125) = 32 steps, rounded up to the sample stride 10
     nsteps = 40
     dt = 1.0 / nsteps
@@ -536,8 +543,7 @@ def test_forced_run_from_zero_data_keeps_the_absolute_threshold():
     g = gl.RadialGrid(r_max=8.0, num_cells=200)
     z = gl.RadialField.zeros(g)
     f = gl.ForcingSpec(amplitude=1e8, space_center=0.0, space_width=1.0, t_on=0.0, t_off=1.0)
-    out = gl.evolve(spec(a=0.0, b=0.0), z, z, g, 2.0, forcing=f.callable_on(g),
-                    forcing_support=1.0)
+    out = gl.evolve(spec(a=0.0, b=0.0), z, z, g, 2.0, forcing=f.callable_on(g))
     assert out.status == "blew_up" and out.t_blowup < 1.0
     assert BLOWUP_THRESHOLD < out.peak_gradient
 
@@ -614,7 +620,7 @@ def test_manufactured_solution_converges_at_second_order(n):
                     - sp.b * np.abs(amp * bump_r) ** sp.p)
 
         out = gl.evolve(sp, gl.RadialField(g, bump), gl.RadialField(g, bump), g, 1.0,
-                        forcing=forcing, forcing_support=6.0)
+                        forcing=supported(forcing, 6.0))
         assert out.status == "completed"
         exact = (1.0 + 0.5 * math.sin(2.0)) * bump
         return gl.weighted_l2(gl.RadialField(g, out.trajectory.u[-1] - exact), n, 0.0, 0.0)
@@ -638,7 +644,7 @@ def test_energy_scaling():
 # ---------------------------------------------------------------------------
 
 def _reference_rk4(sp, u0, u1, g, t_end, forcing=None, cfl=0.25, stride=10,
-                   forcing_support=0.0, windowed=True):
+                   windowed=True):
     """Classical RK4 written out with a fresh array per operation and the
     unflushed |.|^p; returns (times, u, v, status, t_blowup, peak).  A linear
     run stops past BLOWUP_THRESHOLD times max(1, its size at t = 0), a
@@ -646,7 +652,8 @@ def _reference_rk4(sp, u0, u1, g, t_end, forcing=None, cfl=0.25, stride=10,
 
     With windowed=True, evolve's causal window: the step from t to t + dt
     moves rows 0..J alone, J the first multiple of WINDOW_BLOCK at or past
-    (reach + t + dt + CAUSALITY_MARGIN) / dr, or the outer node N once that
+    (reach + t + dt + CAUSALITY_MARGIN) / dr, with reach the larger of the
+    data's support and forcing.support, or the outer node N once that
     is past it; rows J.. have zero slope, rows past J keep their values, and
     the size after a step is read on rows 0..J.  With windowed=False, J = N
     on every step: the whole grid."""
@@ -656,10 +663,9 @@ def _reference_rk4(sp, u0, u1, g, t_end, forcing=None, cfl=0.25, stride=10,
     nsteps = stride * math.ceil(nsteps / stride)
     dt = t_end / nsteps
     nonlinear = sp.a != 0.0 or sp.b != 0.0
-    if forcing is not None and forcing_support == 0.0:
-        reach = math.inf
-    else:
-        reach = max(gl.support_radius(u0, u1), forcing_support)
+    reach = gl.support_radius(u0, u1)
+    if forcing is not None:
+        reach = max(reach, forcing.support)
 
     def last_row(k):
         need = (reach + (k + 1) * dt + CAUSALITY_MARGIN) / dr
@@ -715,7 +721,7 @@ def _reference_rk4(sp, u0, u1, g, t_end, forcing=None, cfl=0.25, stride=10,
 def _series_forcing(g):
     # sampled on [0, 5]; later stage times read the last row itself
     ts = np.linspace(0.0, 5.0, 11)
-    return LinearSeries(ts, [np.exp(-((g.nodes - 2.0) ** 2)) * math.cos(t) for t in ts])
+    return LinearSeries(ts, [np.exp(-((g.nodes - 2.0) ** 2)) * math.cos(t) for t in ts], 6.0)
 
 
 def _bump_forcing(g):
@@ -776,7 +782,7 @@ def _run_setup(n, p, a, b, eps, assigns, rmax, cells, source, v_outer):
         u1[-1] = v_outer
         u1 = gl.RadialField(g, u1)
     forcing = _FORCINGS[source](g) if source else None
-    kwargs = dict(forcing=forcing, cfl=0.25, forcing_support=6.0 if source else 0.0)
+    kwargs = dict(forcing=forcing, cfl=0.25)
     return sp, g, data.u0, u1, kwargs
 
 
@@ -898,7 +904,7 @@ def _nan_at_one_stage():
             row[10] = np.nan
         return row
 
-    return g, data.u0, data.u1, dict(forcing=forcing)
+    return g, data.u0, data.u1, dict(forcing=supported(forcing, 1.0))
 
 
 def _crossing_on_a_sample_step():
@@ -958,7 +964,7 @@ def _source_solve(forcing, t_end, sp, g, **kwargs):
 
 def test_duhamel_zero_forcing():
     g = gl.RadialGrid(r_max=8.0, num_cells=200)
-    traj = _source_solve(lambda t: np.zeros(201), 2.0, spec(a=0.0, b=0.0), g)
+    traj = _source_solve(supported(lambda t: np.zeros(201), 0.0), 2.0, spec(a=0.0, b=0.0), g)
     assert all(not np.any(u) for u in traj.u)
 
 
@@ -970,9 +976,10 @@ def test_duhamel_linearity():
     fb = gl.ForcingSpec(amplitude=0.6, space_center=1.0, space_width=0.8,
                         t_on=0.2, t_off=1.4)
     ca, cb = fa.callable_on(g), fb.callable_on(g)
-    Ia = _source_solve(ca, 2.0, sp, g, forcing_support=2.0)
-    Ib = _source_solve(cb, 2.0, sp, g, forcing_support=2.0)
-    Iab = _source_solve(lambda t: ca(t) + cb(t), 2.0, sp, g, forcing_support=2.0)
+    Ia = _source_solve(ca, 2.0, sp, g)
+    Ib = _source_solve(cb, 2.0, sp, g)
+    both = supported(lambda t: ca(t) + cb(t), max(ca.support, cb.support))
+    Iab = _source_solve(both, 2.0, sp, g)
     scale = max(np.max(np.abs(u)) for u in Iab.u)
     for ua, ub, uc in zip(Ia.u, Ib.u, Iab.u):
         assert np.max(np.abs(ua + ub - uc)) <= 1e-10 * scale
@@ -985,8 +992,7 @@ def test_duhamel_residual_second_order():
         g = gl.RadialGrid(r_max=8.0, num_cells=cells)
         f = gl.ForcingSpec(amplitude=1.0, space_center=0.0, space_width=1.0,
                            t_on=0.0, t_off=1.0)
-        traj = _source_solve(f.callable_on(g), 2.0, sp, g, forcing_support=1.0,
-                       sample_stride=1)
+        traj = _source_solve(f.callable_on(g), 2.0, sp, g, sample_stride=1)
         ts = traj.times
         dt = ts[1] - ts[0]
         shape = f.shape(g)
@@ -1068,8 +1074,9 @@ def test_require_runnable_returns_the_steps_evolve_takes():
 
 
 def test_outcome_counts_the_whole_grid_when_the_window_spans_it():
-    # a forcing that declares no support steps every node from step 0
-    g = gl.RadialGrid(r_max=8.0, num_cells=200)
+    # on a grid of at most WINDOW_BLOCK cells the first block already spans
+    # the grid, so every node steps from step 0
+    g = gl.RadialGrid(r_max=8.0, num_cells=WINDOW_BLOCK)
     z = gl.RadialField.zeros(g)
     f = gl.ForcingSpec(amplitude=1.0, space_width=1.0, t_on=0.0, t_off=1.0)
     out = gl.evolve(spec(a=0.0, b=0.0), z, z, g, 2.0, forcing=f.callable_on(g))
@@ -1078,6 +1085,42 @@ def test_outcome_counts_the_whole_grid_when_the_window_spans_it():
     # t = 0 takes no step
     still = gl.evolve(spec(), z, z, g, 0.0)
     assert (still.steps, still.node_steps) == (0, 0)
+
+
+def test_forcing_near_the_boundary_is_refused_on_causality():
+    # the source's support 19.5 + T 5 + margin 2 is past r_max 20: the
+    # clamped outer node would cut the wave it drives, so the solve is
+    # refused, though no support is passed at the call
+    g = gl.RadialGrid(r_max=20.0, num_cells=400)
+    z = gl.RadialField.zeros(g)
+    f = gl.ForcingSpec(amplitude=1.0, space_center=18.5, space_width=1.0, t_on=0.0, t_off=1.0)
+    for check in (gl.evolve, gl.solver.require_runnable):
+        with pytest.raises(gl.PreconditionViolation, match="causality: support 19.5"):
+            check(spec(a=0.0, b=0.0), z, z, g, 5.0, cfl=0.5, sample_stride=5,
+                  forcing=f.callable_on(g))
+
+
+@pytest.mark.parametrize("support", [None, -1.0, math.nan, math.inf])
+def test_forcing_without_a_support_is_refused(support):
+    g = gl.RadialGrid(r_max=8.0, num_cells=64)
+    z = gl.RadialField.zeros(g)
+
+    def source(t):
+        return np.zeros(65)
+
+    if support is not None:
+        source.support = support
+    for check in (gl.solver.require_runnable, gl.evolve):
+        with pytest.raises(gl.PreconditionViolation, match="must carry its support"):
+            check(spec(a=0.0, b=0.0), z, z, g, 1.0, cfl=0.5, sample_stride=5, forcing=source)
+
+
+def test_sampled_nonlinearity_carries_the_support_of_its_first_sample():
+    g = gl.RadialGrid(r_max=16.0, num_cells=320)
+    data = gl.make_profile(gaussian_profile(eps=0.3, assigns="split"), g)
+    traj = gl.evolve(spec(a=0.0), data.u0, data.u1, g, 2.0).trajectory
+    series = solver.sampled_nonlinearity(spec(p=2.5), traj)
+    assert series.support == gl.support_radius(data.u0, data.u1)
 
 
 def test_window_steps_fewer_nodes_on_the_lifespan_benchmark():
