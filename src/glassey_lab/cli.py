@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     # no prefix matching, so that a flag a subcommand lacks is not taken for
-    # a longer one (kss --b as --band, norms --a as --assigns)
+    # a longer one (kss --p as --profile, norms --a as --assigns)
     add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     p_solve = add_parser("solve", help="evolve one data profile")
@@ -118,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_kss.add_argument("--delta-prime", type=float, default=0.2)
     # the CLI's source is on over t in [0, 1]: a horizon there breaches the band
     p_kss.add_argument("--t-list", type=str, default="2,4,8")
-    p_kss.add_argument("--band", type=float, default=estimates.KSS_BAND)
 
     p_pic = add_parser("picard", help="contraction-map iteration")
     _add_common(p_pic, "n p a b rmax cells cfl stride")
@@ -240,7 +239,6 @@ def _run_kss(args):
     t_list = _parse_list(args.t_list, "--t-list")
     if not t_list:
         raise PreconditionViolation("--t-list names no horizon")
-    estimates.require_band(args.band, "--band")
     grid = RadialGrid(r_max=args.rmax, num_cells=args.cells)
     step = dict(cfl=args.cfl, sample_stride=args.stride)
     if args.variant == "hom":
@@ -264,10 +262,11 @@ def _run_kss(args):
                  [(s.params["T"], s.ratio) for s in samples])
     ratios = [fmt_value(s.ratio) for s in samples]
     print(f"kss {args.variant}: ratios {ratios}")
-    if not estimates.kss_band_ok(samples, band=args.band):
+    if not estimates.kss_band_ok(samples):
         for row in rows:
             print(f"  breakdown: {row}")
-        raise InvariantFailure(f"kss {args.variant} ratios breach the {args.band:.0%} band")
+        raise InvariantFailure(
+            f"kss {args.variant} ratios breach the {estimates.KSS_BAND:.0%} band")
 
 
 def _write_picard_trace(out, trace):
@@ -358,7 +357,8 @@ _RUNNERS = {
 # flags a subcommand no longer takes, each with the one value the code now
 # always applies: a config.txt line at that value replays as if absent; at
 # any other value it is folded in as any line is, and exits 2 as unrecognized
-_RETIRED = {"solve": {"linear": "false"}, "ineq": {"tol": "0.001"}}
+_RETIRED = {"solve": {"linear": "false"}, "ineq": {"tol": "0.001"},
+            "kss": {"band": "0.25"}}
 
 
 def _apply_config(argv):

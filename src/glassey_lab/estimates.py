@@ -277,21 +277,13 @@ def kss_inhom_check(forcing: ForcingSpec, grid: RadialGrid, n: int, delta: float
     return _kss_samples("kss_inhom", traj, weights, source_norm, forcing.amplitude)
 
 
-def require_band(band: float, name: str = "band") -> None:
-    """Refuse a band that is not finite and >= 0: kss_band_ok would fail every
-    run at a NaN band and pass every run at an infinite one."""
-    if not (math.isfinite(band) and band >= 0.0):
-        raise PreconditionViolation(f"{name} must be finite and >= 0, got {band}")
-
-
-def kss_band_ok(samples, band: float = KSS_BAND) -> bool:
-    """T-uniformity gate: every ratio within `band` of the smallest-T ratio."""
-    require_band(band)
+def kss_band_ok(samples) -> bool:
+    """T-uniformity gate: every ratio within KSS_BAND of the smallest-T ratio."""
     ordered = sorted(samples, key=lambda s: s.params["T"])
     if not ordered:
         raise PreconditionViolation("kss_band_ok: the sample list is empty")
     ref = ordered[0].ratio
-    return all(s.ratio <= (1.0 + band) * ref for s in ordered)
+    return all(s.ratio <= (1.0 + KSS_BAND) * ref for s in ordered)
 
 
 # ---------------------------------------------------------------------------

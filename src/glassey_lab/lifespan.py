@@ -79,6 +79,11 @@ def _two_rungs(ladder) -> list:
     return rungs
 
 
+def _require_horizon(horizon: float) -> None:
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise PreconditionViolation(f"horizon must be finite and > 0, got {horizon}")
+
+
 def measure_lifespan(
     spec: ProblemSpec,
     profile: DataProfile,
@@ -94,6 +99,7 @@ def measure_lifespan(
     disagree on censoring get agreement = inf and are excluded by fits.
     """
     ladder = _two_rungs(ladder)
+    _require_horizon(horizon)
     scaled = replace(profile, epsilon=epsilon)
     results = []
     for cells in ladder:
@@ -141,8 +147,7 @@ def sweep(
         raise PreconditionViolation("epsilons must be strictly increasing")
     scaled = [replace(profile, epsilon=e) for e in eps]
     ladder = tuple(_two_rungs(ladder))
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise PreconditionViolation(f"horizon must be finite and > 0, got {horizon}")
+    _require_horizon(horizon)
     for cells in ladder:
         grid = RadialGrid(r_max=r_max, num_cells=cells)
         for point in scaled:

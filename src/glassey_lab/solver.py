@@ -229,13 +229,11 @@ def _add_flushed_power(out: np.ndarray, x: np.ndarray, coef, dead: np.ndarray,
 
 
 def _add_nonlinearity(out: np.ndarray, u: np.ndarray, v: np.ndarray, dr: float,
-                      spec: ProblemSpec, scratch: tuple = None) -> None:
+                      spec: ProblemSpec, scratch: tuple) -> None:
     """out += a|v|^p, then out += b|u_r|^p, in place; a zero coefficient
     skips its term, and |.|^p below DBL_MIN counts as 0 (see
     _add_flushed_power).  `scratch` is spec's _flush_scratch for rows like
     `out`."""
-    if scratch is None:
-        scratch = _flush_scratch(out.size, spec)
     work, dead, cut, p, a, b = scratch
     if spec.a != 0.0:
         np.abs(v, work)
@@ -304,8 +302,8 @@ class LinearSeries:
 
 
 def step_count(t_end: float, grid: RadialGrid, cfl: float, sample_stride: int) -> int:
-    """The RK4 steps `evolve` takes to reach t_end > 0 on grid: the fewest
-    with dt <= cfl*dr, rounded up to a multiple of sample_stride."""
+    """The RK4 steps `evolve` takes to reach t_end on grid: the fewest with
+    dt <= cfl*dr, rounded up to a multiple of sample_stride; none at t_end = 0."""
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise PreconditionViolation(f"t_end must be >= 0, got {t_end}")
     if not (0.0 < cfl <= 0.75):
@@ -316,7 +314,7 @@ def step_count(t_end: float, grid: RadialGrid, cfl: float, sample_stride: int) -
     if not math.isfinite(steps):
         raise PreconditionViolation(
             f"t_end {t_end:.3g} takes t_end / (cfl * dr) = {steps} steps, past the double range")
-    nsteps = max(1, math.ceil(steps))
+    nsteps = max(1, math.ceil(steps)) if t_end > 0.0 else 0
     return sample_stride * math.ceil(nsteps / sample_stride)
 
 
@@ -538,12 +536,9 @@ def evolve(
     refused, so the window and the causality check read one reach.
     """
     nsteps = require_runnable(spec, u0, u1, grid, t_end, cfl, sample_stride, forcing)
-    if t_end == 0.0:
-        traj = Trajectory(spec, grid, np.zeros(1), u0.values[None], u1.values[None])
-        return SolveOutcome("completed", traj, None, 0.0, 0, 0)
-
     dr = grid.spacing
-    dt = t_end / nsteps
+    # a run to t_end = 0 takes no step, where t_end / nsteps would divide by 0
+    dt = t_end / max(nsteps, 1)
     nonlinear = spec.a != 0.0 or spec.b != 0.0
     # looked up once per run: each lookup hashes the grid
     c_plus, c_minus = _flux_weights(grid, spec.n_dim)
@@ -561,8 +556,8 @@ def evolve(
     status, t_blow = "completed", None
 
     # the window's state y = (u, v) of `width` nodes; it starts empty and
-    # grows before the first step
-    y, width, node_steps = data[:, :0], 0, 0
+    # grows before the first step.  k + 1 counts the steps taken
+    y, width, node_steps, k = data[:, :0], 0, 0, -1
     sources = (None,) * 4
     # `source` is the forcing row at time t_source
     source, t_source = None, None

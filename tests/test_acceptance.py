@@ -104,13 +104,13 @@ def test_criterion_05_kss_uniformity():
     g = gl.RadialGrid(r_max=108.0, num_cells=2160)
     data = gl.make_profile(_gaussian(), g)
     hom = gl.kss_hom_check(data.u0, data.u1, 3, 0.3, 0.2, [1.0, 10.0, 100.0])
-    hom_ok = gl.kss_band_ok(hom, band=0.25)
+    hom_ok = gl.kss_band_ok(hom)
 
     forcing = gl.ForcingSpec(amplitude=1.0, space_center=0.0, space_width=1.0,
                              t_on=0.0, t_off=0.5)
     source_grid = gl.RadialGrid(r_max=103.5, num_cells=2070)
     inhom = gl.kss_inhom_check(forcing, source_grid, 3, 0.3, 0.2, [1.0, 10.0, 100.0])
-    inhom_ok = gl.kss_band_ok(inhom, band=0.25)
+    inhom_ok = gl.kss_band_ok(inhom)
 
     gate_ok = False
     try:

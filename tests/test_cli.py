@@ -155,10 +155,9 @@ def test_precondition_exit_2(tmp_path):
 
 def test_invariant_failure_exit_3(tmp_path):
     out = str(tmp_path / "run")
-    # an absurdly tight uniformity band must trip the invariant gate
-    code = main(["kss", "--variant", "hom", "--n", "3", "--delta", "0.3",
-                 "--delta-prime", "0.2", "--t-list", "1,4,16", "--rmax", "24",
-                 "--cells", "480", "--band", "1e-6", "--out", out])
+    # the source is on over t in [0, 1]: the ratio at T = 1 reads 5.02, and
+    # those at T = 2 and 4 read 6.41 and 6.58, past the 25% band above it
+    code = main(["kss", "--variant", "inhom", "--n", "3", "--t-list", "1,2,4", "--out", out])
     assert code == 3
 
 
@@ -340,18 +339,6 @@ def test_ineq_negative_seed_exits_2(tmp_path, monkeypatch, capsys):
     assert "precondition: seed must be >= 0, got -1" in err and "Traceback" not in err
 
 
-# an infinite band turns the uniformity gate off, a NaN one fails every run
-@pytest.mark.parametrize("band", ["inf", "nan", "-0.5"])
-def test_kss_bad_band_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, band):
-    monkeypatch.setattr(estimates, "evolve", _no_solve)
-    code = main(["kss", "--variant", "hom", "--n", "3", "--t-list", "1,4", "--rmax", "24",
-                 "--cells", "480", "--band", band, "--out", str(tmp_path / "run")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"precondition: --band must be finite and >= 0, got {float(band)}" in err
-    assert "Traceback" not in err
-
-
 # an empty list ended --variant inhom in kss_band_ok's IndexError (exit 1)
 @pytest.mark.parametrize("variant", ["hom", "inhom"])
 @pytest.mark.parametrize("t_list", ["", ","])
@@ -408,7 +395,7 @@ def test_kss_inhom_config_replays(tmp_path):
     # the config echoes the data flags at their defaults, which inhom takes
     out = str(tmp_path / "run")
     assert main(["kss", "--variant", "inhom", "--n", "3", "--rmax", "12", "--cells", "120",
-                 "--t-list", "1,2", "--band", "1", "--out", out]) == 0
+                 "--t-list", "2,4", "--out", out]) == 0
     again = str(tmp_path / "again")
     assert main(["--config", os.path.join(out, "config.txt"), "--out", again]) == 0
     assert read(os.path.join(again, "kss.csv")) == read(os.path.join(out, "kss.csv"))
@@ -432,14 +419,12 @@ def _accepted_flags(subcommand):
         "-h", "--help", "--out", "--config"}
 
 
-# each kss flag off its default.  The base run passes the 25% band for hom and
-# breaches it for inhom, so --band moves each the other way
+# each kss flag off its default
 _KSS_MOVES = {
     "--n": "4", "--rmax": "14", "--cells": "140", "--cfl": "0.25", "--stride": "4",
     "--profile": "smooth_bump", "--eps": "2", "--width": "1.5", "--center": "0.5",
     "--assigns": "to_u1", "--delta": "0.35", "--delta-prime": "0.1", "--t-list": "1,3",
 }
-_KSS_BAND_MOVES = {"hom": "0", "inhom": "1"}
 
 
 @pytest.mark.parametrize("variant", ["hom", "inhom"])
@@ -448,8 +433,7 @@ def test_every_kss_flag_changes_the_run_or_exits_2(tmp_path, variant):
     # the run writes what it wrote without it
     field = tmp_path / "field.txt"
     field.write_text("# radial-field v1\n0.0 1.0\n0.5 0.5\n1.0 0.0\n2.0 0.0\n")
-    moves = dict(_KSS_MOVES, **{"--band": _KSS_BAND_MOVES[variant],
-                                "--data-file": str(field)})
+    moves = dict(_KSS_MOVES, **{"--data-file": str(field)})
     assert set(moves) | {"--variant"} == _accepted_flags("kss")
 
     def run(extra, name):
@@ -675,8 +659,8 @@ def test_cell_count_past_numpy_index_range_exits_2(tmp_path, capsys, argv, count
     assert not [name for name in os.listdir(out) if name.endswith(".csv")]
 
 
-# at least one flag per subcommand that its runner never reads; kss --b and
-# norms --a must not be taken as prefixes of --band and --assigns
+# at least one flag per subcommand that its runner never reads; norms --a
+# must not be taken as a prefix of --assigns
 @pytest.mark.parametrize("argv, flag", [
     (["solve", "--rmax", "12", "--cells", "240", "--t-end", "0.5", "--seed", "1"], "--seed"),
     (["ineq", "--lemma", "hardy", "--n", "3", "--s", "1.0", "--samples", "4",
@@ -688,6 +672,9 @@ def test_cell_count_past_numpy_index_range_exits_2(tmp_path, capsys, argv, count
       "--cells", "480", "--jobs", "1"], "--jobs"),
     (["kss", "--variant", "hom", "--n", "3", "--t-list", "1,2", "--rmax", "24",
       "--cells", "480", "--b", "1"], "--b"),
+    # every kss run is judged by the band estimates.KSS_BAND
+    (["kss", "--variant", "hom", "--n", "3", "--t-list", "1,2", "--rmax", "24",
+      "--cells", "480", "--band", "0.5"], "--band"),
     (["picard", "--n", "3", "--p", "2.5", "--eps", "0.05", "--assigns", "split",
       "--rmax", "10", "--cells", "160", "--t-end", "2", "--seed", "9"], "--seed"),
     (["lifespan", "--n", "3", "--p", "1.5", "--eps", "2.8,4.0", "--horizon", "6",
@@ -707,12 +694,13 @@ def test_cell_count_past_numpy_index_range_exits_2(tmp_path, capsys, argv, count
     (["--config", "{linear_config}"], "--linear"),
     # a retired flag replays only at the value the code now always applies
     (["--config", "{tol_config}"], "--tol=0.01"),
+    (["--config", "{band_config}"], "--band=0.5"),
     (["--config", "{lifespan_config}"], "--stride"),
     (["--config", "{lifespan_cells_config}"], "--cells"),
-], ids=["solve-seed", "ineq-p", "ineq-tol", "kss-jobs", "kss-b", "picard-seed", "lifespan-seed",
-        "lifespan-stride", "lifespan-cells", "norms-a", "norms-b", "solve-linear",
-        "solve-config-seed", "solve-config-linear", "ineq-config-tol", "lifespan-config-stride",
-        "lifespan-config-cells"])
+], ids=["solve-seed", "ineq-p", "ineq-tol", "kss-jobs", "kss-b", "kss-band", "picard-seed",
+        "lifespan-seed", "lifespan-stride", "lifespan-cells", "norms-a", "norms-b",
+        "solve-linear", "solve-config-seed", "solve-config-linear", "ineq-config-tol",
+        "kss-config-band", "lifespan-config-stride", "lifespan-config-cells"])
 def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv, flag):
     configs = {
         "{config}": "subcommand = solve\nrmax = 12.0\ncells = 240\nt_end = 0.5\nseed = 7\n",
@@ -720,6 +708,8 @@ def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv, flag)
                            "linear = true\n",
         "{tol_config}": "subcommand = ineq\nlemma = hardy\ns = 1.0\nsamples = 4\n"
                         "tol = 0.01\n",
+        "{band_config}": "subcommand = kss\nvariant = hom\nt_list = 1,2\nrmax = 24.0\n"
+                         "cells = 480\nband = 0.5\n",
         "{lifespan_config}": "subcommand = lifespan\neps_list = 2.8,4.0\nhorizon = 6.0\n"
                              "rmax = 12.0\nladder = 120,240\nstride = 20\n",
         # the default ladder was cells/2,cells, so an old config has an empty one
@@ -912,6 +902,19 @@ def test_ineq_config_with_the_retired_tol_replays_its_csv(tmp_path):
     assert main(["--config", str(config), "--out", out]) == 0
     assert read(os.path.join(out, "ineq.csv")).decode() == OLD_TOL_INEQ_CSV
     assert "tol" not in read_config(os.path.join(out, "config.txt"))
+
+
+def test_kss_config_with_the_retired_band_replays_its_csv(tmp_path):
+    # a config.txt written while kss took --band records it at its default
+    out = str(tmp_path / "run")
+    assert main(["kss", "--variant", "hom", "--n", "3", "--rmax", "12", "--cells", "120",
+                 "--t-list", "2,4", "--out", out]) == 0
+    config = tmp_path / "config.txt"
+    config.write_text(read(os.path.join(out, "config.txt")).decode() + "band = 0.25\n")
+    again = str(tmp_path / "again")
+    assert main(["--config", str(config), "--out", again]) == 0
+    assert read(os.path.join(again, "kss.csv")) == read(os.path.join(out, "kss.csv"))
+    assert "band" not in read_config(os.path.join(again, "config.txt"))
 
 
 # solve's flags for the config and CSVs below, as the CLI wrote them when
@@ -1151,7 +1154,7 @@ def test_ineq_columns_are_each_filled_by_some_lemma(tmp_path):
 def test_kss_columns_are_each_filled_at_n3(tmp_path, variant):
     out = str(tmp_path / "run")
     assert main(["kss", "--variant", variant, "--n", "3", "--rmax", "12", "--cells", "120",
-                 "--t-list", "1,2", "--band", "1", "--out", out]) == 0
+                 "--t-list", "2,4", "--out", out]) == 0
     path = os.path.join(out, "kss.csv")
     assert _header(path) == list(estimates.KSS_COLUMNS)
     assert _filled(_csv_rows(path)) == set(estimates.KSS_COLUMNS)
@@ -1256,7 +1259,7 @@ def _kss_flags(draw):
     """Flags of a small kss run.  inhom solves from zero data and refuses the
     data flags --profile, --assigns and --data-file, so only hom draws them;
     its from_file runs read the file _FIELD_FILE stands for."""
-    extra = {"--t-list": _HORIZONS, "--band": st.floats(0.0, 1.0)}
+    extra = {"--t-list": _HORIZONS}
     if draw(st.booleans()):
         profile = draw(st.sampled_from(["gaussian", "smooth_bump", "from_file"]))
         extra.update({"--variant": st.just("hom"), "--profile": st.just(profile)})

@@ -191,12 +191,13 @@ def test_kss_hom_band_n2_reduced():
     assert "field" not in samples[0].params
 
 
-# at a NaN band every ratio would fail the gate, at an infinite one pass it
-@pytest.mark.parametrize("band", [math.nan, math.inf, -0.5])
-def test_kss_band_ok_refuses_a_band_not_finite_and_non_negative(band):
-    samples = [gl.IneqSample("kss_hom", {"T": T}, 1.0) for T in (1.0, 2.0)]
-    with pytest.raises(gl.PreconditionViolation, match="band must be finite and >= 0"):
-        gl.kss_band_ok(samples, band=band)
+# the gate holds a ratio up to KSS_BAND above the smallest-T one, in any order
+@pytest.mark.parametrize("later, ok", [(1.25, True), (1.2500001, False), (0.5, True)])
+def test_kss_band_ok_judges_every_ratio_by_kss_band(later, ok):
+    samples = [gl.IneqSample("kss_hom", {"T": T}, ratio)
+               for T, ratio in ((4.0, later), (1.0, 1.0))]
+    assert estimates.KSS_BAND == 0.25
+    assert gl.kss_band_ok(samples) is ok
 
 
 def test_kss_band_ok_refuses_an_empty_sample_list():

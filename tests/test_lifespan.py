@@ -222,6 +222,16 @@ def test_sweep_refuses_causality_before_any_solve(monkeypatch, jobs):
             gl.sweep(spec(3, 1.5), prof, (4.0, 5.0), (160, 320), 20.0, 16.0, jobs=jobs)
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+def test_measure_lifespan_refuses_a_horizon_not_finite_and_positive(monkeypatch, horizon):
+    # a run to t = 0 takes no step, so the horizon 0 is refused by name, as
+    # sweep refuses it, and no rung measures it as a censored run
+    monkeypatch.setattr(gl.lifespan, "evolve", _no_solve)
+    prof = gl.DataProfile(family="gaussian", epsilon=1.0, assigns="to_u1")
+    with pytest.raises(gl.PreconditionViolation, match="horizon must be finite and > 0"):
+        gl.measure_lifespan(spec(3, 1.5), prof, 2.0, (160, 320), horizon, 16.0)
+
+
 @pytest.mark.parametrize("eps", [(-1.0, 2.0), (0.0, 2.0)])
 def test_sweep_checks_each_epsilon_before_any_solve(monkeypatch, eps):
     # a negative epsilon is refused by DataProfile's own rule.  Each point's

@@ -23,6 +23,7 @@ from glassey_lab.solver import (
     WINDOW_BLOCK,
     LinearSeries,
     _add_nonlinearity,
+    _flush_scratch,
     _power_cut,
     _window_stepper,
     stable_cfl,
@@ -205,7 +206,7 @@ def test_support_radius():
 def nonlinearity(u, v, dr, sp):
     """a|v|^p + b|u_r|^p nodewise, from zero."""
     out = np.zeros_like(v)
-    _add_nonlinearity(out, u, v, dr, sp)
+    _add_nonlinearity(out, u, v, dr, sp, _flush_scratch(out.size, sp))
     return out
 
 
@@ -258,7 +259,8 @@ def test_nonlinearity_flushes_only_sub_dbl_min_powers(p):
     # coefficient skips its scale
     for coef in (0.7, 1.0, -1.3):
         out = np.zeros_like(x)
-        _add_nonlinearity(out, np.zeros_like(x), x, 0.1, spec(p=p, a=coef, b=0.0))
+        sp = spec(p=p, a=coef, b=0.0)
+        _add_nonlinearity(out, np.zeros_like(x), x, 0.1, sp, _flush_scratch(out.size, sp))
         want = np.zeros_like(x) + np.where(normal, plain, 0.0) * coef
         assert out[finite].tobytes() == want[finite].tobytes()
         assert np.isnan(out[np.isnan(x)]).all()
@@ -719,9 +721,13 @@ def _reference_rk4(sp, u0, u1, g, t_end, forcing=None, cfl=0.25, stride=10,
 
 
 def _series_forcing(g):
-    # sampled on [0, 5]; later stage times read the last row itself
+    # sampled on [0, 5]; later stage times read the last row itself.  Each
+    # row falls under VANISH_FACTOR = 1e-14 of its peak past
+    # r = 2 + sqrt(14 ln 10) ~ 7.68, its support
     ts = np.linspace(0.0, 5.0, 11)
-    return LinearSeries(ts, [np.exp(-((g.nodes - 2.0) ** 2)) * math.cos(t) for t in ts], 6.0)
+    support = 2.0 + math.sqrt(14.0 * math.log(10.0))
+    return LinearSeries(ts, [np.exp(-((g.nodes - 2.0) ** 2)) * math.cos(t) for t in ts],
+                        support)
 
 
 def _bump_forcing(g):
@@ -1070,7 +1076,21 @@ def test_require_runnable_returns_the_steps_evolve_takes():
     assert times.size == steps // 5 + 1
     z = gl.RadialField.zeros(g)
     # t_end = 0 takes no step, so no step is too small
-    assert gl.solver.require_runnable(spec(), z, z, g, 0.0, 0.5, 5) == 5
+    assert gl.solver.require_runnable(spec(), z, z, g, 0.0, 0.5, 5) == 0
+
+
+def test_evolve_to_t_end_0_reports_the_data_at_t_0():
+    # the stepping loop takes no step: one sample, and the blow-up size of
+    # the data as the peak, as a run to any t_end reads it at t = 0
+    g = gl.RadialGrid(r_max=8.0, num_cells=200)
+    data = gl.make_profile(gaussian_profile(assigns="split"), g)
+    out = gl.evolve(spec(), data.u0, data.u1, g, 0.0)
+    assert (out.status, out.t_blowup, out.steps, out.node_steps) == ("completed", None, 0, 0)
+    assert out.trajectory.times.tolist() == [0.0]
+    assert out.trajectory.u.tobytes() == data.u0.values.tobytes()
+    u_r = gl.radial_derivative(data.u0).values
+    assert out.peak_gradient == max(np.max(np.abs(data.u1.values)), np.max(np.abs(u_r)))
+    assert out.peak_gradient > 0.0
 
 
 def test_outcome_counts_the_whole_grid_when_the_window_spans_it():
